@@ -19,7 +19,7 @@ import secrets
 from dataclasses import dataclass
 
 from . import encoding
-from .encoding import Reader, header, u32, vint
+from .encoding import U32, VINT, Layout, Record
 from .errors import DomainError
 
 MIN_MODULUS_BITS = 512
@@ -76,8 +76,12 @@ def _random_prime(bits: int, rng) -> int:
 
 
 @dataclass(frozen=True)
-class AccumulatorParams:
+class AccumulatorParams(Record):
     """Public accumulator parameters: modulus and seed. No trapdoor."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_ACC_PARAMS, ("modulus_bits", U32), ("modulus", VINT), ("seed", VINT)
+    )
 
     modulus: int
     seed: int
@@ -94,43 +98,16 @@ class AccumulatorParams:
         """Hand-chosen tiny parameters for deterministic tests only."""
         return cls(modulus=p * q, seed=seed, modulus_bits=(p * q).bit_length())
 
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_ACC_PARAMS)
-            + u32(self.modulus_bits)
-            + vint(self.modulus)
-            + vint(self.seed)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AccumulatorParams":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_ACC_PARAMS)
-        bits = r.take_u32()
-        modulus = r.take_vint()
-        seed = r.take_vint()
-        r.finish()
-        return cls(modulus=modulus, seed=seed, modulus_bits=bits)
-
 
 @dataclass(frozen=True)
-class AccumulatorValue:
+class AccumulatorValue(Record):
+    LAYOUT = Layout(encoding.TYPE_ACC_VALUE, ("value", VINT))
+
     value: int
 
     def __post_init__(self):
         if self.value <= 0:
             raise DomainError("accumulator value must be positive")
-
-    def to_bytes(self) -> bytes:
-        return header(encoding.TYPE_ACC_VALUE) + vint(self.value)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AccumulatorValue":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_ACC_VALUE)
-        value = r.take_vint()
-        r.finish()
-        return cls(value=value)
 
 
 def setup(modulus_bits: int = DEFAULT_MODULUS_BITS, rng=None) -> AccumulatorParams:

@@ -37,7 +37,21 @@ from .core import (
     verification_expiry,
     window_for_id,
 )
-from .encoding import Reader, header, u8, u32, u64, vbytes
+from .encoding import (
+    DIGESTS,
+    FLAG,
+    U64,
+    VBYTES,
+    VBYTES_LIST,
+    Layout,
+    Record,
+    either,
+    enum,
+    nested,
+    optional,
+    seq,
+    tup,
+)
 from .engine import CellArray, DeletionProof, expunge
 from .errors import (
     DataExpiredError,
@@ -50,12 +64,28 @@ from .hashing import DEFAULT_HASHER, Hasher
 
 logger = logging.getLogger(__name__)
 
-_FIRST_EPOCH_MARKER = 0
+_STATE = enum(DataState)
+_ACC_VALUE = nested(AccumulatorValue)
 
 
 @dataclass(frozen=True)
-class AttestationBundle:
+class AttestationBundle(Record):
     """Everything a verifier needs for one epoch, and nothing more."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_BUNDLE,
+        ("epoch_id", U64),
+        ("state", _STATE),
+        ("first_epoch", FLAG),
+        ("prev_crypto_time", optional(_ACC_VALUE)),
+        ("crypto_time", _ACC_VALUE),
+        ("digests", DIGESTS),
+        (("ciphertexts", "cells"), either(VBYTES_LIST, nested(CellArray))),
+        ("enc_crypto_time", VBYTES),
+        ("enc_state_tag", VBYTES),
+        ("deletion_proof", optional(nested(DeletionProof))),
+        ("served_at", U64),
+    )
 
     epoch_id: int
     state: DataState
@@ -70,104 +100,27 @@ class AttestationBundle:
     deletion_proof: DeletionProof | None
     served_at: int
 
-    def to_bytes(self) -> bytes:
-        parts = [
-            header(encoding.TYPE_BUNDLE),
-            u64(self.epoch_id),
-            u8(int(self.state)),
-            u8(1 if self.first_epoch else 0),
-        ]
-        if self.prev_crypto_time is None:
-            parts.append(u8(_FIRST_EPOCH_MARKER))
-        else:
-            parts.append(u8(1))
-            parts.append(self.prev_crypto_time.to_bytes())
-        parts.append(self.crypto_time.to_bytes())
-        digest_size = len(self.digests[0]) if self.digests else 0
-        parts.append(u32(digest_size))
-        parts.append(u32(len(self.digests)))
-        parts.append(b"".join(self.digests))
-        if self.ciphertexts is not None:
-            parts.append(u8(0))
-            parts.append(u32(len(self.ciphertexts)))
-            parts.extend(vbytes(ct) for ct in self.ciphertexts)
-        else:
-            parts.append(u8(1))
-            parts.append(self.cells.to_bytes())
-        parts.append(vbytes(self.enc_crypto_time))
-        parts.append(vbytes(self.enc_state_tag))
-        if self.deletion_proof is None:
-            parts.append(u8(0))
-        else:
-            parts.append(u8(1))
-            parts.append(self.deletion_proof.to_bytes())
-        parts.append(u64(self.served_at))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "AttestationBundle":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_BUNDLE)
-        epoch_id = r.take_u64()
-        state = DataState(r.take_u8())
-        first_epoch = r.take_u8() == 1
-        prev = None
-        if r.take_u8() == 1:
-            r.expect_header(encoding.TYPE_ACC_VALUE)
-            prev = AccumulatorValue(r.take_vint())
-        r.expect_header(encoding.TYPE_ACC_VALUE)
-        crypto_time = AccumulatorValue(r.take_vint())
-        digest_size = r.take_u32()
-        count = r.take_u32()
-        raw = r.take(digest_size * count)
-        digests = tuple(raw[i * digest_size : (i + 1) * digest_size] for i in range(count))
-        ciphertexts = None
-        cells = None
-        if r.take_u8() == 0:
-            ciphertexts = tuple(r.take_vbytes() for _ in range(r.take_u32()))
-        else:
-            r.expect_header(encoding.TYPE_CELL_ARRAY)
-            cell_epoch = r.take_u64()
-            cell_size = r.take_u32()
-            cell_count = r.take_u32()
-            raw_cells = r.take(cell_size * cell_count)
-            cells = CellArray(
-                epoch_id=cell_epoch,
-                cell_size=cell_size,
-                cells=tuple(
-                    raw_cells[i * cell_size : (i + 1) * cell_size]
-                    for i in range(cell_count)
-                ),
-            )
-        enc_crypto_time = r.take_vbytes()
-        enc_state_tag = r.take_vbytes()
-        proof = None
-        if r.take_u8() == 1:
-            r.expect_header(encoding.TYPE_DELETION_PROOF)
-            proof = DeletionProof(
-                epoch_id=r.take_u64(), proof=r.take_vbytes(), produced_at=r.take_u64()
-            )
-        served_at = r.take_u64()
-        r.finish()
-        return cls(
-            epoch_id=epoch_id,
-            state=state,
-            first_epoch=first_epoch,
-            prev_crypto_time=prev,
-            crypto_time=crypto_time,
-            digests=digests,
-            ciphertexts=ciphertexts,
-            cells=cells,
-            enc_crypto_time=enc_crypto_time,
-            enc_state_tag=enc_state_tag,
-            deletion_proof=proof,
-            served_at=served_at,
-        )
-
 
 @dataclass
-class EpochRecord:
+class EpochRecord(Record):
     """One epoch's stored material plus its state history."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_EPOCH_RECORD,
+        ("epoch_id", U64),
+        ("bt", U64),
+        ("et", U64),
+        ("first_epoch", FLAG),
+        ("state", _STATE),
+        ("prev_crypto_time", optional(_ACC_VALUE)),
+        ("crypto_time", optional(_ACC_VALUE)),
+        ("digests", DIGESTS),
+        ("ciphertexts", optional(VBYTES_LIST)),
+        ("cells", optional(nested(CellArray))),
+        ("meta", optional(nested(MetaDataRow))),
+        ("deletion_proof", optional(nested(DeletionProof))),
+        ("state_history", seq(tup(_STATE, U64))),
+    )
 
     epoch_id: int
     bt: int
@@ -183,119 +136,13 @@ class EpochRecord:
     state: DataState
     state_history: list[tuple[DataState, int]] = field(default_factory=list)
 
-    def to_bytes(self) -> bytes:
-        parts = [
-            header(encoding.TYPE_EPOCH_RECORD),
-            u64(self.epoch_id),
-            u64(self.bt),
-            u64(self.et),
-            u8(1 if self.first_epoch else 0),
-            u8(int(self.state)),
-        ]
-
-        def optional(value, encode) -> None:
-            if value is None:
-                parts.append(u8(0))
-            else:
-                parts.append(u8(1))
-                parts.append(encode(value))
-
-        optional(self.prev_crypto_time, lambda v: v.to_bytes())
-        optional(self.crypto_time, lambda v: v.to_bytes())
-        digest_size = len(self.digests[0]) if self.digests else 0
-        parts.append(u32(digest_size))
-        parts.append(u32(len(self.digests)))
-        parts.append(b"".join(self.digests))
-        if self.ciphertexts is None:
-            parts.append(u8(0))
-        else:
-            parts.append(u8(1))
-            parts.append(u32(len(self.ciphertexts)))
-            parts.extend(vbytes(ct) for ct in self.ciphertexts)
-        optional(self.cells, lambda v: v.to_bytes())
-        optional(self.meta, lambda v: v.to_bytes())
-        optional(self.deletion_proof, lambda v: v.to_bytes())
-        parts.append(u32(len(self.state_history)))
-        for state, at in self.state_history:
-            parts.append(u8(int(state)))
-            parts.append(u64(at))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EpochRecord":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_EPOCH_RECORD)
-        epoch_id = r.take_u64()
-        bt = r.take_u64()
-        et = r.take_u64()
-        first_epoch = r.take_u8() == 1
-        state = DataState(r.take_u8())
-
-        def optional(decode):
-            return decode() if r.take_u8() == 1 else None
-
-        def acc_value():
-            r.expect_header(encoding.TYPE_ACC_VALUE)
-            return AccumulatorValue(r.take_vint())
-
-        prev = optional(acc_value)
-        crypto_time = optional(acc_value)
-        digest_size = r.take_u32()
-        count = r.take_u32()
-        raw = r.take(digest_size * count)
-        digests = tuple(raw[i * digest_size : (i + 1) * digest_size] for i in range(count))
-        ciphertexts = None
-        if r.take_u8() == 1:
-            ciphertexts = tuple(r.take_vbytes() for _ in range(r.take_u32()))
-
-        def cell_array():
-            r.expect_header(encoding.TYPE_CELL_ARRAY)
-            cell_epoch = r.take_u64()
-            cell_size = r.take_u32()
-            cell_count = r.take_u32()
-            raw_cells = r.take(cell_size * cell_count)
-            return CellArray(
-                epoch_id=cell_epoch,
-                cell_size=cell_size,
-                cells=tuple(
-                    raw_cells[i * cell_size : (i + 1) * cell_size]
-                    for i in range(cell_count)
-                ),
-            )
-
-        cells = optional(cell_array)
-        meta = optional(lambda: MetaDataRow.read_from(r))
-
-        def proof():
-            r.expect_header(encoding.TYPE_DELETION_PROOF)
-            return DeletionProof(
-                epoch_id=r.take_u64(), proof=r.take_vbytes(), produced_at=r.take_u64()
-            )
-
-        deletion_proof = optional(proof)
-        history = []
-        for _ in range(r.take_u32()):
-            history.append((DataState(r.take_u8()), r.take_u64()))
-        r.finish()
-        return cls(
-            epoch_id=epoch_id,
-            bt=bt,
-            et=et,
-            first_epoch=first_epoch,
-            prev_crypto_time=prev,
-            crypto_time=crypto_time,
-            digests=digests,
-            ciphertexts=ciphertexts,
-            cells=cells,
-            meta=meta,
-            deletion_proof=deletion_proof,
-            state=state,
-            state_history=history,
-        )
-
 
 @dataclass(frozen=True)
-class Transition:
+class Transition(Record):
+    LAYOUT = Layout(
+        None, ("epoch_id", U64), ("from_state", _STATE), ("to_state", _STATE), ("at", U64)
+    )
+
     epoch_id: int
     from_state: DataState
     to_state: DataState

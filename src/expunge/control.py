@@ -26,12 +26,16 @@ from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .core import EpochWindow, SensorReading
 from .crypto import KeyRing, hybrid_decrypt, hybrid_encrypt, symmetric_encrypt
-from .encoding import Reader, header, u32, u64, vbytes
+from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
 from .engine import CellArray, expunge
 from .errors import DomainError, EpochMismatchError, InconsistentRowsError
 from .hashing import DEFAULT_HASHER, Hasher
 
 _SENTINEL_LABEL = b"EMPTY"
+
+_READING_PLAINTEXT = Layout(
+    encoding.TYPE_READING_PLAINTEXT, *SensorReading.LAYOUT.fields, ("epoch_id", U64)
+)
 
 
 def batch_epoch(
@@ -97,12 +101,8 @@ def encrypt_reading(
     transplanted into another epoch's row without detection by the
     enclave.
     """
-    plaintext = (
-        header(encoding.TYPE_READING_PLAINTEXT)
-        + vbytes(reading.device_id)
-        + u64(reading.time)
-        + vbytes(reading.payload)
-        + u64(epoch_id)
+    plaintext = _READING_PLAINTEXT.pack(
+        reading.device_id, reading.time, reading.payload, epoch_id
     )
     return hybrid_encrypt(plaintext, enclave_public)
 
@@ -110,14 +110,10 @@ def encrypt_reading(
 def decrypt_reading(
     envelope: bytes, enclave_private: X25519PrivateKey
 ) -> tuple[SensorReading, int]:
-    r = Reader(hybrid_decrypt(envelope, enclave_private))
-    r.expect_header(encoding.TYPE_READING_PLAINTEXT)
-    reading = SensorReading(
-        device_id=r.take_vbytes(), time=r.take_u64(), payload=r.take_vbytes()
+    device_id, time, payload, epoch_id = _READING_PLAINTEXT.unpack(
+        hybrid_decrypt(envelope, enclave_private)
     )
-    epoch_id = r.take_u64()
-    r.finish()
-    return reading, epoch_id
+    return SensorReading(device_id=device_id, time=time, payload=payload), epoch_id
 
 
 def accessible_tag(ciphertexts: tuple[bytes, ...], hasher: Hasher = DEFAULT_HASHER) -> bytes:
@@ -144,8 +140,16 @@ def irrecoverable_tag(
 
 
 @dataclass(frozen=True)
-class SensorDataRow:
+class SensorDataRow(Record):
     """Outsourced per-epoch data: digests, chained timestamp, ciphertexts."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_SENSOR_ROW,
+        ("epoch_id", U64),
+        ("digests", DIGESTS),
+        ("crypto_time", nested(AccumulatorValue)),
+        ("ciphertexts", VBYTES_LIST),
+    )
 
     epoch_id: int
     digests: tuple[bytes, ...]
@@ -163,54 +167,20 @@ class SensorDataRow:
         if not self.ciphertexts and len(self.digests) != 1:
             raise DomainError("an empty epoch carries exactly the sentinel digest")
 
-    @property
-    def digest_size(self) -> int:
-        return len(self.digests[0])
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            header(encoding.TYPE_SENSOR_ROW),
-            u64(self.epoch_id),
-            u32(self.digest_size),
-            u32(len(self.digests)),
-            b"".join(self.digests),
-            self.crypto_time.to_bytes(),
-            u32(len(self.ciphertexts)),
-        ]
-        parts.extend(vbytes(ct) for ct in self.ciphertexts)
-        return b"".join(parts)
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "SensorDataRow":
-        r.expect_header(encoding.TYPE_SENSOR_ROW)
-        epoch_id = r.take_u64()
-        digest_size = r.take_u32()
-        count = r.take_u32()
-        raw = r.take(digest_size * count)
-        digests = tuple(
-            raw[i * digest_size : (i + 1) * digest_size] for i in range(count)
-        )
-        r.expect_header(encoding.TYPE_ACC_VALUE)
-        crypto_time = AccumulatorValue(r.take_vint())
-        ciphertexts = tuple(r.take_vbytes() for _ in range(r.take_u32()))
-        return cls(
-            epoch_id=epoch_id,
-            digests=digests,
-            crypto_time=crypto_time,
-            ciphertexts=ciphertexts,
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SensorDataRow":
-        r = Reader(data)
-        row = cls.read_from(r)
-        r.finish()
-        return row
-
 
 @dataclass(frozen=True)
-class MetaDataRow:
+class MetaDataRow(Record):
     """Outsourced per-epoch metadata; all fields beyond the bounds sealed."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_META_ROW,
+        ("epoch_id", U64),
+        ("bt", U64),
+        ("et", U64),
+        ("enc_crypto_time", VBYTES),
+        ("enc_accessible_tag", VBYTES),
+        ("enc_irrecoverable_tag", VBYTES),
+    )
 
     epoch_id: int
     bt: int
@@ -218,36 +188,6 @@ class MetaDataRow:
     enc_crypto_time: bytes
     enc_accessible_tag: bytes
     enc_irrecoverable_tag: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_META_ROW)
-            + u64(self.epoch_id)
-            + u64(self.bt)
-            + u64(self.et)
-            + vbytes(self.enc_crypto_time)
-            + vbytes(self.enc_accessible_tag)
-            + vbytes(self.enc_irrecoverable_tag)
-        )
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "MetaDataRow":
-        r.expect_header(encoding.TYPE_META_ROW)
-        return cls(
-            epoch_id=r.take_u64(),
-            bt=r.take_u64(),
-            et=r.take_u64(),
-            enc_crypto_time=r.take_vbytes(),
-            enc_accessible_tag=r.take_vbytes(),
-            enc_irrecoverable_tag=r.take_vbytes(),
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MetaDataRow":
-        r = Reader(data)
-        row = cls.read_from(r)
-        r.finish()
-        return row
 
 
 def build_outsource_payload(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import encoding
-from .encoding import Reader, header, u8, u64, vbytes
+from .encoding import U64, U64_OR_INF, VBYTES, Layout, Record
 from .errors import DomainError
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -36,8 +36,12 @@ class DataState(IntEnum):
 
 
 @dataclass(frozen=True)
-class SensorReading:
+class SensorReading(Record):
     """One raw sensor tuple: device id, capture time, opaque payload."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_READING, ("device_id", VBYTES), ("time", U64), ("payload", VBYTES)
+    )
 
     device_id: bytes
     time: int
@@ -56,32 +60,12 @@ class SensorReading:
                 f"payload exceeds maximum of {MAX_PAYLOAD_BYTES} bytes"
             )
 
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_READING)
-            + vbytes(self.device_id)
-            + u64(self.time)
-            + vbytes(self.payload)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SensorReading":
-        r = Reader(data)
-        reading = cls.read_from(r)
-        r.finish()
-        return reading
-
-    @classmethod
-    def read_from(cls, r: Reader) -> "SensorReading":
-        r.expect_header(encoding.TYPE_READING)
-        return cls(
-            device_id=r.take_vbytes(), time=r.take_u64(), payload=r.take_vbytes()
-        )
-
 
 @dataclass(frozen=True)
-class EpochWindow:
+class EpochWindow(Record):
     """Half-open time window [bt, et); its id is its begin time."""
+
+    LAYOUT = Layout(encoding.TYPE_WINDOW, ("bt", U64), ("et", U64))
 
     bt: int
     et: int
@@ -101,20 +85,9 @@ class EpochWindow:
     def contains(self, t: int) -> bool:
         return self.bt <= t < self.et
 
-    def to_bytes(self) -> bytes:
-        return header(encoding.TYPE_WINDOW) + u64(self.bt) + u64(self.et)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "EpochWindow":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_WINDOW)
-        window = cls(bt=r.take_u64(), et=r.take_u64())
-        r.finish()
-        return window
-
 
 @dataclass(frozen=True)
-class RetentionPolicy:
+class RetentionPolicy(Record):
     """Retention pair: epochs until deletion, epochs until purge of proofs.
 
     ``p_ver`` may be :data:`NEVER` (infinity), in which case verification
@@ -122,6 +95,10 @@ class RetentionPolicy:
     the window in which deletion could be verified would close before
     deletion happens.
     """
+
+    LAYOUT = Layout(
+        encoding.TYPE_POLICY, ("p_del", U64), ("p_ver", U64_OR_INF), ("delta", U64)
+    )
 
     p_del: int
     p_ver: int | float
@@ -141,27 +118,6 @@ class RetentionPolicy:
     @property
     def verification_unbounded(self) -> bool:
         return self.p_ver is NEVER
-
-    def to_bytes(self) -> bytes:
-        unbounded = self.verification_unbounded
-        return (
-            header(encoding.TYPE_POLICY)
-            + u64(self.p_del)
-            + u8(1 if unbounded else 0)
-            + u64(0 if unbounded else self.p_ver)
-            + u64(self.delta)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RetentionPolicy":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_POLICY)
-        p_del = r.take_u64()
-        unbounded = r.take_u8() == 1
-        p_ver = r.take_u64()
-        delta = r.take_u64()
-        r.finish()
-        return cls(p_del=p_del, p_ver=NEVER if unbounded else p_ver, delta=delta)
 
 
 def epoch_of(t: int, delta: int, origin: int = 0) -> EpochWindow:

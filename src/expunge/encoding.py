@@ -1,28 +1,46 @@
 """Canonical byte layout shared by every hashing and wire path.
 
 Every value that is ever hashed, signed, or shipped between roles is
-encoded here, exactly once, so that all parties agree bit-for-bit.
+encoded here, exactly once, so that all parties agree bit-for-bit. Each
+record class states its layout once, as a :class:`Layout` (its TYPE byte
+and typed fields); the one encoder and decoder below turn that statement
+into bytes and back.
 
 Layout rules (normative):
 
 * A record is ``MAGIC byte, VERSION byte, TYPE byte`` followed by its
-  fields in declaration order.
+  fields in declaration order. A wire payload is a field list with no
+  header.
 * Unsigned integers are big-endian fixed width (``u8``/``u32``/``u64``).
 * Variable-length byte strings are a ``u32`` length prefix plus the raw
   bytes (``vbytes``).
 * Arbitrary-precision non-negative integers are a ``u32`` length prefix
   plus the minimal big-endian magnitude (``vint``); zero encodes as an
   empty magnitude.
-* Lists are a ``u32`` element count followed by the encoded elements.
+* A flag or presence byte is one ``u8`` that is 0 or 1; any other value
+  is rejected. An enumeration is one ``u8`` holding a defined member. An
+  optional field is a presence byte, then the field when present.
+* A fixed-width list (digests, cells) is ``u32 width, u32 count``, then
+  the elements concatenated. A zero width with a nonzero count is
+  rejected. A digest list's width is its elements' size, 0 when empty.
+* Any other list is a ``u32`` element count followed by the encoded
+  elements.
+
+Each record's fields are the ``LAYOUT`` declared on its class; the
+README tabulates them.
 
 The combination of fixed field order, fixed-width integers and length
 prefixes makes each record encoding injective; the TYPE byte keeps the
-encodings of distinct record types disjoint.
+encodings of distinct record types disjoint. Decoding is strict: any
+bytes that decode re-encode to exactly themselves.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, NamedTuple
 
 MAGIC = 0xC7
 VERSION = 1
@@ -79,10 +97,6 @@ def vint(n: int) -> bytes:
     return vbytes(magnitude)
 
 
-def header(type_byte: int) -> bytes:
-    return bytes([MAGIC, VERSION, type_byte])
-
-
 class Reader:
     """Sequential decoder over one canonical record."""
 
@@ -100,11 +114,6 @@ class Reader:
             raise EncodingError(
                 f"record type mismatch: expected 0x{type_byte:02x}, got 0x{head[2]:02x}"
             )
-
-    def peek_type(self) -> int:
-        if len(self._data) - self._pos < 3:
-            raise EncodingError("truncated record header")
-        return self._data[self._pos + 2]
 
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
@@ -131,8 +140,220 @@ class Reader:
             raise EncodingError("non-minimal integer magnitude")
         return int.from_bytes(magnitude, "big")
 
+    def take_flag(self) -> bool:
+        flag = self.take_u8()
+        if flag > 1:
+            raise EncodingError(f"flag byte must be 0 or 1, got {flag}")
+        return flag == 1
+
+    def take_fixed_list(self) -> tuple[int, tuple[bytes, ...]]:
+        """``(width, elements)`` of a fixed-width list: one take, then slices."""
+        width = self.take_u32()
+        count = self.take_u32()
+        if not count:
+            return width, ()
+        if not width:
+            raise EncodingError("zero-width list with a nonzero count")
+        raw = self.take(width * count)
+        return width, tuple([raw[i : i + width] for i in range(0, len(raw), width)])
+
     def finish(self) -> None:
         if self._pos != len(self._data):
             raise EncodingError(
                 f"{len(self._data) - self._pos} trailing bytes after record"
             )
+
+
+# -- field kinds ---------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """How one field is written and read back.
+
+    ``encode`` turns a value into a list of byte strings; a record joins
+    all of its pieces once, so nested records and lists are never copied
+    on the way.
+    """
+
+    encode: Callable[[Any], list[bytes]]
+    decode: Callable[[Reader], Any]
+
+
+def _scalar(to_bytes: Callable[[Any], bytes], decode: Callable[[Reader], Any]) -> Kind:
+    return Kind(lambda value: [to_bytes(value)], decode)
+
+
+U32 = _scalar(u32, Reader.take_u32)
+U64 = _scalar(u64, Reader.take_u64)
+VBYTES = _scalar(vbytes, Reader.take_vbytes)
+VINT = _scalar(vint, Reader.take_vint)
+FLAG = _scalar(lambda flag: b"\x01" if flag else b"\x00", Reader.take_flag)
+
+
+def enum(cls) -> Kind:
+    """One ``u8`` holding a member of the ``IntEnum`` ``cls``."""
+
+    def decode(r: Reader):
+        value = r.take_u8()
+        try:
+            return cls(value)
+        except ValueError:
+            raise EncodingError(f"{value} is not a {cls.__name__}") from None
+
+    return _scalar(lambda member: u8(int(member)), decode)
+
+
+def nested(cls) -> Kind:
+    """A whole record of class ``cls``, header included."""
+    return Kind(cls.LAYOUT.parts, cls.read_from)
+
+
+def optional(kind: Kind) -> Kind:
+    """A presence byte, then ``kind`` when the value is not None."""
+    return Kind(
+        lambda value: [b"\x00"] if value is None else [b"\x01", *kind.encode(value)],
+        lambda r: kind.decode(r) if r.take_flag() else None,
+    )
+
+
+def either(first: Kind, second: Kind) -> Kind:
+    """Choice byte 0 then ``first``, or 1 then ``second``.
+
+    The value is a ``(first, second)`` pair; ``first`` wins when it is
+    not None, and decoding sets the side not chosen to None.
+    """
+
+    def encode(pair) -> list[bytes]:
+        a, b = pair
+        return [b"\x00", *first.encode(a)] if a is not None else [b"\x01", *second.encode(b)]
+
+    return Kind(
+        encode, lambda r: (None, second.decode(r)) if r.take_flag() else (first.decode(r), None)
+    )
+
+
+def seq(kind: Kind) -> Kind:
+    """A ``u32`` count, then each element as ``kind``; decodes to a list."""
+    return Kind(
+        lambda items: [u32(len(items)), *[p for item in items for p in kind.encode(item)]],
+        lambda r: [kind.decode(r) for _ in range(r.take_u32())],
+    )
+
+
+def tup(*kinds: Kind) -> Kind:
+    """Several kinds back to back, as one tuple."""
+    return Kind(
+        lambda values: [p for k, v in zip(kinds, values, strict=True) for p in k.encode(v)],
+        lambda r: tuple([k.decode(r) for k in kinds]),
+    )
+
+
+def _take_digest_list(r: Reader) -> tuple[bytes, ...]:
+    width, items = r.take_fixed_list()
+    if width and not items:
+        raise EncodingError("an empty digest list must declare width 0")
+    return items
+
+
+#: Fixed-width list whose width is its elements' size (0 when empty).
+DIGESTS = Kind(
+    lambda items: [u32(len(items[0]) if items else 0), u32(len(items)), *items],
+    _take_digest_list,
+)
+#: Fixed-width list whose width is a field of its own: ``(width, elements)``.
+SIZED_LIST = Kind(
+    lambda pair: [u32(pair[0]), u32(len(pair[1])), *pair[1]], Reader.take_fixed_list
+)
+VBYTES_LIST = Kind(
+    lambda items: [u32(len(items)), *[vbytes(item) for item in items]],
+    lambda r: tuple([r.take_vbytes() for _ in range(r.take_u32())]),
+)
+
+
+def _take_u64_or_inf(r: Reader) -> int | float:
+    unbounded = r.take_flag()
+    value = r.take_u64()
+    if unbounded and value:
+        raise EncodingError("an unbounded value must encode as 0")
+    return math.inf if unbounded else value
+
+
+#: ``u64`` that may be ``math.inf``: an unbounded flag, then the value (0 when unbounded).
+U64_OR_INF = Kind(
+    lambda value: [b"\x01", u64(0)] if value == math.inf else [b"\x00", u64(value)],
+    _take_u64_or_inf,
+)
+
+
+# -- layouts -------------------------------------------------------------------
+
+
+class Layout:
+    """A TYPE byte (None for a headerless wire payload) and fields in order.
+
+    A field is ``(name, kind)``. A kind that covers several attributes
+    (:func:`either`, :data:`SIZED_LIST`) names them as a tuple and takes
+    and yields a tuple of their values.
+    """
+
+    def __init__(self, type_byte: int | None, *fields: tuple[str | tuple[str, ...], Kind]):
+        self.type_byte = type_byte
+        self.fields = fields
+        self._head = b"" if type_byte is None else bytes([MAGIC, VERSION, type_byte])
+        self._getters = [
+            attrgetter(*((name,) if isinstance(name, str) else name)) for name, _ in fields
+        ]
+
+    def _parts(self, values) -> list[bytes]:
+        parts = [self._head]
+        for (_, kind), value in zip(self.fields, values, strict=True):
+            parts += kind.encode(value)
+        return parts
+
+    def pack(self, *values) -> bytes:
+        """Encode one value per field, in field order."""
+        return b"".join(self._parts(values))
+
+    def parts(self, obj) -> list[bytes]:
+        """The encoding of the fields read by name from ``obj``, in pieces."""
+        return self._parts([get(obj) for get in self._getters])
+
+    def read(self, r: Reader) -> list:
+        """Decode one value per field, in field order."""
+        if self.type_byte is not None:
+            r.expect_header(self.type_byte)
+        return [kind.decode(r) for _, kind in self.fields]
+
+    def unpack(self, data: bytes) -> list:
+        """Decode exactly ``data``: trailing bytes are an error."""
+        r = Reader(data)
+        values = self.read(r)
+        r.finish()
+        return values
+
+    def kwargs(self, values: list) -> dict[str, Any]:
+        """Decoded values as constructor keyword arguments."""
+        out: dict[str, Any] = {}
+        for (name, _), value in zip(self.fields, values):
+            if isinstance(name, str):
+                out[name] = value
+            else:
+                out.update(zip(name, value))
+        return out
+
+
+class Record:
+    """Mixin giving a class with a ``LAYOUT`` its canonical encoding."""
+
+    LAYOUT: ClassVar[Layout]
+
+    def to_bytes(self) -> bytes:
+        return b"".join(self.LAYOUT.parts(self))
+
+    @classmethod
+    def read_from(cls, r: Reader):
+        return cls(**cls.LAYOUT.kwargs(cls.LAYOUT.read(r)))
+
+    @classmethod
+    def from_bytes(cls, data: bytes):
+        return cls(**cls.LAYOUT.kwargs(cls.LAYOUT.unpack(data)))

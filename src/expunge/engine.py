@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import encoding
-from .encoding import Reader, header, u32, u64, vbytes
+from .encoding import SIZED_LIST, U64, VBYTES, Layout, Record, u32, u64
 from .errors import DomainError
 from .hashing import DEFAULT_HASHER, Hasher
 
@@ -60,8 +60,12 @@ def pad_cell(epoch_id: int, position: int, cell_size: int, hasher: Hasher = DEFA
 
 
 @dataclass(frozen=True)
-class CellArray:
+class CellArray(Record):
     """Uniform working array of cells for one epoch."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_CELL_ARRAY, ("epoch_id", U64), (("cell_size", "cells"), SIZED_LIST)
+    )
 
     epoch_id: int
     cell_size: int
@@ -101,53 +105,21 @@ class CellArray:
         )
         return cls(epoch_id=epoch_id, cell_size=cell_size, cells=cells)
 
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_CELL_ARRAY)
-            + u64(self.epoch_id)
-            + u32(self.cell_size)
-            + u32(len(self.cells))
-            + b"".join(self.cells)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CellArray":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_CELL_ARRAY)
-        epoch_id = r.take_u64()
-        cell_size = r.take_u32()
-        count = r.take_u32()
-        raw = r.take(cell_size * count)
-        r.finish()
-        cells = tuple(
-            raw[i * cell_size : (i + 1) * cell_size] for i in range(count)
-        )
-        return cls(epoch_id=epoch_id, cell_size=cell_size, cells=cells)
-
 
 @dataclass(frozen=True)
-class DeletionProof:
+class DeletionProof(Record):
     """Digest over the fully overwritten cells of one epoch."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_DELETION_PROOF,
+        ("epoch_id", U64),
+        ("proof", VBYTES),
+        ("produced_at", U64),
+    )
 
     epoch_id: int
     proof: bytes
     produced_at: int
-
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_DELETION_PROOF)
-            + u64(self.epoch_id)
-            + vbytes(self.proof)
-            + u64(self.produced_at)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "DeletionProof":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_DELETION_PROOF)
-        proof = cls(epoch_id=r.take_u64(), proof=r.take_vbytes(), produced_at=r.take_u64())
-        r.finish()
-        return proof
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .crypto import hybrid_decrypt, hybrid_encrypt, sign, verify_signature
-from .encoding import Reader, header, u32, u64, vbytes, vint
+from .encoding import U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes, vint
 from .errors import DomainError, IntegrityError, SealedBlockError, SignatureRejected
 from .hashing import DEFAULT_HASHER, Hasher
 
@@ -42,35 +42,21 @@ def signed_payload(query: bytes, time: int) -> bytes:
 
 
 @dataclass(frozen=True)
-class QueryRecord:
+class QueryRecord(Record):
     """One signed query: the user cannot later deny having sent it."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_QUERY_RECORD,
+        ("query", VBYTES),
+        ("time", U64),
+        ("user_id", VBYTES),
+        ("signature", VBYTES),
+    )
 
     query: bytes
     time: int
     user_id: bytes
     signature: bytes
-
-    def to_bytes(self) -> bytes:
-        return (
-            header(encoding.TYPE_QUERY_RECORD)
-            + vbytes(self.query)
-            + u64(self.time)
-            + vbytes(self.user_id)
-            + vbytes(self.signature)
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "QueryRecord":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_QUERY_RECORD)
-        record = cls(
-            query=r.take_vbytes(),
-            time=r.take_u64(),
-            user_id=r.take_vbytes(),
-            signature=r.take_vbytes(),
-        )
-        r.finish()
-        return record
 
 
 def make_query_record(
@@ -121,45 +107,23 @@ class QueryBlock:
 
 
 @dataclass(frozen=True)
-class SealedBlock:
+class SealedBlock(Record):
     """Durable on-disk form: proof plus per-record encryption."""
+
+    LAYOUT = Layout(
+        encoding.TYPE_SEALED_BLOCK,
+        ("block_id", U64),
+        ("created_at", U64),
+        ("sealed_at", U64),
+        ("block_proof", nested(AccumulatorValue)),
+        ("encrypted_records", VBYTES_LIST),
+    )
 
     block_id: int
     created_at: int
     sealed_at: int
     block_proof: AccumulatorValue
     encrypted_records: tuple[bytes, ...]
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            header(encoding.TYPE_SEALED_BLOCK),
-            u64(self.block_id),
-            u64(self.created_at),
-            u64(self.sealed_at),
-            self.block_proof.to_bytes(),
-            u32(len(self.encrypted_records)),
-        ]
-        parts.extend(vbytes(blob) for blob in self.encrypted_records)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "SealedBlock":
-        r = Reader(data)
-        r.expect_header(encoding.TYPE_SEALED_BLOCK)
-        block_id = r.take_u64()
-        created_at = r.take_u64()
-        sealed_at = r.take_u64()
-        r.expect_header(encoding.TYPE_ACC_VALUE)
-        proof = AccumulatorValue(r.take_vint())
-        encrypted = tuple(r.take_vbytes() for _ in range(r.take_u32()))
-        r.finish()
-        return cls(
-            block_id=block_id,
-            created_at=created_at,
-            sealed_at=sealed_at,
-            block_proof=proof,
-            encrypted_records=encrypted,
-        )
 
 
 def append_query(

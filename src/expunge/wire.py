@@ -18,10 +18,22 @@ import time
 from enum import IntEnum
 from typing import Callable
 
+from .accumulator import AccumulatorValue
 from .cloud import AttestationBundle, CloudStore, Transition
 from .control import MetaDataRow, SensorDataRow
-from .core import DataState
-from .encoding import EncodingError, Reader, u8, u32, u64, vbytes
+from .encoding import (
+    U64,
+    VBYTES,
+    VBYTES_LIST,
+    EncodingError,
+    Layout,
+    enum,
+    nested,
+    optional,
+    seq,
+    u8,
+    u32,
+)
 from .errors import (
     DataExpiredError,
     DuplicateEpochError,
@@ -63,16 +75,6 @@ class ErrorCode(IntEnum):
     SEALED = 8
 
 
-_ERROR_CODES: list[tuple[type, ErrorCode]] = [
-    (DuplicateEpochError, ErrorCode.DUPLICATE),
-    (InconsistentRowsError, ErrorCode.INCONSISTENT),
-    (NotAuthorizedError, ErrorCode.UNAUTHORIZED),
-    (DataExpiredError, ErrorCode.EXPIRED),
-    (UnavailableError, ErrorCode.UNAVAILABLE),
-    (SignatureRejected, ErrorCode.REJECTED),
-    (SealedBlockError, ErrorCode.SEALED),
-]
-
 _CODE_ERRORS = {
     ErrorCode.DUPLICATE: DuplicateEpochError,
     ErrorCode.INCONSISTENT: InconsistentRowsError,
@@ -86,23 +88,39 @@ _CODE_ERRORS = {
 
 Handler = Callable[[int, bytes], tuple[int, bytes]]
 
+# Payload layouts. A single u64 is the TICK and AUDIT_FETCH request and the
+# INGEST acknowledgement; QUERY and BLOCK carry a whole record as vbytes.
+U64_LAYOUT = Layout(None, ("value", U64))
+INGEST_LAYOUT = Layout(
+    None, ("sensor_row", nested(SensorDataRow)), ("meta_row", nested(MetaDataRow))
+)
+FETCH_SP_LAYOUT = Layout(None, ("epoch_id", U64), ("requester", VBYTES), ("now", U64))
+CIPHERTEXTS_LAYOUT = Layout(None, ("ciphertexts", VBYTES_LIST))
+FETCH_BUNDLE_LAYOUT = Layout(None, ("at", U64), ("now", U64))
+TRANSITIONS_LAYOUT = Layout(None, ("transitions", seq(nested(Transition))))
+QUERY_LAYOUT = Layout(None, ("record", VBYTES), ("now", U64))
+BLOCK_LAYOUT = Layout(
+    None, ("block", VBYTES), ("prev_proof", optional(nested(AccumulatorValue)))
+)
+ERROR_LAYOUT = Layout(None, ("code", enum(ErrorCode)), ("message", VBYTES))
+
 
 def error_payload(exc: Exception) -> tuple[int, bytes]:
-    code = ErrorCode.PROTOCOL
-    for exc_type, mapped in _ERROR_CODES:
-        if isinstance(exc, exc_type):
-            code = mapped
-            break
-    return MessageType.ERROR, u8(code) + vbytes(str(exc).encode())
+    code = next(
+        (code for code, exc_type in _CODE_ERRORS.items() if isinstance(exc, exc_type)),
+        ErrorCode.PROTOCOL,
+    )
+    return MessageType.ERROR, ERROR_LAYOUT.pack(code, str(exc).encode())
 
 
 def raise_for_error(msg_type: int, payload: bytes) -> None:
     if msg_type != MessageType.ERROR:
         return
-    r = Reader(payload)
-    code = ErrorCode(r.take_u8())
-    message = r.take_vbytes().decode(errors="replace")
-    raise _CODE_ERRORS[code](message)
+    try:
+        code, message = ERROR_LAYOUT.unpack(payload)
+    except EncodingError as exc:
+        raise WireError(f"malformed error frame: {exc}") from exc
+    raise _CODE_ERRORS[code](message.decode(errors="replace"))
 
 
 class LoopbackTransport:
@@ -131,11 +149,16 @@ class _FrameServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
 
+#: Largest single ``recv``: memory follows the bytes that arrive, not a
+#: length the peer declares.
+_RECV_CHUNK = 1 << 20
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
     remaining = n
     while remaining:
-        chunk = sock.recv(remaining)
+        chunk = sock.recv(min(remaining, _RECV_CHUNK))
         if not chunk:
             raise WireError("connection closed mid-frame")
         chunks.append(chunk)
@@ -207,41 +230,17 @@ class CloudService:
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         try:
             if msg_type == MessageType.INGEST:
-                r = Reader(payload)
-                sensor_row = SensorDataRow.read_from(r)
-                meta_row = MetaDataRow.read_from(r)
-                r.finish()
-                eid = self.store.ingest(sensor_row, meta_row)
-                return MessageType.OK, u64(eid)
+                eid = self.store.ingest(*INGEST_LAYOUT.unpack(payload))
+                return MessageType.OK, U64_LAYOUT.pack(eid)
             if msg_type == MessageType.FETCH_SP:
-                r = Reader(payload)
-                epoch_id = r.take_u64()
-                requester = r.take_vbytes()
-                now = r.take_u64()
-                r.finish()
-                ciphertexts = self.store.fetch_for_sp(epoch_id, requester, now)
-                body = [u32(len(ciphertexts))]
-                body.extend(vbytes(ct) for ct in ciphertexts)
-                return MessageType.CIPHERTEXTS, b"".join(body)
+                ciphertexts = self.store.fetch_for_sp(*FETCH_SP_LAYOUT.unpack(payload))
+                return MessageType.CIPHERTEXTS, CIPHERTEXTS_LAYOUT.pack(ciphertexts)
             if msg_type == MessageType.FETCH_BUNDLE:
-                r = Reader(payload)
-                at = r.take_u64()
-                now = r.take_u64()
-                r.finish()
-                bundle = self.store.fetch_bundle(at, now)
+                bundle = self.store.fetch_bundle(*FETCH_BUNDLE_LAYOUT.unpack(payload))
                 return MessageType.BUNDLE, bundle.to_bytes()
             if msg_type == MessageType.TICK:
-                r = Reader(payload)
-                now = r.take_u64()
-                r.finish()
-                transitions = self.store.tick(now)
-                body = [u32(len(transitions))]
-                for t in transitions:
-                    body.append(u64(t.epoch_id))
-                    body.append(u8(int(t.from_state)))
-                    body.append(u8(int(t.to_state)))
-                    body.append(u64(t.at))
-                return MessageType.TRANSITIONS, b"".join(body)
+                transitions = self.store.tick(*U64_LAYOUT.unpack(payload))
+                return MessageType.TRANSITIONS, TRANSITIONS_LAYOUT.pack(transitions)
             raise WireError(f"cloud cannot handle message type {msg_type}")
         except (ExpungeError, EncodingError) as exc:
             return error_payload(exc)
@@ -251,49 +250,37 @@ class CloudService:
     @staticmethod
     def ingest_via(transport, sensor_row: SensorDataRow, meta_row: MetaDataRow) -> int:
         resp_type, payload, _ = transport.request(
-            MessageType.INGEST, sensor_row.to_bytes() + meta_row.to_bytes()
+            MessageType.INGEST, INGEST_LAYOUT.pack(sensor_row, meta_row)
         )
         raise_for_error(resp_type, payload)
-        return Reader(payload).take_u64()
+        (eid,) = U64_LAYOUT.unpack(payload)
+        return eid
 
     @staticmethod
     def fetch_sp_via(
         transport, epoch_id: int, requester: bytes, now: int
     ) -> tuple[tuple[bytes, ...], float]:
         resp_type, payload, elapsed = transport.request(
-            MessageType.FETCH_SP, u64(epoch_id) + vbytes(requester) + u64(now)
+            MessageType.FETCH_SP, FETCH_SP_LAYOUT.pack(epoch_id, requester, now)
         )
         raise_for_error(resp_type, payload)
-        r = Reader(payload)
-        cts = tuple(r.take_vbytes() for _ in range(r.take_u32()))
-        r.finish()
+        (cts,) = CIPHERTEXTS_LAYOUT.unpack(payload)
         return cts, elapsed
 
     @staticmethod
     def fetch_bundle_via(transport, at: int, now: int) -> tuple[AttestationBundle, float]:
         resp_type, payload, elapsed = transport.request(
-            MessageType.FETCH_BUNDLE, u64(at) + u64(now)
+            MessageType.FETCH_BUNDLE, FETCH_BUNDLE_LAYOUT.pack(at, now)
         )
         raise_for_error(resp_type, payload)
         return AttestationBundle.from_bytes(payload), elapsed
 
     @staticmethod
     def tick_via(transport, now: int) -> list[Transition]:
-        resp_type, payload, _ = transport.request(MessageType.TICK, u64(now))
+        resp_type, payload, _ = transport.request(MessageType.TICK, U64_LAYOUT.pack(now))
         raise_for_error(resp_type, payload)
-        r = Reader(payload)
-        out = []
-        for _ in range(r.take_u32()):
-            out.append(
-                Transition(
-                    epoch_id=r.take_u64(),
-                    from_state=DataState(r.take_u8()),
-                    to_state=DataState(r.take_u8()),
-                    at=r.take_u64(),
-                )
-            )
-        r.finish()
-        return out
+        (transitions,) = TRANSITIONS_LAYOUT.unpack(payload)
+        return transitions
 
 
 # -- service-provider role -----------------------------------------------------
@@ -308,27 +295,18 @@ class SpService:
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         try:
             if msg_type == MessageType.QUERY:
-                r = Reader(payload)
-                record = QueryRecord.from_bytes(r.take_vbytes())
-                now = r.take_u64()
-                r.finish()
-                self.logger.log(record, now)
+                blob, now = QUERY_LAYOUT.unpack(payload)
+                self.logger.log(QueryRecord.from_bytes(blob), now)
                 return MessageType.OK, b""
             if msg_type == MessageType.AUDIT_FETCH:
-                r = Reader(payload)
-                block_id = r.take_u64()
-                r.finish()
+                (block_id,) = U64_LAYOUT.unpack(payload)
                 blocks = {b.block_id: b for b in self.logger.sealed_blocks}
                 if block_id not in blocks:
                     raise UnavailableError(f"no sealed block {block_id}")
                 prev = blocks.get(block_id - 1)
-                body = [vbytes(blocks[block_id].to_bytes())]
-                if prev is None:
-                    body.append(u8(0))
-                else:
-                    body.append(u8(1))
-                    body.append(prev.block_proof.to_bytes())
-                return MessageType.BLOCK, b"".join(body)
+                prev_proof = None if prev is None else prev.block_proof
+                body = BLOCK_LAYOUT.pack(blocks[block_id].to_bytes(), prev_proof)
+                return MessageType.BLOCK, body
             raise WireError(f"service provider cannot handle message type {msg_type}")
         except (ExpungeError, EncodingError) as exc:
             return error_payload(exc)
@@ -336,23 +314,18 @@ class SpService:
     @staticmethod
     def query_via(transport, record: QueryRecord, now: int) -> None:
         resp_type, payload, _ = transport.request(
-            MessageType.QUERY, vbytes(record.to_bytes()) + u64(now)
+            MessageType.QUERY, QUERY_LAYOUT.pack(record.to_bytes(), now)
         )
         raise_for_error(resp_type, payload)
 
     @staticmethod
-    def audit_fetch_via(transport, block_id: int):
+    def audit_fetch_via(
+        transport, block_id: int
+    ) -> tuple[SealedBlock, AccumulatorValue | None]:
         """Returns (sealed block, previous block proof or None)."""
-        from .accumulator import AccumulatorValue
-        from . import encoding as enc
-
-        resp_type, payload, _ = transport.request(MessageType.AUDIT_FETCH, u64(block_id))
+        resp_type, payload, _ = transport.request(
+            MessageType.AUDIT_FETCH, U64_LAYOUT.pack(block_id)
+        )
         raise_for_error(resp_type, payload)
-        r = Reader(payload)
-        block = SealedBlock.from_bytes(r.take_vbytes())
-        prev = None
-        if r.take_u8() == 1:
-            r.expect_header(enc.TYPE_ACC_VALUE)
-            prev = AccumulatorValue(r.take_vint())
-        r.finish()
-        return block, prev
+        blob, prev = BLOCK_LAYOUT.unpack(payload)
+        return SealedBlock.from_bytes(blob), prev
