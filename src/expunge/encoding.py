@@ -297,31 +297,31 @@ class Layout:
     """
 
     def __init__(self, type_byte: int | None, *fields: tuple[str | tuple[str, ...], Kind]):
-        self.type_byte = type_byte
         self.fields = fields
         self._head = b"" if type_byte is None else bytes([MAGIC, VERSION, type_byte])
-        self._getters = [
-            attrgetter(*((name,) if isinstance(name, str) else name)) for name, _ in fields
+        self._writers = [
+            (attrgetter(name) if isinstance(name, str) else attrgetter(*name), kind.encode)
+            for name, kind in fields
         ]
-
-    def _parts(self, values) -> list[bytes]:
-        parts = [self._head]
-        for (_, kind), value in zip(self.fields, values, strict=True):
-            parts += kind.encode(value)
-        return parts
 
     def pack(self, *values) -> bytes:
         """Encode one value per field, in field order."""
-        return b"".join(self._parts(values))
+        parts = [self._head]
+        for (_, kind), value in zip(self.fields, values, strict=True):
+            parts += kind.encode(value)
+        return b"".join(parts)
 
     def parts(self, obj) -> list[bytes]:
         """The encoding of the fields read by name from ``obj``, in pieces."""
-        return self._parts([get(obj) for get in self._getters])
+        parts = [self._head]
+        for get, encode in self._writers:
+            parts += encode(get(obj))
+        return parts
 
     def read(self, r: Reader) -> list:
         """Decode one value per field, in field order."""
-        if self.type_byte is not None:
-            r.expect_header(self.type_byte)
+        if self._head:
+            r.expect_header(self._head[2])
         return [kind.decode(r) for _, kind in self.fields]
 
     def unpack(self, data: bytes) -> list:
