@@ -25,7 +25,7 @@ from expunge import (
     expunge_duration_estimate,
     generate_keyring,
     setup,
-    verify_irrecoverable,
+    verify_bundle,
 )
 from expunge.wire import CloudService, LoopbackTransport
 
@@ -84,7 +84,7 @@ for label, lazy in (("honest cloud", False), ("lazy cloud  ", True)):
     estimate = expunge_duration_estimate(len(bundle.cells.cells), bundle.cells.cell_size)
     rtt = ref_elapsed * len(bundle.to_bytes()) / len(ref.to_bytes())
     tau, applicable = calibrate_time_bound(rtt, estimate)
-    report = verify_irrecoverable(
+    report = verify_bundle(
         bundle, keyring.shared_key, params, policy,
         time_bound=tau, response_time=response, time_bound_applicable=applicable,
     )

@@ -14,11 +14,8 @@ from .accumulator import AccumulatorParams, AccumulatorValue, setup, step, verif
 from .attestation import (
     VerificationReport,
     calibrate_time_bound,
-    verify_accessible,
-    verify_as_sdp,
     verify_bundle,
     verify_completeness,
-    verify_irrecoverable,
     verify_membership,
 )
 from .cloud import AttestationBundle, CloudStore, EpochRecord, Transition

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
-from .control import reading_digest, timestamp_exponent
+from .control import accessible_tag, reading_digest, timestamp_exponent
 from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import symmetric_decrypt
-from .engine import EMPTY_EPOCH_CELL_SIZE, expunge_duration_estimate
+from .engine import cell_geometry, expunge_duration_estimate
 from .errors import DomainError
 from .hashing import DEFAULT_HASHER, Hasher
 
@@ -168,15 +168,14 @@ def verify_bundle(
     window = window_for_id(bundle.epoch_id, policy.delta)
     policy_ok = state_at(window, policy, bundle.served_at) is bundle.state
 
+    expected_tag = symmetric_decrypt(shared_key, bundle.enc_state_tag)
     user_hash = None
     proof_match = None
     time_bound_ok = None
     if bundle.state is DataState.ACCESSIBLE:
-        expected_tag = symmetric_decrypt(shared_key, bundle.enc_state_tag)
-        user_hash = hasher.digest(*(bundle.ciphertexts or ()))
+        user_hash = accessible_tag(bundle.ciphertexts or (), hasher)
         tag_match = user_hash == expected_tag
     else:
-        expected_tag = symmetric_decrypt(shared_key, bundle.enc_state_tag)
         if bundle.deletion_proof is None:
             raise DomainError("irrecoverable bundle carries no deletion proof")
         proof_match = bundle.deletion_proof.proof == expected_tag
@@ -201,85 +200,8 @@ def verify_bundle(
     )
 
 
-def verify_accessible(
-    bundle: AttestationBundle,
-    shared_key: bytes,
-    policy: RetentionPolicy,
-    hasher: Hasher = DEFAULT_HASHER,
-) -> tuple[bool, bytes]:
-    """Accessible-state check: recomputed ciphertext hash against the tag.
-
-    Returns (ok, recomputed hash); ok also requires the policy to agree
-    that the epoch should still be accessible at serving time.
-    """
-    if bundle.state is not DataState.ACCESSIBLE:
-        raise DomainError("bundle does not claim the accessible state")
-    expected_tag = symmetric_decrypt(shared_key, bundle.enc_state_tag)
-    user_hash = hasher.digest(*(bundle.ciphertexts or ()))
-    window = window_for_id(bundle.epoch_id, policy.delta)
-    policy_ok = state_at(window, policy, bundle.served_at) is DataState.ACCESSIBLE
-    return user_hash == expected_tag and policy_ok, user_hash
-
-
-def verify_irrecoverable(
-    bundle: AttestationBundle,
-    shared_key: bytes,
-    params: AccumulatorParams,
-    policy: RetentionPolicy,
-    time_bound: float,
-    response_time: float,
-    time_bound_applicable: bool = True,
-    device_id: bytes | None = None,
-    hasher: Hasher = DEFAULT_HASHER,
-) -> VerificationReport:
-    """Irrecoverable-state check including the deletion time bound."""
-    if bundle.state is not DataState.IRRECOVERABLE:
-        raise DomainError("bundle does not claim the irrecoverable state")
-    return verify_bundle(
-        bundle,
-        shared_key,
-        params,
-        policy,
-        role="user",
-        device_id=device_id,
-        response_time=response_time,
-        time_bound=time_bound,
-        time_bound_applicable=time_bound_applicable,
-        hasher=hasher,
-    )
-
-
-def verify_as_sdp(
-    bundle: AttestationBundle,
-    shared_key: bytes,
-    params: AccumulatorParams,
-    policy: RetentionPolicy,
-    response_time: float | None = None,
-    time_bound: float | None = None,
-    time_bound_applicable: bool = True,
-    hasher: Hasher = DEFAULT_HASHER,
-) -> VerificationReport:
-    """Provider-side verification: the user path minus membership."""
-    return verify_bundle(
-        bundle,
-        shared_key,
-        params,
-        policy,
-        role="sdp",
-        device_id=None,
-        response_time=response_time,
-        time_bound=time_bound,
-        time_bound_applicable=time_bound_applicable,
-        hasher=hasher,
-    )
-
-
 def recompute_estimate_for_bundle(bundle: AttestationBundle, hasher: Hasher = DEFAULT_HASHER) -> float:
     """Estimated honest-deletion recompute time for this epoch's cells."""
     if bundle.cells is not None:
         return expunge_duration_estimate(len(bundle.cells.cells), bundle.cells.cell_size, hasher)
-    ciphertexts = bundle.ciphertexts or ()
-    if not ciphertexts:
-        return expunge_duration_estimate(2, EMPTY_EPOCH_CELL_SIZE, hasher)
-    cell_size = 4 + max(len(ct) for ct in ciphertexts)
-    return expunge_duration_estimate(len(ciphertexts), cell_size, hasher)
+    return expunge_duration_estimate(*cell_geometry(bundle.ciphertexts or ()), hasher)

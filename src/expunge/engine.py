@@ -49,6 +49,18 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(n - 1, 1).bit_length()
 
 
+def cell_geometry(ciphertexts) -> tuple[int, int]:
+    """``(cell_count, cell_size)`` of the cell array packed from ``ciphertexts``.
+
+    One cell per ciphertext, sized for a 4-byte length prefix plus the
+    longest ciphertext; an epoch with no ciphertexts gets two pad cells
+    of :data:`EMPTY_EPOCH_CELL_SIZE`.
+    """
+    if not ciphertexts:
+        return 2, EMPTY_EPOCH_CELL_SIZE
+    return len(ciphertexts), 4 + max(len(ct) for ct in ciphertexts)
+
+
 def pad_cell(epoch_id: int, position: int, cell_size: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:
     """Deterministic filler cell for 1-based slot ``position``.
 
@@ -93,16 +105,16 @@ class CellArray(Record):
         ciphertexts still yields two synthetic pad cells, keeping the
         deletion-proof machinery total over idle epochs.
         """
+        cell_count, cell_size = cell_geometry(ciphertexts)
         if not ciphertexts:
             cells = tuple(
-                pad_cell(epoch_id, position, EMPTY_EPOCH_CELL_SIZE, hasher)
-                for position in (1, 2)
+                pad_cell(epoch_id, position, cell_size, hasher)
+                for position in range(1, cell_count + 1)
             )
-            return cls(epoch_id=epoch_id, cell_size=EMPTY_EPOCH_CELL_SIZE, cells=cells)
-        cell_size = 4 + max(len(ct) for ct in ciphertexts)
-        cells = tuple(
-            (u32(len(ct)) + ct).ljust(cell_size, b"\x00") for ct in ciphertexts
-        )
+        else:
+            cells = tuple(
+                (u32(len(ct)) + ct).ljust(cell_size, b"\x00") for ct in ciphertexts
+            )
         return cls(epoch_id=epoch_id, cell_size=cell_size, cells=cells)
 
 

@@ -12,7 +12,7 @@ import time
 
 from conftest import ACCEPTANCE_NOTES
 from expunge.accumulator import setup, step
-from expunge.attestation import calibrate_time_bound, verify_bundle, verify_irrecoverable
+from expunge.attestation import calibrate_time_bound, verify_bundle
 from expunge.cloud import CloudStore
 from expunge.control import (
     MetaDataRow,
@@ -460,7 +460,7 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
             )
             tau, applicable = calibrate_time_bound(rtt, estimate)
             assert applicable, "trial epochs must be large enough for the bound"
-            report = verify_irrecoverable(
+            report = verify_bundle(
                 target, keyring.shared_key, params, policy,
                 time_bound=tau, response_time=response,
             )

@@ -6,11 +6,8 @@ import pytest
 from expunge.attestation import (
     calibrate_time_bound,
     recompute_estimate_for_bundle,
-    verify_accessible,
-    verify_as_sdp,
     verify_bundle,
     verify_completeness,
-    verify_irrecoverable,
     verify_membership,
 )
 from expunge.cloud import CloudStore
@@ -107,27 +104,28 @@ class TestCompleteness:
 
 
 class TestAccessiblePath:
-    def test_honest_bundle(self, deployment, keyring):
+    def test_honest_bundle(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(1000, now=3000)
-        ok, user_hash = verify_accessible(bundle, keyring.shared_key, POLICY)
-        assert ok and len(user_hash) == 32
+        report = verify_bundle(bundle, keyring.shared_key, small_params, POLICY)
+        assert report.state_ok and len(report.recomputed_user_hash) == 32
 
-    def test_bit_flipped_ciphertext(self, deployment, keyring):
+    def test_bit_flipped_ciphertext(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(1000, now=3000)
         ct = bundle.ciphertexts[0]
         mutated = dataclasses.replace(
             bundle, ciphertexts=(bytes([ct[0] ^ 1]) + ct[1:],) + bundle.ciphertexts[1:]
         )
-        ok, _ = verify_accessible(mutated, keyring.shared_key, POLICY)
-        assert not ok
+        report = verify_bundle(mutated, keyring.shared_key, small_params, POLICY)
+        assert not report.state_ok
 
-    def test_tampered_tag_is_integrity_error_not_mismatch(self, deployment, keyring):
+    def test_tampered_tag_is_integrity_error_not_mismatch(
+        self, deployment, keyring, small_params
+    ):
         bundle = deployment.fetch_bundle(1000, now=3000)
-        broken = dataclasses.replace(
-            bundle, enc_state_tag=bundle.enc_state_tag[:-1] + b"\x00"
-        )
+        tag = bundle.enc_state_tag
+        broken = dataclasses.replace(bundle, enc_state_tag=tag[:-1] + bytes([tag[-1] ^ 0x01]))
         with pytest.raises(IntegrityError):
-            verify_accessible(broken, keyring.shared_key, POLICY)
+            verify_bundle(broken, keyring.shared_key, small_params, POLICY)
 
     def test_stale_accessible_claim_is_policy_violation(self, keyring, small_params):
         # cloud's scheduler lags: it serves an accessible-state bundle for
@@ -149,7 +147,7 @@ class TestIrrecoverablePath:
     def test_honest_pre_deleted_epoch(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(0, now=3000)
         assert bundle.state is DataState.IRRECOVERABLE
-        report = verify_irrecoverable(
+        report = verify_bundle(
             bundle, keyring.shared_key, small_params, POLICY,
             time_bound=0.5, response_time=0.001,
         )
@@ -163,7 +161,7 @@ class TestIrrecoverablePath:
                 bundle.deletion_proof, proof=bytes(32)
             ),
         )
-        report = verify_irrecoverable(
+        report = verify_bundle(
             bad, keyring.shared_key, small_params, POLICY,
             time_bound=0.5, response_time=0.001,
         )
@@ -171,7 +169,7 @@ class TestIrrecoverablePath:
 
     def test_slow_response_flagged(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(0, now=3000)
-        report = verify_irrecoverable(
+        report = verify_bundle(
             bundle, keyring.shared_key, small_params, POLICY,
             time_bound=0.01, response_time=0.5,
         )
@@ -180,7 +178,7 @@ class TestIrrecoverablePath:
 
     def test_small_epoch_bound_not_applicable(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(0, now=3000)
-        report = verify_irrecoverable(
+        report = verify_bundle(
             bundle, keyring.shared_key, small_params, POLICY,
             time_bound=0.01, response_time=0.5, time_bound_applicable=False,
         )
@@ -191,7 +189,7 @@ class TestIrrecoverablePath:
         bundle = deployment.fetch_bundle(0, now=3000)
         broken = dataclasses.replace(bundle, deletion_proof=None)
         with pytest.raises(DomainError):
-            verify_irrecoverable(
+            verify_bundle(
                 broken, keyring.shared_key, small_params, POLICY,
                 time_bound=0.5, response_time=0.001,
             )
@@ -200,7 +198,7 @@ class TestIrrecoverablePath:
 class TestSdpPath:
     def test_verifies_epoch_without_own_probes(self, deployment, keyring, small_params):
         bundle = deployment.fetch_bundle(1000, now=3000)
-        report = verify_as_sdp(bundle, keyring.shared_key, small_params, POLICY)
+        report = verify_bundle(bundle, keyring.shared_key, small_params, POLICY, role="sdp")
         assert report.verified and report.membership_positions is None
 
     def test_matches_user_verdict_on_identical_bundle(
@@ -211,7 +209,7 @@ class TestSdpPath:
             bundle, keyring.shared_key, small_params, POLICY,
             role="user", device_id=_device(1),
         )
-        sdp = verify_as_sdp(bundle, keyring.shared_key, small_params, POLICY)
+        sdp = verify_bundle(bundle, keyring.shared_key, small_params, POLICY, role="sdp")
         assert user.verified == sdp.verified
         assert user.completeness_ok == sdp.completeness_ok
         assert user.state_ok == sdp.state_ok
@@ -220,11 +218,12 @@ class TestSdpPath:
         self, deployment, keyring, small_params
     ):
         reports = [
-            verify_as_sdp(
+            verify_bundle(
                 deployment.fetch_bundle(at, now=3000),
                 keyring.shared_key,
                 small_params,
                 POLICY,
+                role="sdp",
             )
             for at in (0, 1000, 2000)
         ]

@@ -5,9 +5,11 @@ import time
 import pytest
 from expunge.encoding import u32
 from expunge.engine import (
+    EMPTY_EPOCH_CELL_SIZE,
     CellArray,
     ButterflySchedule,
     DeletionProof,
+    cell_geometry,
     combine,
     expunge,
     expunge_duration_estimate,
@@ -181,6 +183,19 @@ class TestExpunge:
         out, proof = expunge(array)
         out2, proof2 = expunge(CellArray.from_ciphertexts([], epoch_id=7))
         assert proof.proof == proof2.proof
+
+    @pytest.mark.parametrize(
+        "cts, geometry",
+        [
+            ([], (2, EMPTY_EPOCH_CELL_SIZE)),
+            ([b"abc"], (1, 4 + 3)),
+            ([b"aaaa", b"b", b"cccccccc"], (3, 4 + 8)),
+        ],
+        ids=["empty", "single", "mixed"],
+    )
+    def test_cell_geometry_matches_packed_array(self, cts, geometry):
+        array = CellArray.from_ciphertexts(cts, epoch_id=7)
+        assert cell_geometry(cts) == geometry == (len(array.cells), array.cell_size)
 
     def test_originals_untouched_and_unrecoverable(self):
         rng = random.Random(13)
