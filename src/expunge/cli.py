@@ -18,11 +18,12 @@ from pathlib import Path
 
 from .accumulator import AccumulatorParams
 from .cloud import CloudStore
-from .core import RetentionPolicy
+from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import load_keyring
 from .encoding import u32
 from .errors import ExpungeError
 from .harness import (
+    EpochVerifier,
     ScenarioConfig,
     bench,
     device_pool,
@@ -108,42 +109,33 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .attestation import (
-        calibrate_time_bound,
-        recompute_estimate_for_bundle,
-        verify_bundle,
-    )
-    from .core import DataState
-
     state_dir = Path(args.state)
     config, keyring, params, policy, meta, store = _load_state(state_dir)
-    hasher = Hasher(config.hash_name)
-    transport = LoopbackTransport(CloudService(store).handle)
+    verifier = EpochVerifier(
+        LoopbackTransport(CloudService(store).handle),
+        keyring,
+        params,
+        policy,
+        Hasher(config.hash_name),
+    )
     now = args.now if args.now is not None else meta["clock"]
 
     device = None
     if args.role == "user":
         device = bytes.fromhex(args.device) if args.device else device_pool(config)[0]
 
-    bundle, elapsed = CloudService.fetch_bundle_via(transport, args.time, now)
-    time_bound = None
-    applicable = True
-    if bundle.state is DataState.IRRECOVERABLE:
-        estimate = recompute_estimate_for_bundle(bundle, hasher)
-        # reference round trip: refetch cost of an accessible-size frame
-        time_bound, applicable = calibrate_time_bound(elapsed, estimate)
-    report = verify_bundle(
-        bundle,
-        keyring.shared_key,
-        params,
-        policy,
-        role=args.role,
-        device_id=device,
-        response_time=elapsed,
-        time_bound=time_bound,
-        time_bound_applicable=applicable,
-        hasher=hasher,
-    )
+    # The time bound needs a round-trip reference that no proof computation
+    # can inflate: one fetch of the newest epoch still accessible at `now`.
+    # Without one, the verifier falls back to its transport probe.
+    fresh = [
+        eid
+        for eid in store.epoch_ids()
+        if store.state_of(eid) is DataState.ACCESSIBLE
+        and state_at(window_for_id(eid, policy.delta), policy, now) is DataState.ACCESSIBLE
+    ]
+    if fresh:
+        verifier.fetch(fresh[-1], now)
+    report = verifier.verify(args.time, now, args.role, device)
     print(json.dumps(report.to_dict(), indent=2))
     checks = [
         f"completeness {'ok' if report.completeness_ok else 'FAILED'}",

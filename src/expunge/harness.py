@@ -5,6 +5,13 @@ Generates synthetic WiFi-connectivity readings, wires the four roles
 protocol, replays scenarios against a virtual clock, and reproduces the
 desk-scale benchmark suite.
 
+A scenario run is one ``_Run`` advanced through its phases in order:
+arrival epochs (outsource, tick, SP fetches, queries, periodic checks),
+drain, purged-bundle probe, final SDP check, tamper injection, audit and
+save. One generator chains the outsourcing of every epoch for the
+scenario and for benchmark experiments 2 and 3, and ``EpochVerifier`` is
+the per-epoch verification step that the CLI's ``verify`` shares.
+
 Protocol logic runs entirely on the virtual clock so state timelines
 replay identically; wall time is measured only where a benchmark or the
 deletion time bound needs it. Fault-injection flags turn the cloud lazy
@@ -24,6 +31,7 @@ from pathlib import Path
 
 from .accumulator import AccumulatorParams, setup
 from .attestation import (
+    VerificationReport,
     calibrate_time_bound,
     recompute_estimate_for_bundle,
     verify_bundle,
@@ -33,11 +41,17 @@ from .control import (
     accessible_tag,
     build_outsource_payload,
     encrypt_reading,
-    epoch_timestamp,
     irrecoverable_tag,
-    reading_digest,
 )
-from .core import NEVER, DataState, RetentionPolicy, SensorReading, epoch_of
+from .core import (
+    NEVER,
+    DataState,
+    EpochWindow,
+    RetentionPolicy,
+    SensorReading,
+    deletion_due,
+    epoch_of,
+)
 from .crypto import KeyRing, generate_keyring, save_keyring
 from .engine import CellArray, expunge
 from .errors import DataExpiredError, DomainError, UnavailableError
@@ -290,22 +304,20 @@ class TransportCalibration:
         return self.base_seconds + self.per_byte_seconds * nbytes
 
 
-def calibrate_transport(transport, probe=None) -> TransportCalibration:
+def calibrate_transport(transport) -> TransportCalibration:
     """Fit round-trip cost from two probe sizes through the error path.
 
-    ``probe(size) -> seconds`` may be supplied directly; by default raw
-    frames of the given size are timed against the transport.
+    Each probe is the best of three raw frames of that size.
     """
-    if probe is None:
 
-        def probe(size: int) -> float:
-            payload = bytes(size)
-            best = math.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                transport.request(255, payload)  # unknown type: served as error
-                best = min(best, time.perf_counter() - start)
-            return best
+    def probe(size: int) -> float:
+        payload = bytes(size)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            transport.request(255, payload)  # unknown type: served as error
+            best = min(best, time.perf_counter() - start)
+        return best
 
     small, big = 1024, 262_144
     t_small = probe(small)
@@ -313,56 +325,6 @@ def calibrate_transport(transport, probe=None) -> TransportCalibration:
     per_byte = max(0.0, (t_big - t_small) / (big - small))
     base = max(1e-9, t_small - per_byte * small)
     return TransportCalibration(base_seconds=base, per_byte_seconds=per_byte)
-
-
-class RoundTripTracker:
-    """Same-size round-trip reference built from honest bundle fetches.
-
-    Accessible-state fetches never involve proof computation, so their
-    measured round trips are an honest baseline even against a lazy
-    cloud. The time bound for an irrecoverable fetch is derived from the
-    most recent accessible fetch, scaled linearly to the bundle size.
-    """
-
-    def __init__(self, fallback: TransportCalibration):
-        self._fallback = fallback
-        self._size: int | None = None
-        self._seconds: float | None = None
-
-    def record(self, nbytes: int, seconds: float) -> None:
-        if nbytes > 0 and seconds > 0:
-            self._size = nbytes
-            self._seconds = seconds
-
-    def round_trip(self, nbytes: int) -> float:
-        if self._size is None:
-            return self._fallback.round_trip(nbytes)
-        return self._seconds * max(0.25, nbytes / self._size)
-
-
-class _Roles:
-    """Transport endpoints for one scenario run."""
-
-    def __init__(self, config: ScenarioConfig, store: CloudStore, logger: QueryLogger):
-        self.cloud_service = CloudService(store)
-        self.sp_service = SpService(logger)
-        self._servers = []
-        if config.transport == "socket":
-            cloud_server = serve(self.cloud_service.handle)
-            sp_server = serve(self.sp_service.handle)
-            self._servers = [cloud_server, sp_server]
-            self.cloud = SocketTransport("127.0.0.1", cloud_server.server_address[1])
-            self.sp = SocketTransport("127.0.0.1", sp_server.server_address[1])
-        else:
-            self.cloud = LoopbackTransport(self.cloud_service.handle)
-            self.sp = LoopbackTransport(self.sp_service.handle)
-
-    def close(self) -> None:
-        self.cloud.close()
-        self.sp.close()
-        for server in self._servers:
-            server.shutdown()
-            server.server_close()
 
 
 # -- scenario ------------------------------------------------------------------
@@ -380,40 +342,309 @@ class ScenarioResult:
         return [e for e in self.transcript if e["event"] == kind]
 
 
-def _verify_target(
-    roles: _Roles,
-    at: int,
-    now: int,
-    role: str,
-    device_id: bytes | None,
+@dataclass
+class EpochVerifier:
+    """One verifier's per-epoch step: fetch a bundle, bound the fetch, verify.
+
+    Accessible-state fetches never involve proof computation, so their
+    measured round trips are an honest reference even against a lazy
+    cloud. An irrecoverable fetch is bounded from the most recent
+    accessible fetch, scaled linearly to the bundle size, or from the
+    transport probe while there is none.
+    """
+
+    transport: object
+    keyring: KeyRing
+    params: AccumulatorParams
+    policy: RetentionPolicy
+    hasher: Hasher
+
+    def __post_init__(self):
+        self._probe = calibrate_transport(self.transport)
+        self._reference: tuple[int, float] | None = None  # (bytes, seconds)
+
+    def fetch(self, at: int, now: int):
+        """Fetch the bundle of the epoch containing ``at``, timed."""
+        bundle, elapsed = CloudService.fetch_bundle_via(self.transport, at, now)
+        if bundle.state is DataState.ACCESSIBLE and elapsed > 0:
+            self._reference = (len(bundle.to_bytes()), elapsed)
+        return bundle, elapsed
+
+    def round_trip(self, nbytes: int) -> float:
+        if self._reference is None:
+            return self._probe.round_trip(nbytes)
+        size, seconds = self._reference
+        return seconds * max(0.25, nbytes / size)
+
+    def verify(
+        self, at: int, now: int, role: str, device_id: bytes | None = None
+    ) -> VerificationReport:
+        bundle, elapsed = self.fetch(at, now)
+        time_bound = None
+        applicable = True
+        if bundle.state is not DataState.ACCESSIBLE:
+            estimate = recompute_estimate_for_bundle(bundle, self.hasher)
+            rtt = self.round_trip(len(bundle.to_bytes()))
+            time_bound, applicable = calibrate_time_bound(rtt, estimate)
+        return verify_bundle(
+            bundle,
+            self.keyring.shared_key,
+            self.params,
+            self.policy,
+            role=role,
+            device_id=device_id,
+            response_time=elapsed,
+            time_bound=time_bound,
+            time_bound_applicable=applicable,
+            hasher=self.hasher,
+        )
+
+
+def _outsource_epochs(
+    config: ScenarioConfig,
+    readings: list[SensorReading],
     keyring: KeyRing,
     params: AccumulatorParams,
-    policy: RetentionPolicy,
-    tracker: RoundTripTracker,
     hasher: Hasher,
 ):
-    bundle, elapsed = CloudService.fetch_bundle_via(roles.cloud, at, now)
-    time_bound = None
-    applicable = True
-    if bundle.state is DataState.ACCESSIBLE:
-        tracker.record(len(bundle.to_bytes()), elapsed)
-    else:
-        estimate = recompute_estimate_for_bundle(bundle, hasher)
-        rtt = tracker.round_trip(len(bundle.to_bytes()))
-        time_bound, applicable = calibrate_time_bound(rtt, estimate)
-    report = verify_bundle(
-        bundle,
-        keyring.shared_key,
-        params,
-        policy,
-        role=role,
-        device_id=device_id,
-        response_time=elapsed,
-        time_bound=time_bound,
-        time_bound_applicable=applicable,
-        hasher=hasher,
-    )
-    return report
+    """Yield ``(window, readings, sensor_row, meta_row)`` per arrival epoch.
+
+    Readings are grouped by epoch and each epoch's rows chain from the
+    previous epoch's timestamp (the seed for the first).
+    """
+    by_epoch: dict[int, list[SensorReading]] = {}
+    for reading in readings:
+        window = epoch_of(reading.time, config.delta_ms, config.origin_ms)
+        by_epoch.setdefault(window.id, []).append(reading)
+    prev = params.seed
+    for k in range(config.arrival_epochs):
+        window = epoch_of(
+            config.origin_ms + k * config.delta_ms, config.delta_ms, config.origin_ms
+        )
+        epoch_readings = by_epoch.get(window.id, [])
+        sensor_row, meta_row = build_outsource_payload(
+            window, epoch_readings, prev, keyring, params, hasher
+        )
+        prev = sensor_row.crypto_time
+        yield window, epoch_readings, sensor_row, meta_row
+
+
+class _Run:
+    """State of one scenario run, advanced phase by phase."""
+
+    def __init__(self, config: ScenarioConfig, state_dir: Path | None):
+        self.config = config
+        self.hasher = Hasher(config.hash_name)
+        self.policy = config.policy
+        self.rng = random.Random(config.seed ^ 0xC0FFEE)
+        self.devices = device_pool(config)
+        user_ids = [f"user-{i:02d}".encode() for i in range(config.user_count)]
+        self.device_owner = {d: user_ids[i % len(user_ids)] for i, d in enumerate(self.devices)}
+        self.keyring = generate_keyring(user_ids)
+        self.registry = self.keyring.user_public_keys()
+        self.params = setup(config.modulus_bits)
+        self.sp_id = config.sp_id.encode()
+
+        self.state_dir = self.blocks_dir = None
+        if state_dir is not None:
+            self.state_dir = Path(state_dir)
+            self.blocks_dir = self.state_dir / "blocks"
+            self.blocks_dir.mkdir(parents=True, exist_ok=True)
+
+        self.store = CloudStore(
+            self.policy,
+            root=(self.state_dir / "cloud") if self.state_dir is not None else None,
+            sp_allowlist=frozenset({self.sp_id}),
+            hasher=self.hasher,
+            lazy_deletion=config.lazy_cloud,
+        )
+        self.logger = QueryLogger(
+            capacity=config.block_capacity,
+            time_limit=config.block_time_limit,
+            params=self.params,
+            sdp_public=self.keyring.sdp_box_public,
+            registry=self.registry,
+            start_time=config.origin_ms,
+            sink=self.sink_block,
+            hasher=self.hasher,
+        )
+        handlers = (CloudService(self.store).handle, SpService(self.logger).handle)
+        self.servers = [serve(h) for h in handlers] if config.transport == "socket" else []
+        if self.servers:
+            self.cloud, self.sp = (
+                SocketTransport("127.0.0.1", s.server_address[1]) for s in self.servers
+            )
+        else:
+            self.cloud, self.sp = (LoopbackTransport(h) for h in handlers)
+        self.verifier = EpochVerifier(
+            self.cloud, self.keyring, self.params, self.policy, self.hasher
+        )
+        self.clock = VirtualClock(config.origin_ms)
+        self.transcript: list[dict] = []
+        self.report = BenchmarkReport("scenario", metadata=_run_metadata(config))
+        self.arrived: list[EpochWindow] = []
+        self.verifications = 0
+        self.verification_failures = 0
+        self.audits_failed = 0
+
+    def close(self) -> None:
+        self.cloud.close()
+        self.sp.close()
+        for server in self.servers:
+            server.shutdown()
+            server.server_close()
+
+    # -- helpers shared by the phases -------------------------------------
+
+    def emit(self, actor: str, event: str, **fields) -> None:
+        self.transcript.append({"t": self.clock.now, "actor": actor, "event": event, **fields})
+
+    def sink_block(self, block: SealedBlock) -> None:
+        if self.blocks_dir is not None:
+            (self.blocks_dir / f"{block.block_id:06d}.blk").write_bytes(block.to_bytes())
+
+    def epochs_in(self, state: DataState) -> list[int]:
+        return [eid for eid in self.store.epoch_ids() if self.store.state_of(eid) is state]
+
+    def tick(self) -> None:
+        for transition in CloudService.tick_via(self.cloud, self.clock.now):
+            self.emit(
+                "cloud", "transition", epoch_id=transition.epoch_id,
+                **{"from": transition.from_state.name, "to": transition.to_state.name},
+            )
+
+    def sp_fetch(self, epoch_id: int, ok_event: str, **ok_fields) -> float | None:
+        """Service-provider fetch, logged as ``ok_event`` or as refused."""
+        try:
+            _, elapsed = CloudService.fetch_sp_via(self.cloud, epoch_id, self.sp_id, self.clock.now)
+        except DataExpiredError:
+            self.emit("sp", "sp_fetch_denied", epoch_id=epoch_id)
+            return None
+        self.emit("sp", ok_event, epoch_id=epoch_id, **ok_fields)
+        return elapsed
+
+    def verify(self, at: int, role: str, device_id: bytes | None, expect: DataState) -> None:
+        vreport = self.verifier.verify(at, self.clock.now, role, device_id)
+        self.verifications += 1
+        self.verification_failures += not vreport.verified
+        self.emit(role, "verify", expected_state=expect.name, **vreport.to_dict())
+
+    # -- phases, in run order ----------------------------------------------
+
+    def arrival_epoch(self, window, readings, sensor_row, meta_row, control_seconds) -> None:
+        """Outsource one epoch; SP fetches, user queries, periodic checks."""
+        k = len(self.arrived)
+        self.arrived.append(window)
+        self.clock.advance_to(window.et)
+        self.report.add(
+            "control_per_epoch", control_seconds, "s", epoch=window.id, readings=len(readings)
+        )
+        CloudService.ingest_via(self.cloud, sensor_row, meta_row)
+        self.emit("sdp", "ingest", epoch_id=window.id, readings=len(readings))
+        self.tick()
+
+        elapsed = self.sp_fetch(window.id, "sp_fetch", ok=True)
+        if elapsed is not None:
+            self.report.add("sp_fetch", elapsed, "s", epoch=window.id)
+        first = self.arrived[0].id
+        if k >= 1 and self.store.state_of(first) is not DataState.ACCESSIBLE:
+            self.sp_fetch(first, "sp_fetch_unexpectedly_ok")
+
+        for _ in range(self.config.queries_per_epoch):
+            device = self.rng.choice(self.devices)
+            user_id = self.device_owner[device]
+            record = make_query_record(
+                query=f"occupancy:{device.hex()}:{window.id}".encode(),
+                time=self.clock.now,
+                user_id=user_id,
+                signing_key=self.keyring.user_signing_keys[user_id],
+            )
+            SpService.query_via(self.sp, record, self.clock.now)
+            self.emit("user", "query", user=user_id.decode())
+
+        if k % self.config.verify_every_epochs == 0:
+            self.verify(window.id, "user", self.rng.choice(self.devices), DataState.ACCESSIBLE)
+            self.verify(window.id, "sdp", None, DataState.ACCESSIBLE)
+            deleted = self.epochs_in(DataState.IRRECOVERABLE)
+            if self.config.lazy_cloud and not deleted:
+                # the lazy cloud reports nothing deleted; probe an epoch
+                # whose deadline has passed anyway
+                deleted = [
+                    w.id for w in self.arrived if deletion_due(w, self.policy) <= self.clock.now
+                ]
+            if deleted:
+                self.verify(
+                    deleted[-1], "user", self.rng.choice(self.devices), DataState.IRRECOVERABLE
+                )
+
+    def drain(self) -> None:
+        """Advance past the arrivals so late transitions fire; seal the log."""
+        for _ in range(self.config.drain_epochs):
+            self.clock.advance_to(self.clock.now + self.config.delta_ms)
+            self.tick()
+            self.logger.advance(self.clock.now)
+        self.logger.flush(self.clock.now)
+
+    def probe_purged(self) -> None:
+        """The oldest purged epoch must refuse its bundle."""
+        purged = self.epochs_in(DataState.PURGED)
+        if purged:
+            try:
+                CloudService.fetch_bundle_via(self.cloud, purged[0], self.clock.now)
+            except UnavailableError:
+                self.emit("user", "bundle_unavailable", epoch_id=purged[0])
+            else:
+                self.emit("user", "bundle_unexpectedly_available", epoch_id=purged[0])
+
+    def final_sdp_check(self) -> None:
+        """The provider verifies the newest epoch still verifiable."""
+        still_verifiable = self.epochs_in(DataState.IRRECOVERABLE)
+        if still_verifiable:
+            self.verify(still_verifiable[-1], "sdp", None, DataState.IRRECOVERABLE)
+
+    def inject_tamper(self) -> None:
+        """The service provider drops a record from its fullest sealed block."""
+        blocks = self.logger.sealed_blocks
+        if not blocks:
+            return
+        victim = max(range(len(blocks)), key=lambda i: len(blocks[i].encrypted_records))
+        block = blocks[victim]
+        if block.encrypted_records:
+            blocks[victim] = replace(block, encrypted_records=block.encrypted_records[1:])
+            self.sink_block(blocks[victim])
+            self.emit("sp", "tamper_injected", block_id=block.block_id)
+
+    def audit(self) -> None:
+        """The provider audits every sealed query block."""
+        for sealed in self.logger.sealed_blocks:
+            fetched, prev = SpService.audit_fetch_via(self.sp, sealed.block_id)
+            audit = audit_block(
+                fetched,
+                prev if prev is not None else self.params.seed,
+                self.keyring.sdp_box_private,
+                self.params,
+                self.registry,
+                self.hasher,
+            )
+            self.audits_failed += not audit.ok
+            self.emit(
+                "sdp", "audit", block_id=sealed.block_id, ok=audit.ok,
+                impersonation_suspected=audit.impersonation_suspected,
+            )
+
+    def save(self, summary: dict) -> None:
+        """Write everything the CLI needs to resume from the state dir."""
+        state_dir = self.state_dir
+        self.config.save(state_dir / "config.json")
+        save_keyring(self.keyring, state_dir / "keyring.json")
+        (state_dir / "params.bin").write_bytes(self.params.to_bytes())
+        (state_dir / "policy.bin").write_bytes(self.policy.to_bytes())
+        (state_dir / "meta.json").write_text(
+            json.dumps({"clock": self.clock.now, "sp_id": self.config.sp_id})
+        )
+        (state_dir / "transcript.json").write_text(json.dumps(self.transcript, indent=1))
+        (state_dir / "report.json").write_text(json.dumps(self.report.to_dict(), indent=1))
+        (state_dir / "summary.json").write_text(json.dumps(summary, indent=1))
 
 
 def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> ScenarioResult:
@@ -426,347 +657,36 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
     log at the end.
     """
     config.require_state_machine_coverage()
-    hasher = Hasher(config.hash_name)
-    policy = config.policy
-    rng = random.Random(config.seed ^ 0xC0FFEE)
-    devices = device_pool(config)
-    user_ids = [f"user-{i:02d}".encode() for i in range(config.user_count)]
-    device_owner = {d: user_ids[i % len(user_ids)] for i, d in enumerate(devices)}
-    keyring = generate_keyring(user_ids)
-    registry = keyring.user_public_keys()
-    params = setup(config.modulus_bits)
-    sp_id = config.sp_id.encode()
-
-    blocks_dir = None
-    if state_dir is not None:
-        state_dir = Path(state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
-        blocks_dir = state_dir / "blocks"
-        blocks_dir.mkdir(exist_ok=True)
-
-    def block_sink(block: SealedBlock) -> None:
-        if blocks_dir is not None:
-            (blocks_dir / f"{block.block_id:06d}.blk").write_bytes(block.to_bytes())
-
-    store = CloudStore(
-        policy,
-        root=(state_dir / "cloud") if state_dir is not None else None,
-        sp_allowlist=frozenset({sp_id}),
-        hasher=hasher,
-        lazy_deletion=config.lazy_cloud,
-    )
-    logger = QueryLogger(
-        capacity=config.block_capacity,
-        time_limit=config.block_time_limit,
-        params=params,
-        sdp_public=keyring.sdp_box_public,
-        registry=registry,
-        start_time=config.origin_ms,
-        sink=block_sink,
-        hasher=hasher,
-    )
-    roles = _Roles(config, store, logger)
-    tracker = RoundTripTracker(calibrate_transport(roles.cloud))
-    clock = VirtualClock(config.origin_ms)
-    transcript: list[dict] = []
-    report = BenchmarkReport("scenario", metadata=_run_metadata(config))
-
+    run = _Run(config, state_dir)
     readings = generate_readings(config)
-    by_epoch: dict[int, list[SensorReading]] = {}
-    for reading in readings:
-        window = epoch_of(reading.time, config.delta_ms, config.origin_ms)
-        by_epoch.setdefault(window.id, []).append(reading)
-
-    prev_ct = params.seed
-    verification_failures = 0
-    verifications = 0
-
-    def run_verification(at: int, role: str, device_id: bytes | None, expect: str):
-        nonlocal verifications, verification_failures
-        vreport = _verify_target(
-            roles, at, clock.now, role, device_id, keyring, params, policy,
-            tracker, hasher,
-        )
-        verifications += 1
-        if not vreport.verified:
-            verification_failures += 1
-        transcript.append(
-            {
-                "t": clock.now,
-                "actor": role,
-                "event": "verify",
-                "expected_state": expect,
-                **vreport.to_dict(),
-            }
-        )
-        return vreport
-
     try:
-        windows = [
-            epoch_of(config.origin_ms + k * config.delta_ms, config.delta_ms, config.origin_ms)
-            for k in range(config.arrival_epochs)
-        ]
-        for k, window in enumerate(windows):
-            clock.advance_to(window.et)
-            epoch_readings = by_epoch.get(window.id, [])
+        epochs = _outsource_epochs(config, readings, run.keyring, run.params, run.hasher)
+        for _ in range(config.arrival_epochs):
             start = time.perf_counter()
-            sensor_row, meta_row = build_outsource_payload(
-                window, epoch_readings, prev_ct, keyring, params, hasher
-            )
-            control_seconds = time.perf_counter() - start
-            prev_ct = sensor_row.crypto_time
-            report.add(
-                "control_per_epoch", control_seconds, "s",
-                epoch=window.id, readings=len(epoch_readings),
-            )
-            CloudService.ingest_via(roles.cloud, sensor_row, meta_row)
-            transcript.append(
-                {
-                    "t": clock.now,
-                    "actor": "sdp",
-                    "event": "ingest",
-                    "epoch_id": window.id,
-                    "readings": len(epoch_readings),
-                }
-            )
-
-            for transition in CloudService.tick_via(roles.cloud, clock.now):
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "cloud",
-                        "event": "transition",
-                        "epoch_id": transition.epoch_id,
-                        "from": transition.from_state.name,
-                        "to": transition.to_state.name,
-                    }
-                )
-
-            try:
-                _, fetch_elapsed = CloudService.fetch_sp_via(
-                    roles.cloud, window.id, sp_id, clock.now
-                )
-                report.add("sp_fetch", fetch_elapsed, "s", epoch=window.id)
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "sp",
-                        "event": "sp_fetch",
-                        "epoch_id": window.id,
-                        "ok": True,
-                    }
-                )
-            except DataExpiredError:
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "sp",
-                        "event": "sp_fetch_denied",
-                        "epoch_id": window.id,
-                    }
-                )
-
-            if k >= 1:
-                expired_window = windows[0]
-                if store.state_of(expired_window.id) is not DataState.ACCESSIBLE:
-                    try:
-                        CloudService.fetch_sp_via(
-                            roles.cloud, expired_window.id, sp_id, clock.now
-                        )
-                        transcript.append(
-                            {
-                                "t": clock.now,
-                                "actor": "sp",
-                                "event": "sp_fetch_unexpectedly_ok",
-                                "epoch_id": expired_window.id,
-                            }
-                        )
-                    except DataExpiredError:
-                        transcript.append(
-                            {
-                                "t": clock.now,
-                                "actor": "sp",
-                                "event": "sp_fetch_denied",
-                                "epoch_id": expired_window.id,
-                            }
-                        )
-
-            for q in range(config.queries_per_epoch):
-                device = rng.choice(devices)
-                user_id = device_owner[device]
-                record = make_query_record(
-                    query=f"occupancy:{device.hex()}:{window.id}".encode(),
-                    time=clock.now,
-                    user_id=user_id,
-                    signing_key=keyring.user_signing_keys[user_id],
-                )
-                SpService.query_via(roles.sp, record, clock.now)
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "user",
-                        "event": "query",
-                        "user": user_id.decode(),
-                    }
-                )
-
-            if k % config.verify_every_epochs == 0:
-                device = rng.choice(devices)
-                run_verification(
-                    window.id, "user", device, expect=DataState.ACCESSIBLE.name
-                )
-                run_verification(window.id, "sdp", None, expect=DataState.ACCESSIBLE.name)
-                deleted = [
-                    eid
-                    for eid in store.epoch_ids()
-                    if store.state_of(eid) is DataState.IRRECOVERABLE
-                ]
-                if config.lazy_cloud and not deleted:
-                    # the lazy cloud reports nothing deleted; probe an epoch
-                    # whose deadline has passed anyway
-                    due = [
-                        w.id
-                        for w in windows[: k + 1]
-                        if w.et + policy.p_del * policy.delta <= clock.now
-                    ]
-                    deleted = due[-1:]
-                if deleted:
-                    run_verification(
-                        deleted[-1], "user", rng.choice(devices),
-                        expect=DataState.IRRECOVERABLE.name,
-                    )
-
-        # arrival finished: drain the pipeline so late transitions fire
-        for _ in range(config.drain_epochs):
-            clock.advance_to(clock.now + config.delta_ms)
-            for transition in CloudService.tick_via(roles.cloud, clock.now):
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "cloud",
-                        "event": "transition",
-                        "epoch_id": transition.epoch_id,
-                        "from": transition.from_state.name,
-                        "to": transition.to_state.name,
-                    }
-                )
-            logger.advance(clock.now)
-
-        purged = [
-            eid for eid in store.epoch_ids() if store.state_of(eid) is DataState.PURGED
-        ]
-        if purged:
-            try:
-                CloudService.fetch_bundle_via(roles.cloud, purged[0], clock.now)
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "user",
-                        "event": "bundle_unexpectedly_available",
-                        "epoch_id": purged[0],
-                    }
-                )
-            except UnavailableError:
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "user",
-                        "event": "bundle_unavailable",
-                        "epoch_id": purged[0],
-                    }
-                )
-
-        still_verifiable = [
-            eid
-            for eid in store.epoch_ids()
-            if store.state_of(eid) is DataState.IRRECOVERABLE
-        ]
-        if still_verifiable:
-            run_verification(
-                still_verifiable[-1], "sdp", None, expect=DataState.IRRECOVERABLE.name
-            )
-
-        logger.flush(clock.now)
-
-        if config.tampering_sp and logger.sealed_blocks:
-            victim = max(
-                range(len(logger.sealed_blocks)),
-                key=lambda i: len(logger.sealed_blocks[i].encrypted_records),
-            )
-            block = logger.sealed_blocks[victim]
-            if block.encrypted_records:
-                logger.sealed_blocks[victim] = replace(
-                    block, encrypted_records=block.encrypted_records[1:]
-                )
-                block_sink(logger.sealed_blocks[victim])
-                transcript.append(
-                    {
-                        "t": clock.now,
-                        "actor": "sp",
-                        "event": "tamper_injected",
-                        "block_id": block.block_id,
-                    }
-                )
-
-        audits_failed = 0
-        for sealed in logger.sealed_blocks:
-            fetched, prev = SpService.audit_fetch_via(roles.sp, sealed.block_id)
-            audit = audit_block(
-                fetched,
-                prev if prev is not None else params.seed,
-                keyring.sdp_box_private,
-                params,
-                registry,
-                hasher,
-            )
-            if not audit.ok:
-                audits_failed += 1
-            transcript.append(
-                {
-                    "t": clock.now,
-                    "actor": "sdp",
-                    "event": "audit",
-                    "block_id": sealed.block_id,
-                    "ok": audit.ok,
-                    "impersonation_suspected": audit.impersonation_suspected,
-                }
-            )
+            epoch = next(epochs)
+            run.arrival_epoch(*epoch, control_seconds=time.perf_counter() - start)
+        run.drain()
+        run.probe_purged()
+        run.final_sdp_check()
+        if config.tampering_sp:
+            run.inject_tamper()
+        run.audit()
     finally:
-        roles.close()
+        run.close()
 
     summary = {
         "readings": len(readings),
         "epochs": config.arrival_epochs,
-        "verifications": verifications,
-        "verification_failures": verification_failures,
-        "sealed_blocks": len(logger.sealed_blocks),
-        "audits_failed": audits_failed,
-        "final_clock": clock.now,
-        "states": {
-            str(eid): store.state_of(eid).name for eid in store.epoch_ids()
-        },
+        "verifications": run.verifications,
+        "verification_failures": run.verification_failures,
+        "sealed_blocks": len(run.logger.sealed_blocks),
+        "audits_failed": run.audits_failed,
+        "final_clock": run.clock.now,
+        "states": {str(eid): run.store.state_of(eid).name for eid in run.store.epoch_ids()},
     }
-
-    result = ScenarioResult(
-        config=config,
-        transcript=transcript,
-        report=report,
-        summary=summary,
-        state_dir=state_dir,
-    )
-
-    if state_dir is not None:
-        config.save(state_dir / "config.json")
-        save_keyring(keyring, state_dir / "keyring.json")
-        (state_dir / "params.bin").write_bytes(params.to_bytes())
-        (state_dir / "policy.bin").write_bytes(policy.to_bytes())
-        (state_dir / "meta.json").write_text(
-            json.dumps({"clock": clock.now, "sp_id": config.sp_id})
-        )
-        (state_dir / "transcript.json").write_text(json.dumps(transcript, indent=1))
-        (state_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=1))
-        (state_dir / "summary.json").write_text(json.dumps(summary, indent=1))
-    return result
+    if run.state_dir is not None:
+        run.save(summary)
+    return ScenarioResult(config, run.transcript, run.report, summary, run.state_dir)
 
 
 # -- benchmarks ----------------------------------------------------------------
@@ -820,18 +740,12 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             epochs = MS_PER_DAY // delta_ms
             encrypt_total = 0.0
             tag_total = 0.0
-            prev = params.seed
             for k in range(epochs):
                 window = epoch_of(k * delta_ms, delta_ms)
                 readings = [
                     SensorReading(r.device_id, r.time + window.bt, r.payload)
                     for r in _flat_rate_epoch(config, delta_ms, rng)
                 ]
-                digests = tuple(
-                    reading_digest(r.device_id, window.id, i + 1, hasher)
-                    for i, r in enumerate(readings)
-                )
-                prev = epoch_timestamp(prev, digests, params, hasher)
                 start = time.perf_counter()
                 cts = tuple(
                     encrypt_reading(r, window.id, keyring.enclave_public)
@@ -847,22 +761,11 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
 
     elif experiment == 2:
         store = CloudStore(config.policy, hasher=hasher)
-        raw_bytes = 0
-        prev = params.seed
         readings = generate_readings(config)
-        by_epoch: dict[int, list[SensorReading]] = {}
-        for reading in readings:
-            raw_bytes += len(reading.to_bytes())
-            window = epoch_of(reading.time, config.delta_ms, config.origin_ms)
-            by_epoch.setdefault(window.id, []).append(reading)
-        for k in range(config.arrival_epochs):
-            window = epoch_of(
-                config.origin_ms + k * config.delta_ms, config.delta_ms, config.origin_ms
-            )
-            sensor_row, meta_row = build_outsource_payload(
-                window, by_epoch.get(window.id, []), prev, keyring, params, hasher
-            )
-            prev = sensor_row.crypto_time
+        raw_bytes = sum(len(reading.to_bytes()) for reading in readings)
+        for _, _, sensor_row, meta_row in _outsource_epochs(
+            config, readings, keyring, params, hasher
+        ):
             store.ingest(sensor_row, meta_row)
         report.add("raw_bytes", raw_bytes, "B", readings=len(readings))
         report.add("outsourced_bytes", store.outsourced_bytes, "B")
@@ -878,20 +781,11 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             night_rate_per_hour=config.day_rate_per_hour, transport="loopback",
         )
         store = CloudStore(day_config.policy, hasher=hasher)
-        service = CloudService(store)
-        transport = LoopbackTransport(service.handle)
-        prev = params.seed
+        transport = LoopbackTransport(CloudService(store).handle)
         readings = generate_readings(day_config)
-        by_epoch: dict[int, list[SensorReading]] = {}
-        for reading in readings:
-            window = epoch_of(reading.time, MS_PER_HOUR, 0)
-            by_epoch.setdefault(window.id, []).append(reading)
-        for k in range(24):
-            window = epoch_of(k * MS_PER_HOUR, MS_PER_HOUR, 0)
-            sensor_row, meta_row = build_outsource_payload(
-                window, by_epoch.get(window.id, []), prev, keyring, params, hasher
-            )
-            prev = sensor_row.crypto_time
+        for _, _, sensor_row, meta_row in _outsource_epochs(
+            day_config, readings, keyring, params, hasher
+        ):
             store.ingest(sensor_row, meta_row)
         now = 24 * MS_PER_HOUR
         start = time.perf_counter()

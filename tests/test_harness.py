@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from expunge import attestation
 from expunge.cli import main
 from expunge.cloud import CloudStore
 from expunge.control import build_outsource_payload
@@ -280,6 +282,32 @@ class TestCli:
         final = summary["final_clock"]
         assert main(["tick", "--state", str(state), "--now", str(final + 10 * MS_PER_HOUR)]) == 0
         capsys.readouterr()
+
+    def test_verify_time_bound_uses_reference_round_trip(self, tmp_path, capsys, monkeypatch):
+        # The judged fetch takes 0.3 s and the recompute estimate is pinned
+        # at 1 s. Bounded by a reference fetch, tau = max(2 * rtt, 0.1 s)
+        # = 0.1 s and the fetch is flagged; bounded by the judged fetch's own
+        # time, tau would be 0.6 s and the bound not applicable.
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = next(int(e) for e, s in summary["states"].items() if s == "IRRECOVERABLE")
+
+        fetch_bundle = CloudStore.fetch_bundle
+
+        def slow_fetch(store, at, now):
+            if at == target:
+                time.sleep(0.3)
+            return fetch_bundle(store, at, now)
+
+        monkeypatch.setattr(CloudStore, "fetch_bundle", slow_fetch)
+        monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 1.0)
+        code = main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"])
+        assert "time bound EXCEEDED" in capsys.readouterr().out
+        assert code == 1
 
     def test_verify_purged_epoch_is_protocol_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
