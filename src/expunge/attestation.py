@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
-from .control import accessible_tag, reading_digest, timestamp_exponent
+from .control import accessible_tag, reading_digests, timestamp_exponent
 from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import symmetric_decrypt
 from .engine import cell_geometry, expunge_duration_estimate
@@ -100,11 +100,12 @@ def verify_membership(
     asks the cloud for no index and reveals nothing about who it is
     looking for.
     """
-    matches = []
-    for position, digest in enumerate(bundle.digests, start=1):
-        if reading_digest(device_id, bundle.epoch_id, position, hasher) == digest:
-            matches.append(position)
-    return matches
+    candidates = reading_digests(device_id, bundle.epoch_id, len(bundle.digests), hasher)
+    return [
+        position
+        for position, (candidate, digest) in enumerate(zip(candidates, bundle.digests), start=1)
+        if candidate == digest
+    ]
 
 
 def verify_completeness(

@@ -168,6 +168,7 @@ class CloudStore:
         self.last_tick: int | None = None
         self.outsourced_bytes = 0
         self._records: dict[int, EpochRecord] = {}
+        self._tip: int | None = None  # newest epoch id, the chain tip
         self._lock = threading.RLock()
         if self.root is not None:
             (self.root / "segments").mkdir(parents=True, exist_ok=True)
@@ -204,6 +205,7 @@ class CloudStore:
         for eid in index["epochs"]:
             record = EpochRecord.from_bytes(self._segment_path(int(eid)).read_bytes())
             self._records[record.epoch_id] = record
+        self._tip = max(self._records, default=None)
 
     # -- ingest path ---------------------------------------------------------
 
@@ -219,12 +221,10 @@ class CloudStore:
             eid = sensor_row.epoch_id
             if eid in self._records:
                 raise DuplicateEpochError(f"epoch {eid} already ingested")
-            if self._records and eid <= max(self._records):
+            if self._tip is not None and eid <= self._tip:
                 raise DomainError(f"epoch {eid} arrived out of chain order")
-            prev = None
-            first = not self._records
-            if not first:
-                prev = self._records[max(self._records)].crypto_time
+            first = self._tip is None
+            prev = None if first else self._records[self._tip].crypto_time
             record = EpochRecord(
                 epoch_id=eid,
                 bt=meta_row.bt,
@@ -241,6 +241,7 @@ class CloudStore:
                 state_history=[(DataState.ACCESSIBLE, meta_row.et)],
             )
             self._records[eid] = record
+            self._tip = eid
             self.outsourced_bytes += len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
             self._persist(record)
             return eid

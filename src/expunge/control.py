@@ -70,6 +70,18 @@ def reading_digest(
     return hasher.digest(vbytes(device_id), u64(epoch_id), u64(position))
 
 
+def reading_digests(
+    device_id: bytes, epoch_id: int, count: int, hasher: Hasher = DEFAULT_HASHER
+) -> list[bytes]:
+    """:func:`reading_digest` at positions ``1..count``, in order.
+
+    The device and epoch prefix is hashed once and continued for each
+    position, so a verifier scanning a whole epoch pays one short hash
+    per position.
+    """
+    return hasher.digests_after(vbytes(device_id) + u64(epoch_id), map(u64, range(1, count + 1)))
+
+
 def sentinel_digest(epoch_id: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:
     """Stand-in digest for an epoch that recorded no readings."""
     return hasher.digest(_SENTINEL_LABEL, u64(epoch_id))

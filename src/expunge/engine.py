@@ -29,6 +29,7 @@ intermediate iteration is retained.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -231,27 +232,49 @@ def expunge(
 
 # --- runtime estimation ----------------------------------------------------
 
-_calibration_cache: dict[tuple[str, int], float] = {}
+#: Cell sizes at which :func:`combine` is timed to fit the cost model.
+_FIT_CELL_SIZES = (64, 4096)
+#: Wall time spent timing combine at each fit size, split into batches;
+#: the median batch stands, so one scheduler pause cannot skew the fit.
+_FIT_SECONDS = 0.003
+_FIT_BATCHES = 5
+
+
+def _combine_blocks(cell_size: int, hasher: Hasher) -> int:
+    """Hash blocks in one combine: the pair digest, then the expansion."""
+    return -(-2 * cell_size // hasher.block_size) + -(-cell_size // hasher.size)
+
+
+#: Fitted ``(fixed, per_block)`` combine seconds per hash algorithm.
+_calibration_cache: dict[str, tuple[float, float]] = {}
+
+
+def _fit_combine_cost(hasher: Hasher) -> tuple[float, float]:
+    """Time combine at the two fit sizes and solve for both coefficients."""
+    points = []
+    for cell_size in _FIT_CELL_SIZES:
+        a = hasher.expand(b"calibrate-a", cell_size)
+        b = hasher.expand(b"calibrate-b", cell_size)
+        batches = []
+        for _ in range(_FIT_BATCHES):
+            rounds = 0
+            start = time.perf_counter()
+            while (elapsed := time.perf_counter() - start) < _FIT_SECONDS / _FIT_BATCHES:
+                combine(a, b, hasher)
+                rounds += 1
+            batches.append(elapsed / rounds)
+        points.append((_combine_blocks(cell_size, hasher), statistics.median(batches)))
+    (small_blocks, small_s), (large_blocks, large_s) = points
+    per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
+    return max(0.0, small_s - per_block * small_blocks), per_block
 
 
 def _combine_seconds(cell_size: int, hasher: Hasher) -> float:
-    key = (hasher.algorithm, cell_size)
-    cached = _calibration_cache.get(key)
-    if cached is not None:
-        return cached
-    a = hasher.expand(b"calibrate-a", cell_size)
-    b = hasher.expand(b"calibrate-b", cell_size)
-    rounds = 0
-    elapsed = 0.0
-    start = time.perf_counter()
-    while elapsed < 0.02:
-        for _ in range(16):
-            combine(a, b, hasher)
-        rounds += 16
-        elapsed = time.perf_counter() - start
-    per_combine = elapsed / rounds
-    _calibration_cache[key] = per_combine
-    return per_combine
+    cost = _calibration_cache.get(hasher.algorithm)
+    if cost is None:
+        cost = _calibration_cache[hasher.algorithm] = _fit_combine_cost(hasher)
+    fixed, per_block = cost
+    return fixed + per_block * _combine_blocks(cell_size, hasher)
 
 
 #: Nominal memory throughput for the linear pack/hash pass over the input.
@@ -263,10 +286,15 @@ def expunge_duration_estimate(
 ) -> float:
     """Estimated wall seconds to run :func:`expunge` on this host.
 
-    Calibrated from measured combine throughput at the given cell size;
-    grows with ``n * cell_size * log n``, plus the linear packing and
-    proof-hash pass over the input bytes. Used to size the time bound in
-    the attestation phase.
+    A combine costs a fixed number of hash blocks for a given cell size:
+    the pair digest over ``2 * cell_size`` bytes plus
+    ``ceil(cell_size / digest_size)`` expansion blocks. The per-combine
+    overhead and the per-block cost are fitted once per process and hash
+    algorithm, by timing combine at 64 B and 4 KiB cells, so later cell
+    sizes cost no timing at all. The estimate grows with
+    ``n * cell_size * log n``, plus the linear packing and proof-hash
+    pass over the input bytes. Used to size the time bound in the
+    attestation phase.
     """
     if cell_count < 1 or cell_size < 1:
         raise DomainError("estimate requires at least one cell of at least one byte")

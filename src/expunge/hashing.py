@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 from .encoding import u32
 
@@ -25,19 +26,50 @@ def _constructor(algorithm: str):
     return ctor
 
 
+@lru_cache(maxsize=None)
+def _sizes(algorithm: str) -> tuple[int, int]:
+    h = _constructor(algorithm)()
+    return h.digest_size, h.block_size
+
+
+#: ``u32(i)`` for the first expansion counters, packed once.
+_COUNTERS = tuple(map(u32, range(256)))
+
+
 @dataclass(frozen=True)
 class Hasher:
     algorithm: str = "sha256"
 
     @property
     def size(self) -> int:
-        return _constructor(self.algorithm)().digest_size
+        return _sizes(self.algorithm)[0]
+
+    @property
+    def block_size(self) -> int:
+        """Bytes consumed per compression of the underlying hash."""
+        return _sizes(self.algorithm)[1]
 
     def digest(self, *parts: bytes) -> bytes:
         h = _constructor(self.algorithm)()
         for part in parts:
             h.update(part)
         return h.digest()
+
+    def digests_after(self, prefix: bytes, suffixes: Iterable[bytes]) -> list[bytes]:
+        """``H(prefix || suffix)`` for each suffix, hashing ``prefix`` once.
+
+        Each digest continues a copy of the hash state left after the
+        prefix, so the output equals ``digest(prefix, suffix)`` byte for
+        byte.
+        """
+        base = _constructor(self.algorithm)()
+        base.update(prefix)
+        out = []
+        for suffix in suffixes:
+            h = base.copy()
+            h.update(suffix)
+            out.append(h.digest())
+        return out
 
     def expand(self, seed: bytes, length: int) -> bytes:
         """Counter-mode expansion of ``seed`` to exactly ``length`` bytes.
@@ -48,19 +80,8 @@ class Hasher:
         """
         if length < 0:
             raise ValueError("length must be non-negative")
-        ctor = _constructor(self.algorithm)
-        blocks = []
-        produced = 0
-        counter = 0
-        while produced < length:
-            h = ctor()
-            h.update(seed)
-            h.update(u32(counter))
-            block = h.digest()
-            blocks.append(block)
-            produced += len(block)
-            counter += 1
-        return b"".join(blocks)[:length]
-
+        blocks = -(-length // self.size)
+        counters = _COUNTERS[:blocks] if blocks <= len(_COUNTERS) else map(u32, range(blocks))
+        return b"".join(self.digests_after(seed, counters))[:length]
 
 DEFAULT_HASHER = Hasher("sha256")

@@ -2,6 +2,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from expunge.attestation import (
     calibrate_time_bound,
@@ -11,9 +13,10 @@ from expunge.attestation import (
     verify_membership,
 )
 from expunge.cloud import CloudStore
-from expunge.control import build_outsource_payload
+from expunge.control import build_outsource_payload, reading_digest, sentinel_digest
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.errors import DomainError, IntegrityError
+from expunge.hashing import DEFAULT_HASHER, Hasher
 
 POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1000)
 
@@ -66,6 +69,35 @@ class TestMembership:
         for at in (1000, 2000):
             bundle = deployment.fetch_bundle(at, now=3000)
             assert len(set(bundle.digests)) == len(bundle.digests)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hasher=st.sampled_from([DEFAULT_HASHER, Hasher("sha512"), Hasher("blake2b"), Hasher("sha3_256")]),
+        epoch_id=st.integers(0, 2**64 - 1),
+        device=st.binary(min_size=1, max_size=12),
+        slots=st.lists(st.sampled_from(["device", "shifted", "other"]), max_size=40),
+    )
+    @example(hasher=DEFAULT_HASHER, epoch_id=7, device=b"d", slots=["device", "other", "device", "device"])
+    @example(hasher=DEFAULT_HASHER, epoch_id=7, device=b"d", slots=["other", "shifted", "other"])
+    @example(hasher=DEFAULT_HASHER, epoch_id=7, device=b"d", slots=[])
+    @example(hasher=Hasher("blake2b"), epoch_id=2**64 - 1, device=b"d", slots=["other", "device"])
+    def test_matches_reading_digest_scan(self, deployment, hasher, epoch_id, device, slots):
+        # "shifted" is the device's digest for the next position; an empty
+        # slot list is an idle epoch, whose only digest is the sentinel
+        make = {
+            "device": lambda p: reading_digest(device, epoch_id, p, hasher),
+            "shifted": lambda p: reading_digest(device, epoch_id, p + 1, hasher),
+            "other": lambda p: reading_digest(device + b"\x00", epoch_id, p, hasher),
+        }
+        digests = [make[slot](p) for p, slot in enumerate(slots, 1)] or [
+            sentinel_digest(epoch_id, hasher)
+        ]
+        bundle = dataclasses.replace(
+            deployment.fetch_bundle(1000, now=3000), epoch_id=epoch_id, digests=tuple(digests)
+        )
+        assert verify_membership(device, bundle, hasher) == [
+            p for p, d in enumerate(digests, 1) if reading_digest(device, epoch_id, p, hasher) == d
+        ]
 
 
 class TestCompleteness:

@@ -219,6 +219,25 @@ class TestPersistence:
         bundle = reloaded.fetch_bundle(1, now=4)
         assert bundle.state is DataState.IRRECOVERABLE
 
+    def test_reloaded_store_keeps_the_chain_tip(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 3, origin=2)
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        tip = reloaded.record(4).crypto_time
+
+        early, early_meta = build_outsource_payload(
+            EpochWindow(1, 2), [_reading(1)], tiny_params.seed, keyring, tiny_params
+        )
+        with pytest.raises(DomainError):
+            reloaded.ingest(early, early_meta)
+
+        sensor, meta = build_outsource_payload(
+            EpochWindow(5, 6), [_reading(5)], tip, keyring, tiny_params
+        )
+        reloaded.ingest(sensor, meta)
+        record = reloaded.record(5)
+        assert not record.first_epoch and record.prev_crypto_time == tip
+
     def test_purge_leaves_tombstone(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path / "cloud")
         _ingest_epochs(store, keyring, tiny_params, 1)

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from expunge import engine
 from expunge.encoding import u32
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
@@ -17,6 +18,7 @@ from expunge.engine import (
     schedule_for,
 )
 from expunge.errors import DomainError
+from expunge.hashing import DEFAULT_HASHER
 
 #: Normative three-iteration pairing pattern for eight cells (1-based).
 REFERENCE_N8_TRACE = {
@@ -241,8 +243,12 @@ class TestDurationEstimate:
         for n in (1, 4, 64, 1024):
             assert expunge_duration_estimate(2 * n, 256) > expunge_duration_estimate(n, 256)
 
-    def test_estimate_within_3x_of_measured(self):
-        n, size = 2**12, 1024
+    @pytest.mark.parametrize(
+        "n, size",
+        [(2**14, 64), (2**13, 256), (2**12, 1024), (2**10, 4096)],
+        ids=["64B", "256B", "1KiB", "4KiB"],
+    )
+    def test_estimate_within_3x_of_measured(self, n, size):
         estimate = expunge_duration_estimate(n, size)
         rng = random.Random(17)
         array = _random_cells(rng, n, size)
@@ -250,3 +256,18 @@ class TestDurationEstimate:
         expunge(array)
         measured = time.perf_counter() - start
         assert measured / 3 <= estimate <= measured * 3
+
+    def test_cost_model_is_fitted_once_per_hasher(self, monkeypatch):
+        fits = []
+        fit = engine._fit_combine_cost
+
+        def counting_fit(hasher):
+            fits.append(hasher)
+            return fit(hasher)
+
+        monkeypatch.setattr(engine, "_fit_combine_cost", counting_fit)
+        engine._calibration_cache.clear()
+        for size in range(1, 51):
+            assert expunge_duration_estimate(64, 37 * size) > 0
+        assert len(engine._calibration_cache) == 1
+        assert fits == [DEFAULT_HASHER]
