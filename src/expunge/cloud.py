@@ -9,9 +9,21 @@ resulting proof, and discards the original ciphertexts; when the
 verification window passes, it purges cells, proof and metadata, leaving
 a tombstone so "purged" remains distinguishable from "never existed".
 
-Persistence is one segment file per epoch plus a small JSON index.
-Overwrite-in-place happens on the epoch's own segment. A store created
-with ``root=None`` lives purely in memory (benchmarks, quick tests).
+Each epoch waits in a deadline heap keyed by its next transition time
+(deletion, then verification expiry when that is finite), so a tick
+costs O(due · log n) for n stored epochs and touches only the epochs
+that are due, in ascending epoch order. Epoch windows must not overlap,
+so the epoch containing an instant is found by bisecting the epoch ids.
+
+Persistence is one segment file per epoch plus a small JSON index. Each
+write goes to a temporary file in the same directory and replaces the
+old file with ``os.replace``, so a process crash leaves either the old
+or the new file, never half of one (files are not fsynced, so a power
+loss can still lose recent writes); a reload ignores leftover temporary
+files, rebuilds the schedule from the records, and fails closed on a
+segment that does not decode. Overwrite-in-place happens on the epoch's own
+segment. A store created with ``root=None`` lives purely in memory
+(benchmarks, quick tests).
 
 ``lazy_deletion`` simulates a dishonest cloud for the harness: the
 scheduler skips deletion and the bundle path fabricates proofs on
@@ -20,9 +32,12 @@ demand, which the attestation time bound is designed to catch.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
+import os
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +45,7 @@ from . import encoding
 from .accumulator import AccumulatorValue
 from .control import MetaDataRow, SensorDataRow, check_rows_consistent
 from .core import (
+    NEVER,
     DataState,
     RetentionPolicy,
     deletion_due,
@@ -43,6 +59,7 @@ from .encoding import (
     U64,
     VBYTES,
     VBYTES_LIST,
+    EncodingError,
     Layout,
     Record,
     either,
@@ -168,7 +185,8 @@ class CloudStore:
         self.last_tick: int | None = None
         self.outsourced_bytes = 0
         self._records: dict[int, EpochRecord] = {}
-        self._tip: int | None = None  # newest epoch id, the chain tip
+        self._ids: list[int] = []  # epoch ids in chain order, ascending
+        self._deadlines: list[tuple[int, int]] = []  # heap of (next deadline, epoch id)
         self._lock = threading.RLock()
         if self.root is not None:
             (self.root / "segments").mkdir(parents=True, exist_ok=True)
@@ -180,10 +198,16 @@ class CloudStore:
     def _segment_path(self, epoch_id: int) -> Path:
         return self.root / "segments" / f"{epoch_id:016d}.seg"
 
+    @staticmethod
+    def _write_atomic(path: Path, data: bytes) -> None:
+        temp = path.with_name(path.name + ".tmp")
+        temp.write_bytes(data)
+        os.replace(temp, path)
+
     def _persist(self, record: EpochRecord) -> None:
         if self.root is None:
             return
-        self._segment_path(record.epoch_id).write_bytes(record.to_bytes())
+        self._write_atomic(self._segment_path(record.epoch_id), record.to_bytes())
         self._persist_index()
 
     def _persist_index(self) -> None:
@@ -195,36 +219,46 @@ class CloudStore:
                 str(eid): record.state.name for eid, record in self._records.items()
             },
         }
-        (self.root / "index.json").write_text(json.dumps(index, indent=0))
+        self._write_atomic(self.root / "index.json", json.dumps(index, indent=0).encode())
 
     def _load(self) -> None:
         index = json.loads((self.root / "index.json").read_text())
         self.last_tick = index["last_tick"]
         self.outsourced_bytes = index["outsourced_bytes"]
         self.sp_allowlist = frozenset(bytes.fromhex(sp) for sp in index["allowlist"])
-        for eid in index["epochs"]:
-            record = EpochRecord.from_bytes(self._segment_path(int(eid)).read_bytes())
-            self._records[record.epoch_id] = record
-        self._tip = max(self._records, default=None)
+        for eid in sorted(int(eid) for eid in index["epochs"]):
+            record = EpochRecord.from_bytes(self._segment_path(eid).read_bytes())
+            if record.epoch_id != eid:
+                raise EncodingError(f"segment of epoch {eid} holds epoch {record.epoch_id}")
+            self._records[eid] = record
+            self._ids.append(eid)
+            self._schedule(record)
 
     # -- ingest path ---------------------------------------------------------
 
     def ingest(self, sensor_row: SensorDataRow, meta_row: MetaDataRow) -> int:
         """Persist one epoch payload; returns the epoch id acknowledged.
 
-        Epochs must arrive in chain order (strictly increasing ids); the
-        previous epoch's timestamp is captured here so bundles can be
-        served even after neighbours are purged.
+        Epochs must arrive in chain order (strictly increasing ids), and
+        an epoch may not begin before its predecessor ends; the previous
+        epoch's timestamp is captured here so bundles can be served even
+        after neighbours are purged.
         """
         with self._lock:
             check_rows_consistent(sensor_row, meta_row)
             eid = sensor_row.epoch_id
             if eid in self._records:
                 raise DuplicateEpochError(f"epoch {eid} already ingested")
-            if self._tip is not None and eid <= self._tip:
+            tip = self._records[self._ids[-1]] if self._ids else None
+            if tip is not None and eid <= tip.epoch_id:
                 raise DomainError(f"epoch {eid} arrived out of chain order")
-            first = self._tip is None
-            prev = None if first else self._records[self._tip].crypto_time
+            if tip is not None and meta_row.bt < tip.et:
+                raise DomainError(
+                    f"epoch {eid} begins at {meta_row.bt}, inside epoch"
+                    f" {tip.epoch_id} which ends at {tip.et}"
+                )
+            first = tip is None
+            prev = None if first else tip.crypto_time
             record = EpochRecord(
                 epoch_id=eid,
                 bt=meta_row.bt,
@@ -241,48 +275,74 @@ class CloudStore:
                 state_history=[(DataState.ACCESSIBLE, meta_row.et)],
             )
             self._records[eid] = record
-            self._tip = eid
+            self._ids.append(eid)
+            self._schedule(record)
             self.outsourced_bytes += len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
             self._persist(record)
             return eid
 
     # -- retention scheduler -------------------------------------------------
 
+    def _schedule(self, record: EpochRecord) -> None:
+        """Queue the record's next transition, if it has a finite one."""
+        window = window_for_id(record.epoch_id, record.et - record.bt)
+        if record.state is DataState.ACCESSIBLE:
+            deadline = deletion_due(window, self.policy)
+        elif record.state is DataState.IRRECOVERABLE:
+            deadline = verification_expiry(window, self.policy)
+        else:
+            return
+        if deadline is not NEVER:
+            heapq.heappush(self._deadlines, (deadline, record.epoch_id))
+
     def tick(self, now: int) -> list[Transition]:
         """Apply all state transitions due at or before ``now``.
 
-        A failed overwrite leaves the epoch accessible and is retried on
-        the next tick.
+        Only epochs whose next deadline has passed are visited, in
+        ascending epoch order. A failed overwrite leaves the epoch
+        accessible and is retried on the next tick.
         """
         with self._lock:
             if self.last_tick is not None and now < self.last_tick:
                 raise DomainError("tick time moved backwards")
             self.last_tick = now
+            due = []
+            while self._deadlines and self._deadlines[0][0] <= now:
+                due.append(heapq.heappop(self._deadlines)[1])
+            due.sort()
             transitions: list[Transition] = []
-            for eid in sorted(self._records):
+            for position, eid in enumerate(due):
                 record = self._records[eid]
-                window = window_for_id(eid, record.et - record.bt)
-                if record.state is DataState.ACCESSIBLE:
-                    if deletion_due(window, self.policy) <= now:
-                        if self.lazy_deletion:
-                            continue  # dishonest cloud: pretend, recompute on demand
-                        try:
-                            self._expunge_record(record, now)
-                        except Exception:
-                            logger.warning(
-                                "expunge failed for epoch %d; will retry", eid, exc_info=True
-                            )
-                            continue
-                        transitions.append(
-                            Transition(eid, DataState.ACCESSIBLE, DataState.IRRECOVERABLE, now)
-                        )
-                if record.state is DataState.IRRECOVERABLE:
-                    if verification_expiry(window, self.policy) <= now:
-                        self._purge_record(record, now)
-                        transitions.append(
-                            Transition(eid, DataState.IRRECOVERABLE, DataState.PURGED, now)
-                        )
+                try:
+                    self._advance(record, now, transitions)
+                except BaseException:
+                    for pending in due[position:]:
+                        self._schedule(self._records[pending])
+                    raise
+                # a lazy cloud never changes a due record, so its entry goes
+                if not (self.lazy_deletion and record.state is DataState.ACCESSIBLE):
+                    self._schedule(record)
             return transitions
+
+    def _advance(self, record: EpochRecord, now: int, transitions: list[Transition]) -> None:
+        eid = record.epoch_id
+        window = window_for_id(eid, record.et - record.bt)
+        if record.state is DataState.ACCESSIBLE:
+            if deletion_due(window, self.policy) <= now:
+                if self.lazy_deletion:
+                    return  # dishonest cloud: pretend, recompute on demand
+                try:
+                    self._expunge_record(record, now)
+                except Exception:
+                    logger.warning("expunge failed for epoch %d; will retry", eid, exc_info=True)
+                    return
+                transitions.append(
+                    Transition(eid, DataState.ACCESSIBLE, DataState.IRRECOVERABLE, now)
+                )
+        if record.state is DataState.IRRECOVERABLE:
+            if verification_expiry(window, self.policy) <= now:
+                self._purge_record(record, now)
+                transitions.append(Transition(eid, DataState.IRRECOVERABLE, DataState.PURGED, now))
 
     def _expunge_record(self, record: EpochRecord, now: int) -> None:
         array = CellArray.from_ciphertexts(
@@ -314,7 +374,11 @@ class CloudStore:
         record = self._records.get(at)
         if record is not None:
             return record
-        for candidate in self._records.values():
+        # windows are disjoint and ordered, so only the last epoch that
+        # begins at or before ``at`` can contain it
+        position = bisect_right(self._ids, at)
+        if position:
+            candidate = self._records[self._ids[position - 1]]
             if candidate.bt <= at < candidate.et:
                 return candidate
         raise UnavailableError(f"no epoch recorded containing {at}")
@@ -390,7 +454,7 @@ class CloudStore:
     # -- inspection ----------------------------------------------------------
 
     def epoch_ids(self) -> list[int]:
-        return sorted(self._records)
+        return list(self._ids)
 
     def state_of(self, epoch_id: int) -> DataState:
         return self._records[epoch_id].state

@@ -1,11 +1,25 @@
+import itertools
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from expunge.cloud import AttestationBundle, CloudStore
+from expunge.cloud import AttestationBundle, CloudStore, Transition
 from expunge.control import build_outsource_payload, irrecoverable_tag
-from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
+from expunge.core import (
+    NEVER,
+    DataState,
+    EpochWindow,
+    RetentionPolicy,
+    SensorReading,
+    deletion_due,
+    verification_expiry,
+    window_for_id,
+)
 from expunge.crypto import symmetric_decrypt
+from expunge.encoding import EncodingError
 from expunge.engine import expunge
 from expunge.errors import (
     DataExpiredError,
@@ -23,21 +37,28 @@ def _reading(t, device=b"\x02abcde", payload=b"snmp-load"):
     return SensorReading(device_id=device, time=t, payload=payload)
 
 
-def _ingest_epochs(store, keyring, params, count, delta=1, origin=1, per_epoch=2):
-    """Build and ingest `count` consecutive epochs; returns shadow copies."""
+def _chain(keyring, params, windows, per_epoch=2):
+    """Outsourcing rows for `windows`, timestamps chained from the seed."""
     prev = params.seed
-    shadows = {}
-    for k in range(count):
-        window = EpochWindow(origin + k * delta, origin + (k + 1) * delta)
-        readings = (
-            [_reading(window.bt, device=bytes([0x02, i]) + b"dev%d" % (i % 10)) for i in range(per_epoch)]
-            if per_epoch
-            else []
-        )
+    rows = []
+    for window in windows:
+        readings = [
+            _reading(window.bt, device=bytes([0x02, i]) + b"dev%d" % (i % 10))
+            for i in range(per_epoch)
+        ]
         sensor, meta = build_outsource_payload(window, readings, prev, keyring, params)
         prev = sensor.crypto_time
+        rows.append((sensor, meta))
+    return rows
+
+
+def _ingest_epochs(store, keyring, params, count, delta=1, origin=1, per_epoch=2):
+    """Build and ingest `count` consecutive epochs; returns shadow copies."""
+    windows = [EpochWindow(origin + k * delta, origin + (k + 1) * delta) for k in range(count)]
+    shadows = {}
+    for sensor, meta in _chain(keyring, params, windows, per_epoch):
         store.ingest(sensor, meta)
-        shadows[window.id] = sensor.ciphertexts
+        shadows[sensor.epoch_id] = sensor.ciphertexts
     return shadows
 
 
@@ -71,6 +92,16 @@ class TestIngest:
         with pytest.raises(DomainError):
             store.ingest(s1, m1)
 
+    def test_overlapping_window_rejected(self, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY)
+        (s1, m1), (s2, m2) = _chain(
+            keyring, tiny_params, [EpochWindow(0, 10), EpochWindow(5, 15)]
+        )
+        store.ingest(s1, m1)
+        with pytest.raises(DomainError, match="inside epoch 0"):
+            store.ingest(s2, m2)
+        assert store.epoch_ids() == [0]
+
 
 class TestScheduler:
     def test_reference_timeline_replay(self, keyring, tiny_params):
@@ -86,6 +117,16 @@ class TestScheduler:
         ]
         assert store.state_of(1) is DataState.PURGED
         assert store.state_of(2) is DataState.IRRECOVERABLE
+
+    def test_one_tick_deletes_and_purges_an_overdue_epoch(self, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        assert [(t.epoch_id, t.to_state) for t in store.tick(7)] == [
+            (1, DataState.IRRECOVERABLE),
+            (1, DataState.PURGED),
+            (2, DataState.IRRECOVERABLE),
+            (2, DataState.PURGED),
+        ]
 
     def test_tick_before_due_time_is_empty(self, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY)
@@ -182,6 +223,23 @@ class TestServingPaths:
         _ingest_epochs(store, keyring, tiny_params, 2, delta=10, origin=0)
         assert store.fetch_bundle(13, now=20).epoch_id == 10
 
+    def test_bundle_by_contained_time_among_many_epochs(self, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 40, delta=10, origin=0, per_epoch=1)
+        for at in (0, 9, 10, 137, 255, 399):
+            assert store.fetch_bundle(at, now=400).epoch_id == at // 10 * 10
+
+    def test_bundle_between_windows_unavailable(self, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY)
+        for sensor, meta in _chain(
+            keyring, tiny_params, [EpochWindow(10, 20), EpochWindow(30, 40)]
+        ):
+            store.ingest(sensor, meta)
+        assert store.fetch_bundle(35, now=40).epoch_id == 30
+        for at in (5, 20, 25, 29, 40, 99):
+            with pytest.raises(UnavailableError):
+                store.fetch_bundle(at, now=40)
+
     def test_bundle_purged_unavailable(self, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY)
         _ingest_epochs(store, keyring, tiny_params, 1)
@@ -253,6 +311,50 @@ class TestPersistence:
         ]
 
 
+    def test_reload_ignores_leftover_temp_files(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        store.tick(4)
+        saved = [store.record(eid).to_bytes() for eid in store.epoch_ids()]
+        # a crash after part of the next writes, before they replaced anything
+        segment = tmp_path / "segments" / f"{2:016d}.seg"
+        segment.with_name(segment.name + ".tmp").write_bytes(segment.read_bytes()[:9])
+        (tmp_path / "index.json.tmp").write_text('{"last_tick": 5, "epo')
+
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert [reloaded.record(eid).to_bytes() for eid in reloaded.epoch_ids()] == saved
+        assert reloaded.last_tick == 4
+        assert [(t.epoch_id, t.to_state) for t in reloaded.tick(5)] == [
+            (2, DataState.IRRECOVERABLE)
+        ]
+        assert sorted(tmp_path.rglob("*.tmp")) == []
+
+    def test_interrupted_write_keeps_the_previous_segment(
+        self, tmp_path, keyring, tiny_params, monkeypatch
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        write_bytes = Path.write_bytes
+
+        def torn(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            raise OSError("crash mid-write")
+
+        monkeypatch.setattr(Path, "write_bytes", torn)
+        store.tick(4)
+        monkeypatch.undo()
+        assert CloudStore(FIG2_POLICY, root=tmp_path).state_of(1) is DataState.ACCESSIBLE
+
+    @pytest.mark.parametrize("keep", [0, 1, 40, -1])
+    def test_truncated_segment_fails_closed(self, tmp_path, keyring, tiny_params, keep):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        segment = tmp_path / "segments" / f"{2:016d}.seg"
+        segment.write_bytes(segment.read_bytes()[:keep])
+        with pytest.raises(EncodingError):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+
 class TestLazyMode:
     def test_lazy_cloud_skips_deletion_but_fabricates_bundles(self, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, lazy_deletion=True)
@@ -265,6 +367,166 @@ class TestLazyMode:
         assert bundle.deletion_proof.proof == irrecoverable_tag(shadows[1], 1)
         # and the data was never actually overwritten
         assert store.record(1).ciphertexts == shadows[1]
+
+
+class _FullScanStore(CloudStore):
+    """Reference scheduler: every tick walks every record in epoch order."""
+
+    def tick(self, now):
+        with self._lock:
+            if self.last_tick is not None and now < self.last_tick:
+                raise DomainError("tick time moved backwards")
+            self.last_tick = now
+            transitions = []
+            for eid in sorted(self._records):
+                record = self._records[eid]
+                window = window_for_id(eid, record.et - record.bt)
+                if record.state is DataState.ACCESSIBLE:
+                    if deletion_due(window, self.policy) <= now:
+                        if self.lazy_deletion:
+                            continue
+                        try:
+                            self._expunge_record(record, now)
+                        except Exception:
+                            continue
+                        transitions.append(
+                            Transition(eid, DataState.ACCESSIBLE, DataState.IRRECOVERABLE, now)
+                        )
+                if record.state is DataState.IRRECOVERABLE:
+                    if verification_expiry(window, self.policy) <= now:
+                        self._purge_record(record, now)
+                        transitions.append(
+                            Transition(eid, DataState.IRRECOVERABLE, DataState.PURGED, now)
+                        )
+            return transitions
+
+
+_ORACLE_EPOCHS = 8
+
+
+@pytest.fixture(scope="module")
+def oracle_rows(keyring, tiny_params):
+    windows = [EpochWindow(k, k + 1) for k in range(1, _ORACLE_EPOCHS + 1)]
+    return _chain(keyring, tiny_params, windows, per_epoch=1)
+
+
+@st.composite
+def _policies(draw):
+    p_del = draw(st.integers(0, 3))
+    p_ver = draw(st.one_of(st.just(NEVER), st.integers(max(p_del, 1), p_del + 3)))
+    return RetentionPolicy(p_del=p_del, p_ver=p_ver, delta=1)
+
+
+@st.composite
+def _tick_times(draw):
+    """Non-decreasing tick times: small steps and one large jump."""
+    steps = draw(st.lists(st.integers(0, 2), max_size=12))
+    steps.insert(draw(st.integers(0, len(steps))), draw(st.integers(0, 16)))
+    return list(itertools.accumulate(steps, initial=draw(st.integers(0, 3))))
+
+
+def _arrive(store, rows, count, now):
+    """Ingest each of the first `count` epochs once its window has closed."""
+    known = set(store.epoch_ids())
+    for sensor, meta in rows[:count]:
+        if meta.et <= now and sensor.epoch_id not in known:
+            store.ingest(sensor, meta)
+
+
+def _snapshot(store):
+    return [store.record(eid).to_bytes() for eid in store.epoch_ids()]
+
+
+_SCHEDULES = dict(
+    count=st.integers(1, _ORACLE_EPOCHS),
+    policy=_policies(),
+    lazy=st.booleans(),
+    times=_tick_times(),
+)
+
+
+class TestDeadlineSchedule:
+    """The deadline heap against the full scan it replaced."""
+
+    @given(**_SCHEDULES)
+    @example(count=_ORACLE_EPOCHS, policy=FIG2_POLICY, lazy=False, times=[0, 20])
+    @example(
+        count=2, policy=RetentionPolicy(p_del=0, p_ver=1, delta=1), lazy=False, times=[3, 3, 4]
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_heap_matches_full_scan(self, oracle_rows, count, policy, lazy, times):
+        heap = CloudStore(policy, lazy_deletion=lazy)
+        scan = _FullScanStore(policy, lazy_deletion=lazy)
+        for now in times:
+            _arrive(heap, oracle_rows, count, now)
+            _arrive(scan, oracle_rows, count, now)
+            assert heap.tick(now) == scan.tick(now)
+        assert _snapshot(heap) == _snapshot(scan)
+
+    @pytest.mark.parametrize("store_class", [CloudStore, _FullScanStore])
+    def test_failed_expunge_is_retried_next_tick(
+        self, keyring, tiny_params, monkeypatch, store_class
+    ):
+        store = store_class(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        expunge_record = store._expunge_record
+        failures = []
+
+        def fails_once(record, now):
+            if not failures:
+                failures.append(record.epoch_id)
+                raise OSError("transient")
+            expunge_record(record, now)
+
+        monkeypatch.setattr(store, "_expunge_record", fails_once)
+        assert store.tick(4) == []
+        assert store.state_of(1) is DataState.ACCESSIBLE
+        assert [(t.epoch_id, t.to_state) for t in store.tick(5)] == [
+            (1, DataState.IRRECOVERABLE),
+            (2, DataState.IRRECOVERABLE),
+        ]
+        assert failures == [1]
+
+    @pytest.mark.parametrize("store_class", [CloudStore, _FullScanStore])
+    def test_epochs_left_by_a_raising_tick_stay_due(
+        self, keyring, tiny_params, monkeypatch, store_class
+    ):
+        store = store_class(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        store.tick(5)
+        purge_record = store._purge_record
+
+        def disk_full_once(record, now):
+            monkeypatch.setattr(store, "_purge_record", purge_record)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "_purge_record", disk_full_once)
+        with pytest.raises(OSError):
+            store.tick(7)
+        assert [(t.epoch_id, t.to_state) for t in store.tick(7)] == [
+            (1, DataState.PURGED),
+            (2, DataState.PURGED),
+        ]
+
+    @given(reload_at=st.integers(0, 14), **_SCHEDULES)
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_reloaded_store_schedules_like_one_that_never_reloaded(
+        self, tmp_path, oracle_rows, reload_at, count, policy, lazy, times
+    ):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        memory = CloudStore(policy, lazy_deletion=lazy)
+        disk = CloudStore(policy, root=root, lazy_deletion=lazy)
+        for position, now in enumerate(times):
+            if position == reload_at:
+                disk = CloudStore(policy, root=root, lazy_deletion=lazy)
+            _arrive(memory, oracle_rows, count, now)
+            _arrive(disk, oracle_rows, count, now)
+            assert disk.tick(now) == memory.tick(now)
+        assert _snapshot(disk) == _snapshot(memory)
 
 
 class TestChainIntegrity:

@@ -209,9 +209,16 @@ def test_recv_reads_in_bounded_chunks():
 
 def test_declared_frame_length_does_not_size_the_read():
     sock = RecordingSocket(u32(0xFFFFFFFF) + b"\x10short")
-    with pytest.raises(WireError, match="closed mid-frame"):
+    with pytest.raises(WireError, match="exceeds"):
         wire._read_frame(sock)
-    assert max(sock.sizes) <= 1 << 20
+    assert sock.sizes == [4]
+
+
+def test_frame_cap_admits_a_frame_of_exactly_the_cap(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 8)
+    assert wire._read_frame(RecordingSocket(u32(8) + b"\x10" + bytes(7))) == (0x10, bytes(7))
+    with pytest.raises(WireError, match="exceeds"):
+        wire._read_frame(RecordingSocket(u32(9) + b"\x10" + bytes(8)))
 
 
 # -- drift guard -------------------------------------------------------------
