@@ -38,16 +38,16 @@ cells = CellArray(
     cells=tuple(rng.randbytes(cell_size) for _ in range(n)),
 )
 start = time.perf_counter()
-overwritten, proof = expunge(cells)
+_, proof = expunge(cells)
 recompute = time.perf_counter() - start
 
 start = time.perf_counter()
-blob = overwritten.to_bytes()
+proof.to_bytes()  # the cloud ships the stored proof, never the cells
 transfer = time.perf_counter() - start
 
 print(f"epoch of {n} cells x {cell_size} B:")
 print(f"  recompute proof (full transform): {recompute * 1000:8.1f} ms")
-print(f"  serialize cells for transfer:     {transfer * 1000:8.1f} ms")
+print(f"  serialize stored proof:           {transfer * 1000:8.4f} ms")
 print(f"  asymmetry: {recompute / transfer:.0f}x\n")
 
 # --- the time bound in action -------------------------------------------------
@@ -78,11 +78,11 @@ for label, lazy in (("honest cloud", False), ("lazy cloud  ", True)):
     store = build(lazy)
     transport = LoopbackTransport(CloudService(store).handle)
     # reference round trip from the still-accessible epoch
-    ref, ref_elapsed = CloudService.fetch_bundle_via(transport, 1000, 1999)
+    _, ref_elapsed = CloudService.fetch_bundle_via(transport, 1000, 1999)
     bundle, response = CloudService.fetch_bundle_via(transport, 0, 2000)
     assert bundle.state is DataState.IRRECOVERABLE
-    estimate = expunge_duration_estimate(len(bundle.cells.cells), bundle.cells.cell_size)
-    rtt = ref_elapsed * len(bundle.to_bytes()) / len(ref.to_bytes())
+    estimate = expunge_duration_estimate(len(bundle.digests), bundle.deletion_proof.cell_size)
+    rtt = ref_elapsed
     tau, applicable = calibrate_time_bound(rtt, estimate)
     report = verify_bundle(
         bundle, keyring.shared_key, params, policy,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
-from .control import accessible_tag, reading_digests, timestamp_exponent
+from .control import accessible_tag, reading_digests, sentinel_digest, timestamp_exponent
 from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import symmetric_decrypt
 from .engine import cell_geometry, expunge_duration_estimate
@@ -202,7 +202,16 @@ def verify_bundle(
 
 
 def recompute_estimate_for_bundle(bundle: AttestationBundle, hasher: Hasher = DEFAULT_HASHER) -> float:
-    """Estimated honest-deletion recompute time for this epoch's cells."""
-    if bundle.cells is not None:
-        return expunge_duration_estimate(len(bundle.cells.cells), bundle.cells.cell_size, hasher)
-    return expunge_duration_estimate(*cell_geometry(bundle.ciphertexts or ()), hasher)
+    """Estimated honest-deletion recompute time for this epoch's cells.
+
+    Without ciphertexts, the cell count is the digest list's length (two
+    pad cells for a sentinel-only epoch) and the cell size is the one the
+    proof states, so both states of an epoch get the same estimate.
+    """
+    proof = bundle.deletion_proof
+    if proof is None:
+        return expunge_duration_estimate(*cell_geometry(bundle.ciphertexts or ()), hasher)
+    cell_count = len(bundle.digests)
+    if bundle.digests == (sentinel_digest(bundle.epoch_id, hasher),):
+        cell_count = cell_geometry(())[0]
+    return expunge_duration_estimate(cell_count, proof.cell_size, hasher)

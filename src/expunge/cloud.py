@@ -6,8 +6,8 @@ externally (harness clock or wall clock) so that retention timelines
 replay deterministically. When an epoch's deletion time passes, the
 store runs the overwrite transform on the epoch's own cells, keeps the
 resulting proof, and discards the original ciphertexts; when the
-verification window passes, it purges cells, proof and metadata, leaving
-a tombstone so "purged" remains distinguishable from "never existed".
+verification window passes, it purges proof and metadata, leaving a
+tombstone so "purged" remains distinguishable from "never existed".
 
 Each epoch waits in a deadline heap keyed by its next transition time
 (deletion, then verification expiry when that is finite), so a tick
@@ -21,7 +21,9 @@ old file with ``os.replace``, so a process crash leaves either the old
 or the new file, never half of one (files are not fsynced, so a power
 loss can still lose recent writes); a reload ignores leftover temporary
 files, rebuilds the schedule from the records, and fails closed on a
-segment that does not decode. Overwrite-in-place happens on the epoch's own
+segment that does not decode. A record's next version is written before
+the store adopts it, so a failed write leaves memory as it was and the
+transition is retried. Overwrite-in-place happens on the epoch's own
 segment. A store created with ``root=None`` lives purely in memory
 (benchmarks, quick tests).
 
@@ -62,14 +64,13 @@ from .encoding import (
     EncodingError,
     Layout,
     Record,
-    either,
     enum,
     nested,
     optional,
     seq,
     tup,
 )
-from .engine import CellArray, DeletionProof, expunge
+from .engine import DeletionProof, expunge_ciphertexts
 from .errors import (
     DataExpiredError,
     DomainError,
@@ -97,7 +98,7 @@ class AttestationBundle(Record):
         ("prev_crypto_time", optional(_ACC_VALUE)),
         ("crypto_time", _ACC_VALUE),
         ("digests", DIGESTS),
-        (("ciphertexts", "cells"), either(VBYTES_LIST, nested(CellArray))),
+        ("ciphertexts", optional(VBYTES_LIST)),
         ("enc_crypto_time", VBYTES),
         ("enc_state_tag", VBYTES),
         ("deletion_proof", optional(nested(DeletionProof))),
@@ -111,7 +112,6 @@ class AttestationBundle(Record):
     crypto_time: AccumulatorValue
     digests: tuple[bytes, ...]
     ciphertexts: tuple[bytes, ...] | None
-    cells: CellArray | None
     enc_crypto_time: bytes
     enc_state_tag: bytes
     deletion_proof: DeletionProof | None
@@ -120,7 +120,7 @@ class AttestationBundle(Record):
 
 @dataclass
 class EpochRecord(Record):
-    """One epoch's stored material plus its state history."""
+    """One epoch's stored material plus its state history; each transition is a new version."""
 
     LAYOUT = Layout(
         encoding.TYPE_EPOCH_RECORD,
@@ -133,7 +133,6 @@ class EpochRecord(Record):
         ("crypto_time", optional(_ACC_VALUE)),
         ("digests", DIGESTS),
         ("ciphertexts", optional(VBYTES_LIST)),
-        ("cells", optional(nested(CellArray))),
         ("meta", optional(nested(MetaDataRow))),
         ("deletion_proof", optional(nested(DeletionProof))),
         ("state_history", seq(tup(_STATE, U64))),
@@ -147,11 +146,16 @@ class EpochRecord(Record):
     crypto_time: AccumulatorValue | None
     digests: tuple[bytes, ...]
     ciphertexts: tuple[bytes, ...] | None
-    cells: CellArray | None
     meta: MetaDataRow | None
     deletion_proof: DeletionProof | None
     state: DataState
     state_history: list[tuple[DataState, int]] = field(default_factory=list)
+
+    def advanced(self, state: DataState, at: int, **changes) -> EpochRecord:
+        """The next version of this record: in ``state`` from ``at``, with ``changes``."""
+        history = [*self.state_history, (state, at)]
+        # a plain constructor call: dataclasses.replace costs several times as much
+        return EpochRecord(**{**vars(self), "state": state, "state_history": history, **changes})
 
 
 @dataclass(frozen=True)
@@ -204,22 +208,24 @@ class CloudStore:
         temp.write_bytes(data)
         os.replace(temp, path)
 
-    def _persist(self, record: EpochRecord) -> None:
-        if self.root is None:
-            return
-        self._write_atomic(self._segment_path(record.epoch_id), record.to_bytes())
-        self._persist_index()
+    def _adopt(self, record: EpochRecord) -> None:
+        """Write ``record`` as its epoch's next version, then hold it in memory.
 
-    def _persist_index(self) -> None:
-        index = {
-            "last_tick": self.last_tick,
-            "outsourced_bytes": self.outsourced_bytes,
-            "allowlist": [sp.hex() for sp in sorted(self.sp_allowlist)],
-            "epochs": {
-                str(eid): record.state.name for eid, record in self._records.items()
-            },
-        }
-        self._write_atomic(self.root / "index.json", json.dumps(index, indent=0).encode())
+        A write that fails raises before memory changes, so memory never
+        runs ahead of disk and the caller can retry the transition.
+        """
+        eid = record.epoch_id
+        if self.root is not None:
+            self._write_atomic(self._segment_path(eid), record.to_bytes())
+            records = {**self._records, eid: record}
+            index = {
+                "last_tick": self.last_tick,
+                "outsourced_bytes": self.outsourced_bytes,
+                "allowlist": [sp.hex() for sp in sorted(self.sp_allowlist)],
+                "epochs": {str(other): r.state.name for other, r in records.items()},
+            }
+            self._write_atomic(self.root / "index.json", json.dumps(index, indent=0).encode())
+        self._records[eid] = record
 
     def _load(self) -> None:
         index = json.loads((self.root / "index.json").read_text())
@@ -268,17 +274,20 @@ class CloudStore:
                 crypto_time=sensor_row.crypto_time,
                 digests=sensor_row.digests,
                 ciphertexts=sensor_row.ciphertexts,
-                cells=None,
                 meta=meta_row,
                 deletion_proof=None,
                 state=DataState.ACCESSIBLE,
                 state_history=[(DataState.ACCESSIBLE, meta_row.et)],
             )
-            self._records[eid] = record
+            size = len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
+            self.outsourced_bytes += size  # the index written with the record counts it
+            try:
+                self._adopt(record)
+            except BaseException:
+                self.outsourced_bytes -= size
+                raise
             self._ids.append(eid)
             self._schedule(record)
-            self.outsourced_bytes += len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
-            self._persist(record)
             return eid
 
     # -- retention scheduler -------------------------------------------------
@@ -312,20 +321,20 @@ class CloudStore:
             due.sort()
             transitions: list[Transition] = []
             for position, eid in enumerate(due):
-                record = self._records[eid]
                 try:
-                    self._advance(record, now, transitions)
+                    self._advance(eid, now, transitions)
                 except BaseException:
                     for pending in due[position:]:
                         self._schedule(self._records[pending])
                     raise
+                record = self._records[eid]
                 # a lazy cloud never changes a due record, so its entry goes
                 if not (self.lazy_deletion and record.state is DataState.ACCESSIBLE):
                     self._schedule(record)
             return transitions
 
-    def _advance(self, record: EpochRecord, now: int, transitions: list[Transition]) -> None:
-        eid = record.epoch_id
+    def _advance(self, eid: int, now: int, transitions: list[Transition]) -> None:
+        record = self._records[eid]
         window = window_for_id(eid, record.et - record.bt)
         if record.state is DataState.ACCESSIBLE:
             if deletion_due(window, self.policy) <= now:
@@ -336,6 +345,7 @@ class CloudStore:
                 except Exception:
                     logger.warning("expunge failed for epoch %d; will retry", eid, exc_info=True)
                     return
+                record = self._records[eid]
                 transitions.append(
                     Transition(eid, DataState.ACCESSIBLE, DataState.IRRECOVERABLE, now)
                 )
@@ -345,28 +355,18 @@ class CloudStore:
                 transitions.append(Transition(eid, DataState.IRRECOVERABLE, DataState.PURGED, now))
 
     def _expunge_record(self, record: EpochRecord, now: int) -> None:
-        array = CellArray.from_ciphertexts(
-            list(record.ciphertexts), record.epoch_id, self.hasher
+        proof = expunge_ciphertexts(record.ciphertexts, record.epoch_id, now, self.hasher)
+        self._adopt(
+            record.advanced(DataState.IRRECOVERABLE, now, ciphertexts=None, deletion_proof=proof)
         )
-        overwritten, proof = expunge(array, now=now, hasher=self.hasher)
-        record.ciphertexts = None
-        record.cells = overwritten
-        record.deletion_proof = proof
-        record.state = DataState.IRRECOVERABLE
-        record.state_history.append((DataState.IRRECOVERABLE, now))
-        self._persist(record)
 
     def _purge_record(self, record: EpochRecord, now: int) -> None:
-        record.ciphertexts = None
-        record.cells = None
-        record.deletion_proof = None
-        record.meta = None
-        record.digests = ()
-        record.crypto_time = None
-        record.prev_crypto_time = None
-        record.state = DataState.PURGED
-        record.state_history.append((DataState.PURGED, now))
-        self._persist(record)
+        self._adopt(
+            record.advanced(
+                DataState.PURGED, now, deletion_proof=None, meta=None, digests=(),
+                crypto_time=None, prev_crypto_time=None,
+            )
+        )
 
     # -- serving paths -------------------------------------------------------
 
@@ -417,20 +417,16 @@ class CloudStore:
             window = window_for_id(record.epoch_id, record.et - record.bt)
             state = record.state
             ciphertexts = record.ciphertexts
-            cells = record.cells
             proof = record.deletion_proof
             if (
                 self.lazy_deletion
                 and record.state is DataState.ACCESSIBLE
                 and deletion_due(window, self.policy) <= now
             ):
-                array = CellArray.from_ciphertexts(
-                    list(record.ciphertexts), record.epoch_id, self.hasher
-                )
-                overwritten, proof = expunge(array, now=now, hasher=self.hasher)
+                # fabricated on demand; nothing was overwritten
+                proof = expunge_ciphertexts(ciphertexts, record.epoch_id, now, self.hasher)
                 state = DataState.IRRECOVERABLE
                 ciphertexts = None
-                cells = overwritten  # fabricated on demand; nothing was stored
             if state is DataState.IRRECOVERABLE:
                 enc_state_tag = record.meta.enc_irrecoverable_tag
             else:
@@ -444,7 +440,6 @@ class CloudStore:
                 crypto_time=record.crypto_time,
                 digests=record.digests,
                 ciphertexts=ciphertexts,
-                cells=cells,
                 enc_crypto_time=record.meta.enc_crypto_time,
                 enc_state_tag=enc_state_tag,
                 deletion_proof=proof,

@@ -27,7 +27,7 @@ from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .core import EpochWindow, SensorReading
 from .crypto import KeyRing, hybrid_decrypt, hybrid_encrypt, symmetric_encrypt
 from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
-from .engine import CellArray, expunge
+from .engine import expunge_ciphertexts
 from .errors import DomainError, EpochMismatchError, InconsistentRowsError
 from .hashing import DEFAULT_HASHER, Hasher
 
@@ -146,9 +146,7 @@ def irrecoverable_tag(
     Bit-identical to the proof the cloud must later produce by actually
     running the transform over its stored cells.
     """
-    array = CellArray.from_ciphertexts(list(ciphertexts), epoch_id, hasher)
-    _, proof = expunge(array, hasher=hasher)
-    return proof.proof
+    return expunge_ciphertexts(ciphertexts, epoch_id, hasher=hasher).proof
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ Layout rules (normative):
 * A flag or presence byte is one ``u8`` that is 0 or 1; any other value
   is rejected. An enumeration is one ``u8`` holding a defined member. An
   optional field is a presence byte, then the field when present.
-* A fixed-width list (digests, cells) is ``u32 width, u32 count``, then
-  the elements concatenated. A zero width with a nonzero count is
-  rejected. A digest list's width is its elements' size, 0 when empty.
+* A digest list is ``u32 width, u32 count``, then the elements
+  concatenated. Its width is its elements' size, 0 when empty; a zero
+  width with a nonzero count is rejected.
 * Any other list is a ``u32`` element count followed by the encoded
   elements.
 
@@ -43,7 +43,7 @@ from operator import attrgetter
 from typing import Any, Callable, ClassVar, NamedTuple
 
 MAGIC = 0xC7
-VERSION = 1
+VERSION = 2
 
 TYPE_READING = 0x01
 TYPE_WINDOW = 0x02
@@ -53,7 +53,7 @@ TYPE_ACC_VALUE = 0x05
 TYPE_SENSOR_ROW = 0x06
 TYPE_META_ROW = 0x07
 TYPE_DELETION_PROOF = 0x08
-TYPE_CELL_ARRAY = 0x09
+# 0x09 held the overwritten cell array in layout version 1; it is not reused.
 TYPE_BUNDLE = 0x0A
 TYPE_QUERY_RECORD = 0x0B
 TYPE_SEALED_BLOCK = 0x0C
@@ -146,16 +146,18 @@ class Reader:
             raise EncodingError(f"flag byte must be 0 or 1, got {flag}")
         return flag == 1
 
-    def take_fixed_list(self) -> tuple[int, tuple[bytes, ...]]:
-        """``(width, elements)`` of a fixed-width list: one take, then slices."""
+    def take_digests(self) -> tuple[bytes, ...]:
+        """A digest list: width and count, then one take, then slices."""
         width = self.take_u32()
         count = self.take_u32()
         if not count:
-            return width, ()
+            if width:
+                raise EncodingError("an empty digest list must declare width 0")
+            return ()
         if not width:
             raise EncodingError("zero-width list with a nonzero count")
         raw = self.take(width * count)
-        return width, tuple([raw[i : i + width] for i in range(0, len(raw), width)])
+        return tuple([raw[i : i + width] for i in range(0, len(raw), width)])
 
     def finish(self) -> None:
         if self._pos != len(self._data):
@@ -216,22 +218,6 @@ def optional(kind: Kind) -> Kind:
     )
 
 
-def either(first: Kind, second: Kind) -> Kind:
-    """Choice byte 0 then ``first``, or 1 then ``second``.
-
-    The value is a ``(first, second)`` pair; ``first`` wins when it is
-    not None, and decoding sets the side not chosen to None.
-    """
-
-    def encode(pair) -> list[bytes]:
-        a, b = pair
-        return [b"\x00", *first.encode(a)] if a is not None else [b"\x01", *second.encode(b)]
-
-    return Kind(
-        encode, lambda r: (None, second.decode(r)) if r.take_flag() else (first.decode(r), None)
-    )
-
-
 def seq(kind: Kind) -> Kind:
     """A ``u32`` count, then each element as ``kind``; decodes to a list."""
     return Kind(
@@ -248,21 +234,10 @@ def tup(*kinds: Kind) -> Kind:
     )
 
 
-def _take_digest_list(r: Reader) -> tuple[bytes, ...]:
-    width, items = r.take_fixed_list()
-    if width and not items:
-        raise EncodingError("an empty digest list must declare width 0")
-    return items
-
-
 #: Fixed-width list whose width is its elements' size (0 when empty).
 DIGESTS = Kind(
     lambda items: [u32(len(items[0]) if items else 0), u32(len(items)), *items],
-    _take_digest_list,
-)
-#: Fixed-width list whose width is a field of its own: ``(width, elements)``.
-SIZED_LIST = Kind(
-    lambda pair: [u32(pair[0]), u32(len(pair[1])), *pair[1]], Reader.take_fixed_list
+    Reader.take_digests,
 )
 VBYTES_LIST = Kind(
     lambda items: [u32(len(items)), *[vbytes(item) for item in items]],
@@ -289,20 +264,12 @@ U64_OR_INF = Kind(
 
 
 class Layout:
-    """A TYPE byte (None for a headerless wire payload) and fields in order.
+    """A TYPE byte (None for a headerless wire payload) and ``(name, kind)`` fields in order."""
 
-    A field is ``(name, kind)``. A kind that covers several attributes
-    (:func:`either`, :data:`SIZED_LIST`) names them as a tuple and takes
-    and yields a tuple of their values.
-    """
-
-    def __init__(self, type_byte: int | None, *fields: tuple[str | tuple[str, ...], Kind]):
+    def __init__(self, type_byte: int | None, *fields: tuple[str, Kind]):
         self.fields = fields
         self._head = b"" if type_byte is None else bytes([MAGIC, VERSION, type_byte])
-        self._writers = [
-            (attrgetter(name) if isinstance(name, str) else attrgetter(*name), kind.encode)
-            for name, kind in fields
-        ]
+        self._writers = [(attrgetter(name), kind.encode) for name, kind in fields]
 
     def pack(self, *values) -> bytes:
         """Encode one value per field, in field order."""
@@ -333,13 +300,7 @@ class Layout:
 
     def kwargs(self, values: list) -> dict[str, Any]:
         """Decoded values as constructor keyword arguments."""
-        out: dict[str, Any] = {}
-        for (name, _), value in zip(self.fields, values):
-            if isinstance(name, str):
-                out[name] = value
-            else:
-                out.update(zip(name, value))
-        return out
+        return {name: value for (name, _), value in zip(self.fields, values)}
 
 
 class Record:

@@ -24,7 +24,8 @@ deleting (see the attestation module's time-bounded check).
 
 Pairs within one iteration are independent; iterations are strictly
 ordered. Only the final cells and the proof survive the call; no
-intermediate iteration is retained.
+intermediate iteration is retained. The cloud keeps only the proof, which
+states the cell size; the epoch's digest list gives the cell count.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import encoding
-from .encoding import SIZED_LIST, U64, VBYTES, Layout, Record, u32, u64
+from .encoding import U32, U64, VBYTES, Layout, Record, u32, u64
 from .errors import DomainError
 from .hashing import DEFAULT_HASHER, Hasher
 
@@ -73,12 +74,8 @@ def pad_cell(epoch_id: int, position: int, cell_size: int, hasher: Hasher = DEFA
 
 
 @dataclass(frozen=True)
-class CellArray(Record):
-    """Uniform working array of cells for one epoch."""
-
-    LAYOUT = Layout(
-        encoding.TYPE_CELL_ARRAY, ("epoch_id", U64), (("cell_size", "cells"), SIZED_LIST)
-    )
+class CellArray:
+    """Uniform working array of cells for one epoch; never stored or shipped."""
 
     epoch_id: int
     cell_size: int
@@ -121,18 +118,20 @@ class CellArray(Record):
 
 @dataclass(frozen=True)
 class DeletionProof(Record):
-    """Digest over the fully overwritten cells of one epoch."""
+    """Digest over the fully overwritten cells of one epoch, and their size."""
 
     LAYOUT = Layout(
         encoding.TYPE_DELETION_PROOF,
         ("epoch_id", U64),
         ("proof", VBYTES),
         ("produced_at", U64),
+        ("cell_size", U32),
     )
 
     epoch_id: int
     proof: bytes
     produced_at: int
+    cell_size: int
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,23 @@ def expunge(
     overwritten = CellArray(
         epoch_id=array.epoch_id, cell_size=array.cell_size, cells=tuple(cells)
     )
-    proof = DeletionProof(epoch_id=array.epoch_id, proof=proof_digest, produced_at=now)
+    proof = DeletionProof(
+        epoch_id=array.epoch_id, proof=proof_digest, produced_at=now, cell_size=array.cell_size
+    )
     return overwritten, proof
+
+
+def expunge_ciphertexts(
+    ciphertexts, epoch_id: int, now: int = 0, hasher: Hasher = DEFAULT_HASHER
+) -> DeletionProof:
+    """Pack an epoch's ciphertexts into cells, overwrite them all, keep the proof.
+
+    The one pack-and-expunge path: the provider's sealed irrecoverable
+    tag, the cloud's scheduled deletion and a lazy cloud's on-demand
+    proof all come from here, so they agree bit for bit.
+    """
+    array = CellArray.from_ciphertexts(list(ciphertexts), epoch_id, hasher)
+    return expunge(array, now=now, hasher=hasher)[1]
 
 
 # --- runtime estimation ----------------------------------------------------

@@ -14,10 +14,12 @@ the per-epoch verification step that the CLI's ``verify`` shares.
 
 Protocol logic runs entirely on the virtual clock so state timelines
 replay identically; wall time is measured only where a benchmark or the
-deletion time bound needs it. Fault-injection flags turn the cloud lazy
-(skips deletion, fabricates proofs on demand) or make the service
-provider tamper with a sealed query block, so tests can demonstrate
-that exactly the right check catches each behaviour.
+deletion time bound needs it. Verdicts that rest on wall time (the time
+bound and the overall ``verified``) go to the run's measurements, not
+its transcript, so a transcript replays byte for byte. Fault-injection
+flags turn the cloud lazy (skips deletion, fabricates proofs on demand)
+or make the service provider tamper with a sealed query block, so tests
+can demonstrate that exactly the right check catches each behaviour.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .attestation import (
     recompute_estimate_for_bundle,
     verify_bundle,
 )
-from .cloud import CloudStore
+from .cloud import AttestationBundle, CloudStore
 from .control import (
     accessible_tag,
     build_outsource_payload,
@@ -337,6 +339,7 @@ class ScenarioResult:
     report: BenchmarkReport
     summary: dict
     state_dir: Path | None
+    measurements: list[dict]  # one per verification: its wall-clock verdicts
 
     def events(self, kind: str) -> list[dict]:
         return [e for e in self.transcript if e["event"] == kind]
@@ -348,9 +351,10 @@ class EpochVerifier:
 
     Accessible-state fetches never involve proof computation, so their
     measured round trips are an honest reference even against a lazy
-    cloud. An irrecoverable fetch is bounded from the most recent
-    accessible fetch, scaled linearly to the bundle size, or from the
-    transport probe while there is none.
+    cloud. An irrecoverable fetch is bounded by the most recent
+    accessible fetch's time, unscaled (an irrecoverable bundle is smaller
+    but pays the same fixed costs), or by the transport probe while there
+    is none.
     """
 
     transport: object
@@ -361,20 +365,20 @@ class EpochVerifier:
 
     def __post_init__(self):
         self._probe = calibrate_transport(self.transport)
-        self._reference: tuple[int, float] | None = None  # (bytes, seconds)
+        self._reference: float | None = None  # seconds of the last accessible fetch
 
     def fetch(self, at: int, now: int):
         """Fetch the bundle of the epoch containing ``at``, timed."""
         bundle, elapsed = CloudService.fetch_bundle_via(self.transport, at, now)
         if bundle.state is DataState.ACCESSIBLE and elapsed > 0:
-            self._reference = (len(bundle.to_bytes()), elapsed)
+            self._reference = elapsed
         return bundle, elapsed
 
-    def round_trip(self, nbytes: int) -> float:
+    def round_trip(self, bundle: AttestationBundle) -> float:
+        """Reference round trip for judging the fetch of ``bundle``."""
         if self._reference is None:
-            return self._probe.round_trip(nbytes)
-        size, seconds = self._reference
-        return seconds * max(0.25, nbytes / size)
+            return self._probe.round_trip(len(bundle.to_bytes()))
+        return self._reference
 
     def verify(
         self, at: int, now: int, role: str, device_id: bytes | None = None
@@ -384,7 +388,7 @@ class EpochVerifier:
         applicable = True
         if bundle.state is not DataState.ACCESSIBLE:
             estimate = recompute_estimate_for_bundle(bundle, self.hasher)
-            rtt = self.round_trip(len(bundle.to_bytes()))
+            rtt = self.round_trip(bundle)
             time_bound, applicable = calibrate_time_bound(rtt, estimate)
         return verify_bundle(
             bundle,
@@ -481,6 +485,7 @@ class _Run:
         )
         self.clock = VirtualClock(config.origin_ms)
         self.transcript: list[dict] = []
+        self.measurements: list[dict] = []
         self.report = BenchmarkReport("scenario", metadata=_run_metadata(config))
         self.arrived: list[EpochWindow] = []
         self.verifications = 0
@@ -527,7 +532,14 @@ class _Run:
         vreport = self.verifier.verify(at, self.clock.now, role, device_id)
         self.verifications += 1
         self.verification_failures += not vreport.verified
-        self.emit(role, "verify", expected_state=expect.name, **vreport.to_dict())
+        fields = vreport.to_dict()
+        self.measurements.append({
+            "t": self.clock.now, "epoch_id": vreport.epoch_id, "role": role,
+            "state_claimed": vreport.state_claimed.name, "response_time": vreport.response_time,
+            "time_bound": vreport.time_bound,
+            **{k: fields.pop(k) for k in ("time_bound_ok", "verified")},  # wall-clock verdicts
+        })
+        self.emit(role, "verify", expected_state=expect.name, **fields)
 
     # -- phases, in run order ----------------------------------------------
 
@@ -686,7 +698,9 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
     }
     if run.state_dir is not None:
         run.save(summary)
-    return ScenarioResult(config, run.transcript, run.report, summary, run.state_dir)
+    return ScenarioResult(
+        config, run.transcript, run.report, summary, run.state_dir, run.measurements
+    )
 
 
 # -- benchmarks ----------------------------------------------------------------

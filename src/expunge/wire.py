@@ -154,9 +154,9 @@ class _FrameServer(socketserver.ThreadingTCPServer):
 _RECV_CHUNK = 1 << 20
 
 #: Largest frame a peer may declare, type byte included. The largest
-#: frame the tests, demos and benchmark send is a 33 MiB bundle of
-#: 2^15 one-KiB cells; a longer declared length is refused from the
-#: 4-byte header alone.
+#: frame the tests, demos and benchmark send is a 1 MiB irrecoverable
+#: bundle (2^15 digests, no cells); a longer declared length is refused
+#: from the 4-byte header alone.
 MAX_FRAME_BYTES = 64 << 20
 
 

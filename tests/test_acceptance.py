@@ -452,11 +452,9 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
             assert ref_bundle.state is DataState.ACCESSIBLE
             target, response = CloudService.fetch_bundle_via(t, 0, 3000)
             assert target.state is DataState.IRRECOVERABLE
-            rtt = ref_elapsed * max(
-                0.25, len(target.to_bytes()) / len(ref_bundle.to_bytes())
-            )
+            rtt = ref_elapsed  # unscaled, as EpochVerifier bounds an irrecoverable fetch
             estimate = expunge_duration_estimate(
-                len(target.cells.cells), target.cells.cell_size
+                len(target.digests), target.deletion_proof.cell_size
             )
             tau, applicable = calibrate_time_bound(rtt, estimate)
             assert applicable, "trial epochs must be large enough for the bound"

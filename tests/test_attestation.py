@@ -278,6 +278,22 @@ class TestTimeBoundCalibration:
             bundle = deployment.fetch_bundle(at, now=3000)
             assert recompute_estimate_for_bundle(bundle) > 0
 
+    @pytest.mark.parametrize("count", [0, 1, 3, 5])
+    def test_estimate_is_the_same_in_both_states(self, keyring, tiny_params, count):
+        store = CloudStore(POLICY)
+        window = EpochWindow(0, 1000)
+        readings = [_reading(o, _device(o), payload=b"x" * o) for o in range(count)]
+        store.ingest(
+            *build_outsource_payload(window, readings, tiny_params.seed, keyring, tiny_params)
+        )
+        accessible = store.fetch_bundle(0, now=1000)
+        store.tick(3000)
+        irrecoverable = store.fetch_bundle(0, now=3000)
+        assert irrecoverable.state is DataState.IRRECOVERABLE
+        assert recompute_estimate_for_bundle(irrecoverable) == recompute_estimate_for_bundle(
+            accessible
+        )
+
 
 class TestMinimality:
     def test_one_epoch_bundle_much_smaller_than_dataset(self, deployment):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tempfile
 from pathlib import Path
 
@@ -7,7 +8,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expunge.cloud import AttestationBundle, CloudStore, Transition
-from expunge.control import build_outsource_payload, irrecoverable_tag
+from expunge.control import (
+    MetaDataRow,
+    SensorDataRow,
+    build_outsource_payload,
+    epoch_timestamp,
+    irrecoverable_tag,
+    reading_digest,
+)
 from expunge.core import (
     NEVER,
     DataState,
@@ -20,7 +28,7 @@ from expunge.core import (
 )
 from expunge.crypto import symmetric_decrypt
 from expunge.encoding import EncodingError
-from expunge.engine import expunge
+from expunge.engine import cell_geometry
 from expunge.errors import (
     DataExpiredError,
     DomainError,
@@ -215,8 +223,29 @@ class TestServingPaths:
         store.tick(4)
         bundle = store.fetch_bundle(1, now=4)
         assert bundle.state is DataState.IRRECOVERABLE
-        assert bundle.ciphertexts is None and bundle.cells is not None
+        assert bundle.ciphertexts is None
         assert bundle.deletion_proof.proof == irrecoverable_tag(shadows[1], 1)
+        assert bundle.deletion_proof.cell_size == cell_geometry(shadows[1])[1]
+
+    def test_irrecoverable_bundle_and_segment_carry_no_cells(self, tmp_path, tiny_params):
+        # 2^12 cells of 1 KiB: 4 MiB of overwritten cells, 128 KiB of digests
+        rng = random.Random(12)
+        cts = tuple(rng.randbytes(1020) for _ in range(2**12))
+        digests = tuple(reading_digest(b"dev", 1, i) for i in range(1, len(cts) + 1))
+        sensor = SensorDataRow(
+            epoch_id=1,
+            digests=digests,
+            crypto_time=epoch_timestamp(tiny_params.seed, digests, tiny_params),
+            ciphertexts=cts,
+        )
+        meta = MetaDataRow(1, 1, 2, b"sealed-time", b"sealed-ah", b"sealed-irh")
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        store.ingest(sensor, meta)
+        store.tick(4)
+        bundle = store.fetch_bundle(1, now=4)
+        assert len(bundle.to_bytes()) < 200 << 10
+        assert (tmp_path / "segments" / f"{1:016d}.seg").stat().st_size < 200 << 10
+        assert bundle.deletion_proof.cell_size == 1024
 
     def test_bundle_by_contained_time(self, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY)
@@ -261,6 +290,17 @@ class TestServingPaths:
             assert AttestationBundle.from_bytes(bundle.to_bytes()) == bundle
 
 
+def _tear_writes(monkeypatch):
+    """Make every ``Path.write_bytes`` write half of its data, then raise."""
+    write_bytes = Path.write_bytes
+
+    def torn(path, data):
+        write_bytes(path, data[: len(data) // 2])
+        raise OSError("crash mid-write")
+
+    monkeypatch.setattr(Path, "write_bytes", torn)
+
+
 class TestPersistence:
     def test_store_reloads_from_disk(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path / "cloud", sp_allowlist=frozenset({SP}))
@@ -303,7 +343,7 @@ class TestPersistence:
         reloaded = CloudStore(FIG2_POLICY, root=tmp_path / "cloud")
         record = reloaded.record(1)
         assert record.state is DataState.PURGED
-        assert record.cells is None and record.deletion_proof is None
+        assert record.ciphertexts is None and record.deletion_proof is None
         assert [s for s, _ in record.state_history] == [
             DataState.ACCESSIBLE,
             DataState.IRRECOVERABLE,
@@ -334,16 +374,58 @@ class TestPersistence:
     ):
         store = CloudStore(FIG2_POLICY, root=tmp_path)
         _ingest_epochs(store, keyring, tiny_params, 1)
-        write_bytes = Path.write_bytes
-
-        def torn(path, data):
-            write_bytes(path, data[: len(data) // 2])
-            raise OSError("crash mid-write")
-
-        monkeypatch.setattr(Path, "write_bytes", torn)
-        store.tick(4)
+        _tear_writes(monkeypatch)
+        assert store.tick(4) == []
         monkeypatch.undo()
-        assert CloudStore(FIG2_POLICY, root=tmp_path).state_of(1) is DataState.ACCESSIBLE
+        # memory was not changed ahead of the disk: the expunge is retried
+        assert store.state_of(1) is DataState.ACCESSIBLE
+        assert store.record(1).ciphertexts is not None
+        assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
+        assert [(t.epoch_id, t.to_state) for t in store.tick(5)] == [
+            (1, DataState.IRRECOVERABLE)
+        ]
+        assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
+
+    def test_interrupted_ingest_write_is_retried(
+        self, tmp_path, keyring, tiny_params, monkeypatch
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        (sensor, meta), = _chain(keyring, tiny_params, [EpochWindow(1, 2)])
+        _tear_writes(monkeypatch)
+        with pytest.raises(OSError):
+            store.ingest(sensor, meta)
+        monkeypatch.undo()
+        assert store.epoch_ids() == [] and store.outsourced_bytes == 0
+        store.ingest(sensor, meta)
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert _snapshot(reloaded) == _snapshot(store)
+        expected = len(sensor.to_bytes()) + len(meta.to_bytes())
+        assert reloaded.outsourced_bytes == store.outsourced_bytes == expected
+
+    def test_interrupted_purge_write_is_retried(self, tmp_path, keyring, tiny_params, monkeypatch):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        store.tick(4)
+        proof = store.record(1).deletion_proof
+        _tear_writes(monkeypatch)
+        with pytest.raises(OSError):
+            store.tick(6)
+        monkeypatch.undo()
+        assert store.state_of(1) is DataState.IRRECOVERABLE
+        assert store.record(1).deletion_proof == proof
+        assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
+        assert [(t.epoch_id, t.to_state) for t in store.tick(7)] == [(1, DataState.PURGED)]
+        assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
+
+    def test_segment_of_layout_version_1_fails_closed(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        segment = tmp_path / "segments" / f"{1:016d}.seg"
+        blob = bytearray(segment.read_bytes())
+        blob[1] = 1  # the header's layout version byte
+        segment.write_bytes(bytes(blob))
+        with pytest.raises(EncodingError, match="unsupported layout version 1"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
 
     @pytest.mark.parametrize("keep", [0, 1, 40, -1])
     def test_truncated_segment_fails_closed(self, tmp_path, keyring, tiny_params, keep):
@@ -389,6 +471,7 @@ class _FullScanStore(CloudStore):
                             self._expunge_record(record, now)
                         except Exception:
                             continue
+                        record = self._records[eid]
                         transitions.append(
                             Transition(eid, DataState.ACCESSIBLE, DataState.IRRECOVERABLE, now)
                         )

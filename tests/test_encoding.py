@@ -15,7 +15,7 @@ from expunge.accumulator import AccumulatorParams, AccumulatorValue
 from expunge.cloud import AttestationBundle, CloudStore, EpochRecord, Transition
 from expunge.control import MetaDataRow, SensorDataRow, decrypt_reading, encrypt_reading
 from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
-from expunge.engine import CellArray, DeletionProof
+from expunge.engine import DeletionProof
 from expunge.errors import NotAuthorizedError, UnavailableError
 from expunge.querylog import QueryRecord, SealedBlock
 from expunge.wire import CloudService, SpService
@@ -25,8 +25,9 @@ D1, D2, D3 = bytes(range(8)), bytes(range(8, 16)), bytes(range(16, 24))
 CIPHERTEXTS = (b"ct-one", b"ct-two!")
 TIME = AccumulatorValue(2890)
 PREV_TIME = AccumulatorValue(1234)
-CELLS = CellArray(epoch_id=3600, cell_size=6, cells=(b"cell-1", b"cell-2"))
-PROOF = DeletionProof(epoch_id=3600, proof=bytes([0x5A]) * 8, produced_at=10800)
+PROOF = DeletionProof(
+    epoch_id=3600, proof=bytes([0x5A]) * 8, produced_at=10800, cell_size=6
+)
 READING = SensorReading(device_id=bytes.fromhex("a1b2c3d4e5f6"), time=3_601_000, payload=b"rssi=-61")
 SENSOR_ROW = SensorDataRow(epoch_id=3600, digests=(D1, D2), crypto_time=TIME, ciphertexts=CIPHERTEXTS)
 EMPTY_ROW = SensorDataRow(epoch_id=7200, digests=(D3,), crypto_time=PREV_TIME, ciphertexts=())
@@ -66,34 +67,33 @@ RECORDS = {
     "sensor_row": SENSOR_ROW,
     "sensor_row_empty_epoch": EMPTY_ROW,
     "meta_row": META,
-    "cell_array": CELLS,
     "deletion_proof": PROOF,
     "bundle_accessible_first": AttestationBundle(
         epoch_id=3600, state=ACC, first_epoch=True, prev_crypto_time=None,
-        crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS, cells=None,
+        crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS,
         enc_crypto_time=b"sealed-time", enc_state_tag=b"sealed-ah",
         deletion_proof=None, served_at=5000,
     ),
     "bundle_irrecoverable": AttestationBundle(
         epoch_id=7200, state=IRR, first_epoch=False, prev_crypto_time=PREV_TIME,
-        crypto_time=TIME, digests=(D1, D2), ciphertexts=None, cells=CELLS,
+        crypto_time=TIME, digests=(D1, D2), ciphertexts=None,
         enc_crypto_time=b"sealed-time", enc_state_tag=b"sealed-irh",
         deletion_proof=PROOF, served_at=12000,
     ),
     "epoch_record_accessible": EpochRecord(
         epoch_id=3600, bt=3600, et=7200, first_epoch=True, prev_crypto_time=None,
-        crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS, cells=None,
+        crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS,
         meta=META, deletion_proof=None, state=ACC, state_history=[(ACC, 7200)],
     ),
     "epoch_record_irrecoverable": EpochRecord(
         epoch_id=7200, bt=7200, et=10800, first_epoch=False, prev_crypto_time=PREV_TIME,
-        crypto_time=TIME, digests=(D1, D2), ciphertexts=None, cells=CELLS,
+        crypto_time=TIME, digests=(D1, D2), ciphertexts=None,
         meta=EMPTY_META, deletion_proof=PROOF, state=IRR,
         state_history=[(ACC, 10800), (IRR, 14400)],
     ),
     "epoch_record_purged": EpochRecord(
         epoch_id=3600, bt=3600, et=7200, first_epoch=True, prev_crypto_time=None,
-        crypto_time=None, digests=(), ciphertexts=None, cells=None, meta=None,
+        crypto_time=None, digests=(), ciphertexts=None, meta=None,
         deletion_proof=None, state=PUR,
         state_history=[(ACC, 7200), (IRR, 10800), (PUR, 18000)],
     ),
@@ -103,91 +103,86 @@ RECORDS = {
 }
 
 GOLDEN = {
-    "acc_params": "c701040000000c000000020ca10000000102",
-    "acc_value": "c70105000000020b4a",
+    "acc_params": "c702040000000c000000020ca10000000102",
+    "acc_value": "c70205000000020b4a",
     "bundle_accessible_first": (
-        "c7010a0000000000000e10000100c70105000000020b4a00000008000000020001020304"
-        "05060708090a0b0c0d0e0f00000000020000000663742d6f6e650000000763742d74776f"
+        "c7020a0000000000000e10000100c70205000000020b4a00000008000000020001020304"
+        "05060708090a0b0c0d0e0f01000000020000000663742d6f6e650000000763742d74776f"
         "210000000b7365616c65642d74696d65000000097365616c65642d616800000000000000"
         "1388"
     ),
     "bundle_irrecoverable": (
-        "c7010a0000000000001c20010001c701050000000204d2c70105000000020b4a00000008"
-        "00000002000102030405060708090a0b0c0d0e0f01c701090000000000000e1000000006"
-        "0000000263656c6c2d3163656c6c2d320000000b7365616c65642d74696d650000000a73"
-        "65616c65642d69726801c701080000000000000e10000000085a5a5a5a5a5a5a5a000000"
-        "0000002a300000000000002ee0"
-    ),
-    "cell_array": (
-        "c701090000000000000e10000000060000000263656c6c2d3163656c6c2d32"
+        "c7020a0000000000001c20010001c702050000000204d2c70205000000020b4a00000008"
+        "00000002000102030405060708090a0b0c0d0e0f000000000b7365616c65642d74696d65"
+        "0000000a7365616c65642d69726801c702080000000000000e10000000085a5a5a5a5a5a"
+        "5a5a0000000000002a30000000060000000000002ee0"
     ),
     "deletion_proof": (
-        "c701080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a30"
+        "c702080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a3000000006"
     ),
     "epoch_record_accessible": (
-        "c7010e0000000000000e100000000000000e100000000000001c2001000001c701050000"
+        "c7020e0000000000000e100000000000000e100000000000001c2001000001c702050000"
         "00020b4a0000000800000002000102030405060708090a0b0c0d0e0f0100000002000000"
-        "0663742d6f6e650000000763742d74776f210001c701070000000000000e100000000000"
-        "000e100000000000001c200000000b7365616c65642d74696d65000000097365616c6564"
-        "2d61680000000a7365616c65642d6972680000000001000000000000001c20"
+        "0663742d6f6e650000000763742d74776f2101c702070000000000000e10000000000000"
+        "0e100000000000001c200000000b7365616c65642d74696d65000000097365616c65642d"
+        "61680000000a7365616c65642d6972680000000001000000000000001c20"
     ),
     "epoch_record_irrecoverable": (
-        "c7010e0000000000001c200000000000001c200000000000002a30000101c70105000000"
-        "0204d201c70105000000020b4a0000000800000002000102030405060708090a0b0c0d0e"
-        "0f0001c701090000000000000e10000000060000000263656c6c2d3163656c6c2d3201c7"
-        "01070000000000001c200000000000001c200000000000002a300000000d7365616c6564"
-        "2d74696d652d320000000b7365616c65642d61682d320000000c7365616c65642d697268"
-        "2d3201c701080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a300000"
-        "0002000000000000002a30010000000000003840"
+        "c7020e0000000000001c200000000000001c200000000000002a30000101c70205000000"
+        "0204d201c70205000000020b4a0000000800000002000102030405060708090a0b0c0d0e"
+        "0f0001c702070000000000001c200000000000001c200000000000002a300000000d7365"
+        "616c65642d74696d652d320000000b7365616c65642d61682d320000000c7365616c6564"
+        "2d6972682d3201c702080000000000000e10000000085a5a5a5a5a5a5a5a000000000000"
+        "2a300000000600000002000000000000002a30010000000000003840"
     ),
     "epoch_record_purged": (
-        "c7010e0000000000000e100000000000000e100000000000001c20010200000000000000"
-        "0000000000000000000003000000000000001c20010000000000002a3002000000000000"
-        "4650"
+        "c7020e0000000000000e100000000000000e100000000000001c20010200000000000000"
+        "00000000000000000003000000000000001c20010000000000002a300200000000000046"
+        "50"
     ),
     "meta_row": (
-        "c701070000000000000e100000000000000e100000000000001c200000000b7365616c65"
+        "c702070000000000000e100000000000000e100000000000001c200000000b7365616c65"
         "642d74696d65000000097365616c65642d61680000000a7365616c65642d697268"
     ),
-    "policy_bounded": "c7010300000000000000020000000000000000040000000000000e10",
-    "policy_never": "c7010300000000000000020100000000000000000000000000000e10",
+    "policy_bounded": "c7020300000000000000020000000000000000040000000000000e10",
+    "policy_never": "c7020300000000000000020100000000000000000000000000000e10",
     "query_record": (
-        "c7010b0000001053454c454354206f63637570616e63790000000000000fa00000000775"
+        "c7020b0000001053454c454354206f63637570616e63790000000000000fa00000000775"
         "7365722d303100000003736967"
     ),
     "reading": (
-        "c7010100000006a1b2c3d4e5f6000000000036f26800000008727373693d2d3631"
+        "c7020100000006a1b2c3d4e5f6000000000036f26800000008727373693d2d3631"
     ),
     "reading_plaintext": (
-        "c7010d00000006a1b2c3d4e5f6000000000036f26800000008727373693d2d3631000000"
+        "c7020d00000006a1b2c3d4e5f6000000000036f26800000008727373693d2d3631000000"
         "0000000e10"
     ),
     "sealed_block": (
-        "c7010c000000000000000100000000000000000000000000000e10c70105000000014d00"
+        "c7020c000000000000000100000000000000000000000000000e10c70205000000014d00"
         "00000200000006626c6f622d3100000007626c6f622d3232"
     ),
     "sealed_block_empty": (
-        "c7010c00000000000000020000000000000e100000000000001c20c70105000000014e00"
+        "c7020c00000000000000020000000000000e100000000000001c20c70205000000014e00"
         "000000"
     ),
     "sensor_row": (
-        "c701060000000000000e100000000800000002000102030405060708090a0b0c0d0e0fc7"
-        "0105000000020b4a000000020000000663742d6f6e650000000763742d74776f21"
+        "c702060000000000000e100000000800000002000102030405060708090a0b0c0d0e0fc7"
+        "0205000000020b4a000000020000000663742d6f6e650000000763742d74776f21"
     ),
     "sensor_row_empty_epoch": (
-        "c701060000000000001c2000000008000000011011121314151617c701050000000204d2"
+        "c702060000000000001c2000000008000000011011121314151617c702050000000204d2"
         "00000000"
     ),
-    "window": "c701020000000000000e100000000000001c20",
+    "window": "c702020000000000000e100000000000001c20",
     "wire_audit_fetch_first_request": "0000000000000001",
     "wire_audit_fetch_first_response": (
-        "0000003cc7010c000000000000000100000000000000000000000000000e10c701050000"
+        "0000003cc7020c000000000000000100000000000000000000000000000e10c702050000"
         "00014d0000000200000006626c6f622d3100000007626c6f622d323200"
     ),
     "wire_audit_fetch_request": "0000000000000002",
     "wire_audit_fetch_response": (
-        "00000027c7010c00000000000000020000000000000e100000000000001c20c701050000"
-        "00014e0000000001c70105000000014d"
+        "00000027c7020c00000000000000020000000000000e100000000000001c20c702050000"
+        "00014e0000000001c70205000000014d"
     ),
     "wire_error_response": (
         "040000002e726571756573746572206973206e6f7420612064657369676e617465642073"
@@ -195,22 +190,22 @@ GOLDEN = {
     ),
     "wire_fetch_bundle_request": "0000000000000e100000000000001388",
     "wire_fetch_bundle_response": (
-        "c7010a0000000000000e10000100c70105000000020b4a00000008000000020001020304"
-        "05060708090a0b0c0d0e0f00000000020000000663742d6f6e650000000763742d74776f"
+        "c7020a0000000000000e10000100c70205000000020b4a00000008000000020001020304"
+        "05060708090a0b0c0d0e0f01000000020000000663742d6f6e650000000763742d74776f"
         "210000000b7365616c65642d74696d65000000097365616c65642d616800000000000000"
         "1388"
     ),
     "wire_fetch_sp_request": "0000000000000e100000000773702d303030310000000000001388",
     "wire_fetch_sp_response": "000000020000000663742d6f6e650000000763742d74776f21",
     "wire_ingest_request": (
-        "c701060000000000000e100000000800000002000102030405060708090a0b0c0d0e0fc7"
-        "0105000000020b4a000000020000000663742d6f6e650000000763742d74776f21c70107"
+        "c702060000000000000e100000000800000002000102030405060708090a0b0c0d0e0fc7"
+        "0205000000020b4a000000020000000663742d6f6e650000000763742d74776f21c70207"
         "0000000000000e100000000000000e100000000000001c200000000b7365616c65642d74"
         "696d65000000097365616c65642d61680000000a7365616c65642d697268"
     ),
     "wire_ingest_response": "0000000000000e10",
     "wire_query_request": (
-        "00000031c7010b0000001053454c454354206f63637570616e63790000000000000fa000"
+        "00000031c7020b0000001053454c454354206f63637570616e63790000000000000fa000"
         "000007757365722d3031000000037369670000000000000fa0"
     ),
     "wire_query_response": "",

@@ -13,6 +13,7 @@ from expunge.engine import (
     cell_geometry,
     combine,
     expunge,
+    expunge_ciphertexts,
     expunge_duration_estimate,
     pad_cell,
     schedule_for,
@@ -226,13 +227,15 @@ class TestExpunge:
         assert expunge(array)[1].proof == expunge(array)[1].proof
 
     def test_proof_round_trip(self):
-        proof = DeletionProof(epoch_id=9, proof=b"\x07" * 32, produced_at=77)
+        proof = DeletionProof(epoch_id=9, proof=b"\x07" * 32, produced_at=77, cell_size=1024)
         assert DeletionProof.from_bytes(proof.to_bytes()) == proof
 
-    def test_cell_array_round_trip(self):
-        rng = random.Random(16)
-        array = _random_cells(rng, 3, 20)
-        assert CellArray.from_bytes(array.to_bytes()) == array
+    @pytest.mark.parametrize("cts", [[], [b"abc"], [b"aaaa", b"b", b"cccccccc"]])
+    def test_expunge_ciphertexts_is_expunge_of_the_packed_array(self, cts):
+        proof = expunge_ciphertexts(tuple(cts), epoch_id=7, now=30)
+        _, expected = expunge(CellArray.from_ciphertexts(cts, epoch_id=7), now=30)
+        assert proof == expected
+        assert proof.cell_size == cell_geometry(cts)[1]
 
 
 class TestDurationEstimate:

@@ -9,8 +9,10 @@ from expunge.cloud import CloudStore
 from expunge.control import build_outsource_payload
 from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
+from expunge.hashing import DEFAULT_HASHER
 from expunge.harness import (
     MS_PER_HOUR,
+    EpochVerifier,
     ScenarioConfig,
     VirtualClock,
     bench,
@@ -147,6 +149,33 @@ class TestWire:
             server.server_close()
 
 
+class TestEpochVerifier:
+    def test_irrecoverable_round_trip_is_the_reference_seconds(self, keyring, tiny_params):
+        policy = RetentionPolicy(p_del=2, p_ver=4, delta=1000)
+        store = CloudStore(policy)
+        prev = tiny_params.seed
+        for k, count in enumerate((1, 40, 1)):
+            window = EpochWindow(k * 1000, (k + 1) * 1000)
+            readings = [
+                SensorReading(b"\x02abcde", window.bt + i, b"x" * 50) for i in range(count)
+            ]
+            sensor, meta = build_outsource_payload(window, readings, prev, keyring, tiny_params)
+            prev = sensor.crypto_time
+            store.ingest(sensor, meta)
+        store.tick(4000)  # epochs 0 and 1000 deleted; 2000 still accessible
+        transport = LoopbackTransport(CloudService(store).handle)
+        verifier = EpochVerifier(transport, keyring, tiny_params, policy, DEFAULT_HASHER)
+        reference, seconds = verifier.fetch(2000, 4000)
+        assert reference.state is DataState.ACCESSIBLE
+        sizes = set()
+        for at in (0, 1000):
+            bundle, _ = verifier.fetch(at, 4000)
+            assert bundle.state is DataState.IRRECOVERABLE
+            assert verifier.round_trip(bundle) == seconds
+            sizes.add(len(bundle.to_bytes()))
+        assert len(sizes) == 2
+
+
 class TestScenario:
     def test_honest_run_all_checks_pass(self, tmp_path):
         config = ScenarioConfig(**FAST)
@@ -184,12 +213,10 @@ class TestScenario:
         )
         result = run_scenario(config)
         irrecoverable_verifies = [
-            e
-            for e in result.events("verify")
-            if e["state_claimed"] == "IRRECOVERABLE"
+            m for m in result.measurements if m["state_claimed"] == "IRRECOVERABLE"
         ]
         assert irrecoverable_verifies
-        assert any(e["time_bound_ok"] is False for e in irrecoverable_verifies)
+        assert any(m["time_bound_ok"] is False for m in irrecoverable_verifies)
         # and no unrelated check fails: completeness/tag stay intact
         assert all(e["completeness_ok"] for e in result.events("verify"))
         assert all(e["tag_match"] for e in result.events("verify"))

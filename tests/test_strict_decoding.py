@@ -80,7 +80,6 @@ def test_empty_digest_list_must_declare_width_0():
         ("bundle_accessible_first", u32(8) + u32(2) + D1 + D2),
         ("sensor_row", u32(8) + u32(2) + D1 + D2),
         ("epoch_record_accessible", u32(8) + u32(2) + D1 + D2),
-        ("cell_array", u32(6) + u32(2) + b"cell-1cell-2"),
     ],
 )
 def test_zero_width_list_cannot_declare_elements(name, listed):
