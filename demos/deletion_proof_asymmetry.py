@@ -20,13 +20,12 @@ from expunge import (
     EpochWindow,
     SensorReading,
     build_outsource_payload,
-    calibrate_time_bound,
     expunge,
-    expunge_duration_estimate,
     generate_keyring,
     setup,
-    verify_bundle,
 )
+from expunge.harness import EpochVerifier
+from expunge.hashing import DEFAULT_HASHER
 from expunge.wire import CloudService, LoopbackTransport
 
 rng = random.Random(7)
@@ -75,19 +74,12 @@ def build(lazy: bool) -> CloudStore:
     return store
 
 for label, lazy in (("honest cloud", False), ("lazy cloud  ", True)):
-    store = build(lazy)
-    transport = LoopbackTransport(CloudService(store).handle)
-    # reference round trip from the still-accessible epoch
-    _, ref_elapsed = CloudService.fetch_bundle_via(transport, 1000, 1999)
-    bundle, response = CloudService.fetch_bundle_via(transport, 0, 2000)
-    assert bundle.state is DataState.IRRECOVERABLE
-    estimate = expunge_duration_estimate(len(bundle.digests), bundle.deletion_proof.cell_size)
-    rtt = ref_elapsed
-    tau, applicable = calibrate_time_bound(rtt, estimate)
-    report = verify_bundle(
-        bundle, keyring.shared_key, params, policy,
-        time_bound=tau, response_time=response, time_bound_applicable=applicable,
+    transport = LoopbackTransport(CloudService(build(lazy)).handle)
+    # the verifier's reference is the newest closed epoch, now - delta = 1000
+    report = EpochVerifier(transport, keyring, params, policy, DEFAULT_HASHER).verify(
+        0, 2000, "sdp"
     )
-    print(f"{label}: responded in {response * 1000:7.2f} ms "
-          f"(bound {tau * 1000:6.2f} ms) -> "
+    assert report.state_claimed is DataState.IRRECOVERABLE
+    print(f"{label}: responded in {report.response_time * 1000:7.2f} ms "
+          f"(bound {report.time_bound * 1000:6.2f} ms) -> "
           f"{'VERIFIED' if report.verified else 'FLAGGED: proof generated on demand'}")

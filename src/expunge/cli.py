@@ -1,7 +1,7 @@
 """Command-line entry points for the simulation harness.
 
 Exit codes: 0 verification/command success, 1 verification or audit
-failure, 2 protocol or usage error.
+failure, 2 protocol or usage error, unreadable config or state included.
 
 A ``run`` persists everything needed to interrogate the simulated
 deployment afterwards: the cloud store, key material, accumulator
@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .accumulator import AccumulatorParams
 from .cloud import CloudStore
-from .core import DataState, RetentionPolicy, state_at, window_for_id
+from .core import RetentionPolicy
 from .crypto import load_keyring
-from .encoding import u32
+from .encoding import EncodingError, u32
 from .errors import ExpungeError
 from .harness import (
     EpochVerifier,
@@ -124,17 +124,6 @@ def cmd_verify(args) -> int:
     if args.role == "user":
         device = bytes.fromhex(args.device) if args.device else device_pool(config)[0]
 
-    # The time bound needs a round-trip reference that no proof computation
-    # can inflate: one fetch of the newest epoch still accessible at `now`.
-    # Without one, the verifier falls back to its transport probe.
-    fresh = [
-        eid
-        for eid in store.epoch_ids()
-        if store.state_of(eid) is DataState.ACCESSIBLE
-        and state_at(window_for_id(eid, policy.delta), policy, now) is DataState.ACCESSIBLE
-    ]
-    if fresh:
-        verifier.fetch(fresh[-1], now)
     report = verifier.verify(args.time, now, args.role, device)
     print(json.dumps(report.to_dict(), indent=2))
     checks = [
@@ -254,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExpungeError as exc:
+    except (ExpungeError, EncodingError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL_ERROR
 

@@ -10,7 +10,10 @@ arrival epochs (outsource, tick, SP fetches, queries, periodic checks),
 drain, purged-bundle probe, final SDP check, tamper injection, audit and
 save. One generator chains the outsourcing of every epoch for the
 scenario and for benchmark experiments 2 and 3, and ``EpochVerifier`` is
-the per-epoch verification step that the CLI's ``verify`` shares.
+the per-epoch verification step that the CLI's ``verify`` shares. It
+keeps no state between epochs: the reference round trip behind the
+deletion time bound is one more fetch, chosen from the verifier's clock
+and the public policy.
 
 Protocol logic runs entirely on the virtual clock so state timelines
 replay identically; wall time is measured only where a benchmark or the
@@ -28,7 +31,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .accumulator import AccumulatorParams, setup
@@ -38,7 +41,7 @@ from .attestation import (
     recompute_estimate_for_bundle,
     verify_bundle,
 )
-from .cloud import AttestationBundle, CloudStore
+from .cloud import CloudStore
 from .control import (
     accessible_tag,
     build_outsource_payload,
@@ -135,6 +138,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown config field(s): {', '.join(unknown)}")
         doc = dict(doc)
         if doc.get("p_ver") == "inf":
             doc["p_ver"] = NEVER
@@ -292,43 +298,6 @@ def _run_metadata(config: ScenarioConfig) -> dict:
     }
 
 
-# -- transport plumbing ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransportCalibration:
-    """Linear round-trip model from raw frame probes (fallback baseline)."""
-
-    base_seconds: float
-    per_byte_seconds: float
-
-    def round_trip(self, nbytes: int) -> float:
-        return self.base_seconds + self.per_byte_seconds * nbytes
-
-
-def calibrate_transport(transport) -> TransportCalibration:
-    """Fit round-trip cost from two probe sizes through the error path.
-
-    Each probe is the best of three raw frames of that size.
-    """
-
-    def probe(size: int) -> float:
-        payload = bytes(size)
-        best = math.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            transport.request(255, payload)  # unknown type: served as error
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    small, big = 1024, 262_144
-    t_small = probe(small)
-    t_big = probe(big)
-    per_byte = max(0.0, (t_big - t_small) / (big - small))
-    base = max(1e-9, t_small - per_byte * small)
-    return TransportCalibration(base_seconds=base, per_byte_seconds=per_byte)
-
-
 # -- scenario ------------------------------------------------------------------
 
 
@@ -345,16 +314,21 @@ class ScenarioResult:
         return [e for e in self.transcript if e["event"] == kind]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochVerifier:
     """One verifier's per-epoch step: fetch a bundle, bound the fetch, verify.
 
-    Accessible-state fetches never involve proof computation, so their
-    measured round trips are an honest reference even against a lazy
-    cloud. An irrecoverable fetch is bounded by the most recent
-    accessible fetch's time, unscaled (an irrecoverable bundle is smaller
-    but pays the same fixed costs), or by the transport probe while there
-    is none.
+    Stateless. An irrecoverable fetch is judged against the round trip of
+    one reference fetch that no proof computation can inflate, chosen
+    from the verifier's own clock and the public policy alone. With
+    ``p_del >= 1`` that is the newest closed epoch, ``now - delta``,
+    which the policy still holds accessible; it counts only if it comes
+    back accessible. Otherwise, or when no such epoch was stored, it is
+    the judged epoch as of its own begin, before its deletion was due:
+    an honest cloud serves the stored proof, a lazy one the ciphertexts
+    it kept, and neither computes a proof. The reference is used as
+    measured, unscaled by bundle size (an irrecoverable bundle is smaller
+    but pays the same fixed costs).
     """
 
     transport: object
@@ -363,32 +337,28 @@ class EpochVerifier:
     policy: RetentionPolicy
     hasher: Hasher
 
-    def __post_init__(self):
-        self._probe = calibrate_transport(self.transport)
-        self._reference: float | None = None  # seconds of the last accessible fetch
-
-    def fetch(self, at: int, now: int):
-        """Fetch the bundle of the epoch containing ``at``, timed."""
-        bundle, elapsed = CloudService.fetch_bundle_via(self.transport, at, now)
-        if bundle.state is DataState.ACCESSIBLE and elapsed > 0:
-            self._reference = elapsed
-        return bundle, elapsed
-
-    def round_trip(self, bundle: AttestationBundle) -> float:
-        """Reference round trip for judging the fetch of ``bundle``."""
-        if self._reference is None:
-            return self._probe.round_trip(len(bundle.to_bytes()))
-        return self._reference
+    def reference_seconds(self, epoch_id: int, now: int) -> float:
+        """Round trip of the reference fetch for judging ``epoch_id`` at ``now``."""
+        delta = self.policy.delta
+        if self.policy.p_del >= 1 and now >= delta:
+            try:
+                bundle, elapsed = CloudService.fetch_bundle_via(self.transport, now - delta, now)
+            except UnavailableError:
+                pass
+            else:
+                if bundle.state is DataState.ACCESSIBLE:
+                    return elapsed
+        return CloudService.fetch_bundle_via(self.transport, epoch_id, epoch_id)[1]
 
     def verify(
         self, at: int, now: int, role: str, device_id: bytes | None = None
     ) -> VerificationReport:
-        bundle, elapsed = self.fetch(at, now)
+        bundle, elapsed = CloudService.fetch_bundle_via(self.transport, at, now)
         time_bound = None
         applicable = True
         if bundle.state is not DataState.ACCESSIBLE:
             estimate = recompute_estimate_for_bundle(bundle, self.hasher)
-            rtt = self.round_trip(bundle)
+            rtt = self.reference_seconds(bundle.epoch_id, now)
             time_bound, applicable = calibrate_time_bound(rtt, estimate)
         return verify_bundle(
             bundle,

@@ -308,12 +308,11 @@ class SpService:
                 return MessageType.OK, b""
             if msg_type == MessageType.AUDIT_FETCH:
                 (block_id,) = U64_LAYOUT.unpack(payload)
-                blocks = {b.block_id: b for b in self.logger.sealed_blocks}
-                if block_id not in blocks:
+                blocks = self.logger.sealed_blocks  # block ids are 1-based positions
+                if not 1 <= block_id <= len(blocks):
                     raise UnavailableError(f"no sealed block {block_id}")
-                prev = blocks.get(block_id - 1)
-                prev_proof = None if prev is None else prev.block_proof
-                body = BLOCK_LAYOUT.pack(blocks[block_id].to_bytes(), prev_proof)
+                prev_proof = blocks[block_id - 2].block_proof if block_id > 1 else None
+                body = BLOCK_LAYOUT.pack(blocks[block_id - 1].to_bytes(), prev_proof)
                 return MessageType.BLOCK, body
             raise WireError(f"service provider cannot handle message type {msg_type}")
         except (ExpungeError, EncodingError) as exc:

@@ -305,5 +305,6 @@ def test_sp_wire_golden_vectors():
     assert SpService.audit_fetch_via(tap, 2) == (BLOCK_2, BLOCK_1.block_proof)
     tap.check("audit_fetch")
 
-    with pytest.raises(UnavailableError, match="no sealed block 9"):
-        SpService.audit_fetch_via(tap, 9)
+    for block_id in (0, 3, 9):  # ids are 1-based positions; 0 is not the last block
+        with pytest.raises(UnavailableError, match=f"no sealed block {block_id}"):
+            SpService.audit_fetch_via(tap, block_id)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from expunge import attestation
+from expunge import attestation, cloud
 from expunge.cli import main
 from expunge.cloud import CloudStore
 from expunge.control import build_outsource_payload
@@ -149,31 +149,121 @@ class TestWire:
             server.server_close()
 
 
+def _verifier_store(keyring, params, store_p_del, *, lazy=False, tick=3000):
+    """Three 1 s epochs (0, 1000, 2000) in a store ticked to ``tick``."""
+    store = CloudStore(
+        RetentionPolicy(p_del=store_p_del, p_ver=4, delta=1000), lazy_deletion=lazy
+    )
+    prev = params.seed
+    for k, count in enumerate((1, 40, 1)):
+        window = EpochWindow(k * 1000, (k + 1) * 1000)
+        readings = [
+            SensorReading(b"\x02abcde", window.bt + i, b"x" * 50) for i in range(count)
+        ]
+        sensor, meta = build_outsource_payload(window, readings, prev, keyring, params)
+        prev = sensor.crypto_time
+        store.ingest(sensor, meta)
+    store.tick(tick)
+    return store
+
+
 class TestEpochVerifier:
-    def test_irrecoverable_round_trip_is_the_reference_seconds(self, keyring, tiny_params):
-        policy = RetentionPolicy(p_del=2, p_ver=4, delta=1000)
-        store = CloudStore(policy)
-        prev = tiny_params.seed
-        for k, count in enumerate((1, 40, 1)):
-            window = EpochWindow(k * 1000, (k + 1) * 1000)
-            readings = [
-                SensorReading(b"\x02abcde", window.bt + i, b"x" * 50) for i in range(count)
-            ]
-            sensor, meta = build_outsource_payload(window, readings, prev, keyring, tiny_params)
-            prev = sensor.crypto_time
-            store.ingest(sensor, meta)
-        store.tick(4000)  # epochs 0 and 1000 deleted; 2000 still accessible
+    """The reference fetch behind the time bound: one rule, no state."""
+
+    @pytest.fixture
+    def fetches(self, monkeypatch):
+        """Record each ``(at, now)`` the cloud serves, and each proof it computes."""
+        seen = {"fetch": [], "expunge": []}
+        fetch_bundle, expunge_ciphertexts = CloudStore.fetch_bundle, cloud.expunge_ciphertexts
+
+        def recording_fetch(store, at, now):
+            seen["fetch"].append((at, now))
+            return fetch_bundle(store, at, now)
+
+        def recording_expunge(ciphertexts, epoch_id, now, hasher):
+            seen["expunge"].append((epoch_id, now))
+            return expunge_ciphertexts(ciphertexts, epoch_id, now, hasher)
+
+        monkeypatch.setattr(CloudStore, "fetch_bundle", recording_fetch)
+        monkeypatch.setattr(cloud, "expunge_ciphertexts", recording_expunge)
+        return seen
+
+    @staticmethod
+    def verify(store, keyring, params, p_del, at, now):
+        policy = RetentionPolicy(p_del=p_del, p_ver=4, delta=1000)
         transport = LoopbackTransport(CloudService(store).handle)
-        verifier = EpochVerifier(transport, keyring, tiny_params, policy, DEFAULT_HASHER)
-        reference, seconds = verifier.fetch(2000, 4000)
-        assert reference.state is DataState.ACCESSIBLE
-        sizes = set()
-        for at in (0, 1000):
-            bundle, _ = verifier.fetch(at, 4000)
-            assert bundle.state is DataState.IRRECOVERABLE
-            assert verifier.round_trip(bundle) == seconds
-            sizes.add(len(bundle.to_bytes()))
-        assert len(sizes) == 2
+        verifier = EpochVerifier(transport, keyring, params, policy, DEFAULT_HASHER)
+        return verifier.verify(at, now, "sdp")
+
+    def test_slow_honest_cloud_not_flagged(self, keyring, tiny_params, monkeypatch):
+        # Every fetch sleeps 20 ms, so the reference does too: tau is about
+        # 2 * 20 ms, above the judged fetch's 20 ms. A reference that skips
+        # bundle assembly would leave tau at estimate / 10 = 10 ms.
+        store = _verifier_store(keyring, tiny_params, 0)
+        fetch_bundle = CloudStore.fetch_bundle
+
+        def slow_fetch(store, at, now):
+            time.sleep(0.02)
+            return fetch_bundle(store, at, now)
+
+        monkeypatch.setattr(CloudStore, "fetch_bundle", slow_fetch)
+        monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 0.1)
+        report = self.verify(store, keyring, tiny_params, 0, 0, 3000)
+        assert report.state_claimed is DataState.IRRECOVERABLE
+        assert report.time_bound_ok is not False and report.verified
+        assert report.time_bound >= 0.04
+
+    def test_lazy_cloud_slow_to_compute_proof_flagged(self, keyring, tiny_params, monkeypatch):
+        store = _verifier_store(keyring, tiny_params, 0, lazy=True)
+        expunge_ciphertexts = cloud.expunge_ciphertexts
+
+        def slow_expunge(*args):
+            time.sleep(0.2)
+            return expunge_ciphertexts(*args)
+
+        monkeypatch.setattr(cloud, "expunge_ciphertexts", slow_expunge)
+        monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 0.1)
+        report = self.verify(store, keyring, tiny_params, 0, 0, 3000)
+        assert report.state_claimed is DataState.IRRECOVERABLE
+        assert report.time_bound_ok is False and not report.verified
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["honest", "lazy"])
+    @pytest.mark.parametrize("p_del", [0, 1])
+    def test_reference_fetch_computes_no_proof(self, keyring, tiny_params, fetches, lazy, p_del):
+        store = _verifier_store(keyring, tiny_params, p_del, lazy=lazy)
+        fetches["expunge"].clear()  # the honest store's scheduled deletions
+        report = self.verify(store, keyring, tiny_params, p_del, 0, 3000)
+        assert report.state_claimed is DataState.IRRECOVERABLE
+        assert len(fetches["fetch"]) == 2
+        # only the lazy cloud's judged fetch computes a proof, at the judged `now`
+        assert fetches["expunge"] == ([(0, 3000)] if lazy else [])
+
+    def test_p_del_zero_reference_is_the_epoch_at_its_begin(self, keyring, tiny_params, fetches):
+        store = _verifier_store(keyring, tiny_params, 0)
+        self.verify(store, keyring, tiny_params, 0, 1500, 3000)
+        assert fetches["fetch"] == [(1500, 3000), (1000, 1000)]
+
+    def test_reference_is_the_newest_closed_epoch(self, keyring, tiny_params, fetches):
+        store = _verifier_store(keyring, tiny_params, 1)  # epochs 0, 1000 deleted
+        report = self.verify(store, keyring, tiny_params, 1, 0, 3000)
+        assert fetches["fetch"] == [(0, 3000), (2000, 3000)]
+        assert report.verified
+
+    def test_reference_falls_back_when_newest_epoch_never_ingested(
+        self, keyring, tiny_params, fetches
+    ):
+        store = _verifier_store(keyring, tiny_params, 1, tick=4000)  # all deleted
+        self.verify(store, keyring, tiny_params, 1, 1000, 4000)
+        assert fetches["fetch"] == [(1000, 4000), (3000, 4000), (1000, 1000)]
+
+    def test_reference_falls_back_when_newest_epoch_not_accessible(
+        self, keyring, tiny_params, fetches
+    ):
+        # a store that deletes ahead of the verifier's policy serves
+        # epoch 2000 irrecoverable at 3000
+        store = _verifier_store(keyring, tiny_params, 0)
+        self.verify(store, keyring, tiny_params, 1, 0, 3000)
+        assert fetches["fetch"] == [(0, 3000), (2000, 3000), (0, 0)]
 
 
 class TestScenario:
@@ -346,6 +436,40 @@ class TestCli:
         purged = [int(eid) for eid, s in summary["states"].items() if s == "PURGED"]
         code = main(["verify", "--state", str(state), "--time", str(purged[0])])
         assert code == 2
+
+    def test_unknown_config_field_refused(self):
+        with pytest.raises(DomainError, match="unknown config field.*bogus"):
+            ScenarioConfig.from_dict({**ScenarioConfig(**FAST).to_dict(), "bogus": 1})
+
+    @staticmethod
+    def assert_input_error(capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unknown_config_field_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p_dell": 3}))
+        self.assert_input_error(capsys, ["run", "--config", str(cfg)])
+
+    def test_malformed_config_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"p_del": 2,')
+        self.assert_input_error(capsys, ["generate", "--config", str(cfg)])
+
+    def test_missing_state_dir_is_input_error(self, tmp_path, capsys):
+        argv = ["verify", "--state", str(tmp_path / "absent"), "--time", "0"]
+        self.assert_input_error(capsys, argv)
+
+    def test_truncated_segment_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**{**FAST, "arrival_epochs": 2, "p_del": 1, "p_ver": 1}).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        capsys.readouterr()
+        segment = next((state / "cloud" / "segments").glob("*.seg"))
+        segment.write_bytes(segment.read_bytes()[:40])
+        self.assert_input_error(capsys, ["verify", "--state", str(state), "--time", "0"])
 
     def test_bench_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
