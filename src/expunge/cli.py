@@ -3,10 +3,10 @@
 Exit codes: 0 verification/command success, 1 verification or audit
 failure, 2 protocol or usage error, unreadable config or state included.
 
-A ``run`` persists everything needed to interrogate the simulated
-deployment afterwards: the cloud store, key material, accumulator
-parameters, policy, sealed query blocks, transcript, and benchmark
-report. ``verify``, ``audit``, and ``tick`` operate on that state.
+A ``run`` persists, each fact once, everything needed to interrogate the
+simulated deployment afterwards: the config (policy included), key material,
+accumulator parameters, cloud segments, sealed query blocks, clock,
+transcript, and reports. ``verify``, ``audit``, and ``tick`` use that state.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .accumulator import AccumulatorParams
 from .cloud import CloudStore
-from .core import RetentionPolicy
 from .crypto import load_keyring
 from .encoding import EncodingError, u32
 from .errors import ExpungeError
@@ -49,15 +48,15 @@ def _load_state(state_dir: Path):
     config = ScenarioConfig.load(state_dir / "config.json")
     keyring = load_keyring(state_dir / "keyring.json")
     params = AccumulatorParams.from_bytes((state_dir / "params.bin").read_bytes())
-    policy = RetentionPolicy.from_bytes((state_dir / "policy.bin").read_bytes())
     meta = json.loads((state_dir / "meta.json").read_text())
     store = CloudStore(
-        policy,
+        config.policy,
         root=state_dir / "cloud",
+        sp_allowlist=frozenset({config.sp_id.encode()}),
         hasher=Hasher(config.hash_name),
         lazy_deletion=config.lazy_cloud,
     )
-    return config, keyring, params, policy, meta, store
+    return config, keyring, params, meta, store
 
 
 def cmd_generate(args) -> int:
@@ -110,12 +109,12 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     state_dir = Path(args.state)
-    config, keyring, params, policy, meta, store = _load_state(state_dir)
+    config, keyring, params, meta, store = _load_state(state_dir)
     verifier = EpochVerifier(
         LoopbackTransport(CloudService(store).handle),
         keyring,
         params,
-        policy,
+        config.policy,
         Hasher(config.hash_name),
     )
     now = args.now if args.now is not None else meta["clock"]
@@ -145,7 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     state_dir = Path(args.state)
-    config, keyring, params, _, _, _ = _load_state(state_dir)
+    config, keyring, params, _, _ = _load_state(state_dir)
     hasher = Hasher(config.hash_name)
     blocks_dir = state_dir / "blocks"
     block_path = blocks_dir / f"{args.block:06d}.blk"
@@ -180,7 +179,7 @@ def cmd_audit(args) -> int:
 
 def cmd_tick(args) -> int:
     state_dir = Path(args.state)
-    _, _, _, _, meta, store = _load_state(state_dir)
+    _, _, _, meta, store = _load_state(state_dir)
     transitions = store.tick(args.now)
     for t in transitions:
         print(f"epoch {t.epoch_id}: {t.from_state.name} -> {t.to_state.name} at {t.at}")

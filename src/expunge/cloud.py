@@ -15,17 +15,17 @@ costs O(due · log n) for n stored epochs and touches only the epochs
 that are due, in ascending epoch order. Epoch windows must not overlap,
 so the epoch containing an instant is found by bisecting the epoch ids.
 
-Persistence is one segment file per epoch plus a small JSON index. Each
-write goes to a temporary file in the same directory and replaces the
-old file with ``os.replace``, so a process crash leaves either the old
-or the new file, never half of one (files are not fsynced, so a power
-loss can still lose recent writes); a reload ignores leftover temporary
-files, rebuilds the schedule from the records, and fails closed on a
-segment that does not decode. A record's next version is written before
-the store adopts it, so a failed write leaves memory as it was and the
-transition is retried. Overwrite-in-place happens on the epoch's own
-segment. A store created with ``root=None`` lives purely in memory
-(benchmarks, quick tests).
+Persistence is one segment file per epoch, nothing else: each record
+holds its state and state history. A transition writes a temporary file
+and commits it with one ``os.replace`` over the epoch's segment, so a
+process crash leaves the old or the new record, never half of one (files
+are not fsynced, so a power loss can still lose recent writes). A reload
+reads the segments in name order, ignores leftover temporary files, takes
+the last tick from the newest recorded transition, and fails closed on a
+segment that does not decode or is not named after its epoch. A record's
+next version is written before the store adopts it, so a failed write
+leaves memory as it was and the transition is retried. A store created
+with ``root=None`` lives purely in memory (benchmarks, quick tests).
 
 ``lazy_deletion`` simulates a dishonest cloud for the harness: the
 scheduler skips deletion and the bundle path fabricates proofs on
@@ -35,7 +35,6 @@ demand, which the attestation time bound is designed to catch.
 from __future__ import annotations
 
 import heapq
-import json
 import logging
 import os
 import threading
@@ -187,58 +186,44 @@ class CloudStore:
         self.hasher = hasher
         self.lazy_deletion = lazy_deletion
         self.last_tick: int | None = None
-        self.outsourced_bytes = 0
         self._records: dict[int, EpochRecord] = {}
         self._ids: list[int] = []  # epoch ids in chain order, ascending
         self._deadlines: list[tuple[int, int]] = []  # heap of (next deadline, epoch id)
         self._lock = threading.RLock()
         if self.root is not None:
             (self.root / "segments").mkdir(parents=True, exist_ok=True)
-            if (self.root / "index.json").exists():
-                self._load()
+            self._load()
 
     # -- persistence ---------------------------------------------------------
 
     def _segment_path(self, epoch_id: int) -> Path:
         return self.root / "segments" / f"{epoch_id:016d}.seg"
 
-    @staticmethod
-    def _write_atomic(path: Path, data: bytes) -> None:
-        temp = path.with_name(path.name + ".tmp")
-        temp.write_bytes(data)
-        os.replace(temp, path)
-
     def _adopt(self, record: EpochRecord) -> None:
         """Write ``record`` as its epoch's next version, then hold it in memory.
 
-        A write that fails raises before memory changes, so memory never
-        runs ahead of disk and the caller can retry the transition.
+        The segment's atomic replace is the commit. A write that fails
+        raises before memory changes, so memory never runs ahead of disk
+        and the caller can retry the transition.
         """
-        eid = record.epoch_id
         if self.root is not None:
-            self._write_atomic(self._segment_path(eid), record.to_bytes())
-            records = {**self._records, eid: record}
-            index = {
-                "last_tick": self.last_tick,
-                "outsourced_bytes": self.outsourced_bytes,
-                "allowlist": [sp.hex() for sp in sorted(self.sp_allowlist)],
-                "epochs": {str(other): r.state.name for other, r in records.items()},
-            }
-            self._write_atomic(self.root / "index.json", json.dumps(index, indent=0).encode())
-        self._records[eid] = record
+            path = self._segment_path(record.epoch_id)
+            temp = path.with_name(path.name + ".tmp")
+            temp.write_bytes(record.to_bytes())
+            os.replace(temp, path)
+        self._records[record.epoch_id] = record
 
     def _load(self) -> None:
-        index = json.loads((self.root / "index.json").read_text())
-        self.last_tick = index["last_tick"]
-        self.outsourced_bytes = index["outsourced_bytes"]
-        self.sp_allowlist = frozenset(bytes.fromhex(sp) for sp in index["allowlist"])
-        for eid in sorted(int(eid) for eid in index["epochs"]):
-            record = EpochRecord.from_bytes(self._segment_path(eid).read_bytes())
-            if record.epoch_id != eid:
-                raise EncodingError(f"segment of epoch {eid} holds epoch {record.epoch_id}")
-            self._records[eid] = record
-            self._ids.append(eid)
+        for path in sorted((self.root / "segments").glob("*.seg")):
+            record = EpochRecord.from_bytes(path.read_bytes())
+            if path != self._segment_path(record.epoch_id):
+                raise EncodingError(f"segment {path.name} holds epoch {record.epoch_id}")
+            self._records[record.epoch_id] = record
+            self._ids.append(record.epoch_id)
             self._schedule(record)
+        self.last_tick = max(
+            (at for r in self._records.values() for _, at in r.state_history[1:]), default=None
+        )
 
     # -- ingest path ---------------------------------------------------------
 
@@ -279,13 +264,7 @@ class CloudStore:
                 state=DataState.ACCESSIBLE,
                 state_history=[(DataState.ACCESSIBLE, meta_row.et)],
             )
-            size = len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
-            self.outsourced_bytes += size  # the index written with the record counts it
-            try:
-                self._adopt(record)
-            except BaseException:
-                self.outsourced_bytes -= size
-                raise
+            self._adopt(record)
             self._ids.append(eid)
             self._schedule(record)
             return eid

@@ -124,7 +124,6 @@ class KeyRing:
 
     enclave_private: X25519PrivateKey
     sdp_box_private: X25519PrivateKey
-    sdp_sign_private: Ed25519PrivateKey
     shared_key: bytes
     user_signing_keys: dict[bytes, Ed25519PrivateKey] = field(default_factory=dict)
 
@@ -135,10 +134,6 @@ class KeyRing:
     @property
     def sdp_box_public(self) -> X25519PublicKey:
         return self.sdp_box_private.public_key()
-
-    @property
-    def sdp_sign_public(self) -> Ed25519PublicKey:
-        return self.sdp_sign_private.public_key()
 
     def user_public_keys(self) -> dict[bytes, Ed25519PublicKey]:
         """Registration registry: user id to verification key."""
@@ -151,7 +146,6 @@ def generate_keyring(user_ids: list[bytes] | None = None) -> KeyRing:
     return KeyRing(
         enclave_private=X25519PrivateKey.generate(),
         sdp_box_private=X25519PrivateKey.generate(),
-        sdp_sign_private=Ed25519PrivateKey.generate(),
         shared_key=os.urandom(SYMMETRIC_KEY_BYTES),
         user_signing_keys={uid: Ed25519PrivateKey.generate() for uid in user_ids or []},
     )
@@ -170,7 +164,6 @@ def save_keyring(keyring: KeyRing, path: Path) -> None:
     doc = {
         "enclave_private": base64.b64encode(_raw_private(keyring.enclave_private)).decode(),
         "sdp_box_private": base64.b64encode(_raw_private(keyring.sdp_box_private)).decode(),
-        "sdp_sign_private": base64.b64encode(_raw_private(keyring.sdp_sign_private)).decode(),
         "shared_key": base64.b64encode(keyring.shared_key).decode(),
         "user_signing_keys": {
             uid.hex(): base64.b64encode(_raw_private(key)).decode()
@@ -188,9 +181,6 @@ def load_keyring(path: Path) -> KeyRing:
         ),
         sdp_box_private=X25519PrivateKey.from_private_bytes(
             base64.b64decode(doc["sdp_box_private"])
-        ),
-        sdp_sign_private=Ed25519PrivateKey.from_private_bytes(
-            base64.b64decode(doc["sdp_sign_private"])
         ),
         shared_key=base64.b64decode(doc["shared_key"]),
         user_signing_keys={

@@ -68,6 +68,10 @@ MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 24 * MS_PER_HOUR
 
 
+# a type each of these config fields accepts besides its default's (a bool is never an int)
+_ALSO_ACCEPTS = {"day_rate_per_hour": int, "night_rate_per_hour": int, "drain_epochs": int}
+
+
 @dataclass
 class ScenarioConfig:
     """Everything a scenario or benchmark run needs, JSON-serializable."""
@@ -138,14 +142,23 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
-        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        """A config from its JSON object, each value of its default's type (or as README allows)."""
+        if not isinstance(doc, dict):
+            raise DomainError("config must be a JSON object")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise DomainError(f"unknown config field(s): {', '.join(unknown)}")
         doc = dict(doc)
-        if doc.get("p_ver") == "inf":
-            doc["p_ver"] = NEVER
-        if "day_hours" in doc:
-            doc["day_hours"] = tuple(doc["day_hours"])
+        for name, value in doc.items():
+            if name == "p_ver" and value == "inf":
+                doc[name] = NEVER
+            elif name == "day_hours":
+                if not isinstance(value, (list, tuple)) or [type(h) for h in value] != [int, int]:
+                    raise DomainError(f"config field day_hours must be two ints, not {value!r}")
+                doc[name] = tuple(value)
+            elif type(value) not in (type(defaults[name]), _ALSO_ACCEPTS.get(name)):
+                raise DomainError(f"config field {name} cannot be {value!r}")
         return cls(**doc)
 
     def save(self, path: Path) -> None:
@@ -620,10 +633,7 @@ class _Run:
         self.config.save(state_dir / "config.json")
         save_keyring(self.keyring, state_dir / "keyring.json")
         (state_dir / "params.bin").write_bytes(self.params.to_bytes())
-        (state_dir / "policy.bin").write_bytes(self.policy.to_bytes())
-        (state_dir / "meta.json").write_text(
-            json.dumps({"clock": self.clock.now, "sp_id": self.config.sp_id})
-        )
+        (state_dir / "meta.json").write_text(json.dumps({"clock": self.clock.now}))
         (state_dir / "transcript.json").write_text(json.dumps(self.transcript, indent=1))
         (state_dir / "report.json").write_text(json.dumps(self.report.to_dict(), indent=1))
         (state_dir / "summary.json").write_text(json.dumps(summary, indent=1))
@@ -744,46 +754,46 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             report.add("tags_per_day", tag_total, "s", delta_ms=delta_ms)
 
     elif experiment == 2:
-        store = CloudStore(config.policy, hasher=hasher)
         readings = generate_readings(config)
         raw_bytes = sum(len(reading.to_bytes()) for reading in readings)
-        for _, _, sensor_row, meta_row in _outsource_epochs(
-            config, readings, keyring, params, hasher
-        ):
-            store.ingest(sensor_row, meta_row)
+        outsourced_bytes = sum(
+            len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
+            for _, _, sensor_row, meta_row in _outsource_epochs(
+                config, readings, keyring, params, hasher
+            )
+        )
         report.add("raw_bytes", raw_bytes, "B", readings=len(readings))
-        report.add("outsourced_bytes", store.outsourced_bytes, "B")
+        report.add("outsourced_bytes", outsourced_bytes, "B")
         report.add(
-            "storage_ratio",
-            store.outsourced_bytes / raw_bytes if raw_bytes else math.inf,
-            "x",
+            "storage_ratio", outsourced_bytes / raw_bytes if raw_bytes else math.inf, "x"
         )
 
     elif experiment == 3:
+        # each epoch is verified at its own close, while the policy holds it accessible
         day_config = replace(
             config, delta_ms=MS_PER_HOUR, arrival_epochs=24, origin_ms=0,
             night_rate_per_hour=config.day_rate_per_hour, transport="loopback",
+            p_del=max(1, config.p_del),
         )
         store = CloudStore(day_config.policy, hasher=hasher)
-        transport = LoopbackTransport(CloudService(store).handle)
+        verifier = EpochVerifier(
+            LoopbackTransport(CloudService(store).handle), keyring, params,
+            day_config.policy, hasher,
+        )
         readings = generate_readings(day_config)
         for _, _, sensor_row, meta_row in _outsource_epochs(
             day_config, readings, keyring, params, hasher
         ):
             store.ingest(sensor_row, meta_row)
-        now = 24 * MS_PER_HOUR
+        device = device_pool(day_config)[0]
         start = time.perf_counter()
-        for k in range(24):
-            bundle, elapsed = CloudService.fetch_bundle_via(
-                transport, k * MS_PER_HOUR, now
-            )
-            verify_bundle(
-                bundle, keyring.shared_key, params, day_config.policy,
-                role="user", device_id=device_pool(day_config)[0],
-                response_time=elapsed, hasher=hasher,
-            )
+        verified = sum(
+            verifier.verify(k * MS_PER_HOUR, (k + 1) * MS_PER_HOUR, "user", device).verified
+            for k in range(24)
+        )
         day_seconds = time.perf_counter() - start
         report.add("verify_day", day_seconds, "s", readings=len(readings))
+        report.add("verified_epochs", verified, "epochs")
         report.add("verify_year_projected", day_seconds * 365, "s")
 
     elif experiment == 4:

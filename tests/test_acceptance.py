@@ -354,7 +354,7 @@ def test_criterion_6_storage_overhead():
 
 
 def test_criterion_7_verification_latency():
-    """One synthetic day (24 epochs, ~5e4 readings) verifies in < 4 s."""
+    """One synthetic day (24 epochs, ~5e4 readings) verifies, each epoch at its close, in < 4 s."""
     config = ScenarioConfig(
         delta_ms=MS_PER_HOUR,
         arrival_epochs=24,
@@ -366,12 +366,15 @@ def test_criterion_7_verification_latency():
     )
     report = bench(config, 3)
     (day_seconds,) = report.values("verify_day")
+    (verified,) = report.values("verified_epochs")
     readings = report.entries[0].params["readings"]
     assert readings > 4.5e4
+    assert verified == 24, f"{verified} of 24 epochs verified"
     assert day_seconds < 4.0, f"verification took {day_seconds:.2f}s (target 2 s, 2x tolerance)"
     _note(
         "test_criterion_7_verification_latency",
-        f"{day_seconds:.2f} s for {readings} readings (target 2 s, pass < 4 s)",
+        f"24/24 epochs verified in {day_seconds:.2f} s for {readings} readings"
+        " (target 2 s, pass < 4 s)",
     )
 
 

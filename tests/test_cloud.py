@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -311,7 +312,6 @@ class TestPersistence:
         assert reloaded.epoch_ids() == [1, 2, 3]
         assert reloaded.state_of(1) is DataState.IRRECOVERABLE
         assert reloaded.state_of(2) is DataState.ACCESSIBLE
-        assert reloaded.sp_allowlist == frozenset({SP})
         assert reloaded.record(1).deletion_proof.proof == irrecoverable_tag(shadows[1], 1)
         # serving still works after reload
         bundle = reloaded.fetch_bundle(1, now=4)
@@ -359,7 +359,6 @@ class TestPersistence:
         # a crash after part of the next writes, before they replaced anything
         segment = tmp_path / "segments" / f"{2:016d}.seg"
         segment.with_name(segment.name + ".tmp").write_bytes(segment.read_bytes()[:9])
-        (tmp_path / "index.json.tmp").write_text('{"last_tick": 5, "epo')
 
         reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
         assert [reloaded.record(eid).to_bytes() for eid in reloaded.epoch_ids()] == saved
@@ -395,12 +394,10 @@ class TestPersistence:
         with pytest.raises(OSError):
             store.ingest(sensor, meta)
         monkeypatch.undo()
-        assert store.epoch_ids() == [] and store.outsourced_bytes == 0
+        assert store.epoch_ids() == []
         store.ingest(sensor, meta)
         reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
         assert _snapshot(reloaded) == _snapshot(store)
-        expected = len(sensor.to_bytes()) + len(meta.to_bytes())
-        assert reloaded.outsourced_bytes == store.outsourced_bytes == expected
 
     def test_interrupted_purge_write_is_retried(self, tmp_path, keyring, tiny_params, monkeypatch):
         store = CloudStore(FIG2_POLICY, root=tmp_path)
@@ -416,6 +413,58 @@ class TestPersistence:
         assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
         assert [(t.epoch_id, t.to_state) for t in store.tick(7)] == [(1, DataState.PURGED)]
         assert _snapshot(CloudStore(FIG2_POLICY, root=tmp_path)) == _snapshot(store)
+
+    def test_each_transition_is_one_file_replace(
+        self, tmp_path, keyring, tiny_params, monkeypatch
+    ):
+        replaced = []
+        replace = os.replace
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: (replaced.append(dst), replace(src, dst))
+        )
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        segment = tmp_path / "segments" / f"{1:016d}.seg"
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        assert replaced == [segment]
+        store.tick(4)
+        assert replaced == [segment] * 2
+        store.tick(6)
+        assert replaced == [segment] * 3
+        assert sorted(tmp_path.rglob("*")) == [segment.parent, segment]
+
+    def test_segment_named_for_another_epoch_fails_closed(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        segments = tmp_path / "segments"
+        (segments / f"{2:016d}.seg").unlink()
+        (segments / f"{1:016d}.seg").rename(segments / f"{2:016d}.seg")
+        with pytest.raises(EncodingError, match="holds epoch 1"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+    def test_stale_index_of_an_older_store_is_ignored(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        store.tick(4)
+        (tmp_path / "index.json").write_text('{"last_tick": 9, "epochs": {"7": "ACCESSIBLE"}}')
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert _snapshot(reloaded) == _snapshot(store)
+        assert reloaded.epoch_ids() == [1, 2] and reloaded.last_tick == 4
+        assert [(t.epoch_id, t.to_state) for t in reloaded.tick(5)] == [
+            (2, DataState.IRRECOVERABLE)
+        ]
+
+    def test_reloaded_store_refuses_a_tick_before_its_newest_transition(
+        self, tmp_path, keyring, tiny_params
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        assert CloudStore(FIG2_POLICY, root=tmp_path).last_tick is None
+        store.tick(5)
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert reloaded.last_tick == 5
+        with pytest.raises(DomainError, match="backwards"):
+            reloaded.tick(4)
+        assert reloaded.tick(5) == []
 
     def test_segment_of_layout_version_1_fails_closed(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path)

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
@@ -69,3 +72,15 @@ def test_keyring_save_load_round_trip(tmp_path, keyring):
     assert hybrid_decrypt(blob, loaded.enclave_private) == b"x"
     assert loaded.shared_key == keyring.shared_key
     assert set(loaded.user_signing_keys) == set(keyring.user_signing_keys)
+
+
+def test_keyring_with_the_retired_provider_signing_key_still_loads(tmp_path, keyring):
+    path = tmp_path / "keys.json"
+    save_keyring(keyring, path)
+    doc = json.loads(path.read_text())
+    assert "sdp_sign_private" not in doc
+    doc["sdp_sign_private"] = base64.b64encode(bytes(32)).decode()  # as older runs saved it
+    path.write_text(json.dumps(doc))
+    loaded = load_keyring(path)
+    assert loaded.shared_key == keyring.shared_key
+    assert not hasattr(loaded, "sdp_sign_private")

@@ -1,5 +1,8 @@
 import json
+import re
 import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +100,13 @@ class TestGenerator:
         config.save(tmp_path / "c.json")
         loaded = ScenarioConfig.load(tmp_path / "c.json")
         assert loaded == config
+
+    def test_readme_config_table_names_every_field(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Scenario config", 1)[1].split("\n## ", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        documented = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+        assert sorted(documented) == sorted(f.name for f in fields(ScenarioConfig))
 
     def test_scenario_coverage_validation(self):
         config = ScenarioConfig(p_ver=9, arrival_epochs=1, drain_epochs=2)
@@ -470,6 +480,49 @@ class TestCli:
         segment = next((state / "cloud" / "segments").glob("*.seg"))
         segment.write_bytes(segment.read_bytes()[:40])
         self.assert_input_error(capsys, ["verify", "--state", str(state), "--time", "0"])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            3,
+            {"p_del": "2"},
+            {"arrival_epochs": 2.5},
+            {"seed": True},
+            {"p_ver": 4.5},
+            {"drain_epochs": "3"},
+            {"day_hours": [8, "20"]},
+            {"lazy_cloud": 1},
+        ],
+        ids=repr,
+    )
+    def test_config_value_of_the_wrong_type_is_input_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        self.assert_input_error(capsys, ["run", "--config", str(cfg)])
+
+    def test_config_accepts_the_documented_alternatives(self):
+        doc = {"day_rate_per_hour": 100, "p_ver": "inf", "drain_epochs": None, "day_hours": [6, 18]}
+        config = ScenarioConfig.from_dict(doc)
+        assert config.p_ver is NEVER and config.day_hours == (6, 18)
+        assert config.day_rate_per_hour == 100 and config.drain_epochs == config.p_del + 2
+
+    def test_stale_files_of_an_older_state_dir_are_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        summary = json.loads((state / "summary.json").read_text())
+        assert not (state / "policy.bin").exists()
+        assert not (state / "cloud" / "index.json").exists()
+        # an older run also kept the policy and a store index beside the segments
+        stale = RetentionPolicy(p_del=0, p_ver=1, delta=MS_PER_HOUR)
+        (state / "policy.bin").write_bytes(stale.to_bytes())
+        (state / "cloud" / "index.json").write_text('{"last_tick": 0, "epochs": {"9": "PURGED"}}')
+        capsys.readouterr()
+        accessible = next(int(e) for e, s in summary["states"].items() if s == "ACCESSIBLE")
+        assert main(["verify", "--state", str(state), "--time", str(accessible)]) == 0
+        assert main(["tick", "--state", str(state), "--now", str(summary["final_clock"])]) == 0
+        assert capsys.readouterr().out.endswith("no transitions due\n")
 
     def test_bench_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
