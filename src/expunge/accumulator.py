@@ -10,10 +10,17 @@ verification.
 
 Setup generates the modulus from two private primes and then forgets
 them: the protocol only ever computes forward, so no trapdoor is kept.
+
+Every chain step and every Miller-Rabin witness test is one modular
+exponentiation, done by OpenSSL's ``BN_mod_exp`` in the libcrypto that
+``hashlib`` already links. Where that library exports no BIGNUM calls,
+the builtin ``pow`` does it instead; both return the same integers, so
+chains, proofs and seeded parameters are identical either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import secrets
 from dataclasses import dataclass
@@ -38,6 +45,82 @@ for _n in range(2, 2000):
 del _sieve, _n
 
 
+def _bind_libcrypto():
+    """The libcrypto behind ``hashlib`` with its BIGNUM calls typed, or None."""
+    try:
+        import _hashlib
+
+        lib = ctypes.CDLL(_hashlib.__file__)
+        signatures = {
+            "BN_new": (ctypes.c_void_p, []),
+            "BN_bin2bn": (ctypes.c_void_p, [ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p]),
+            "BN_mod_exp": (ctypes.c_int, [ctypes.c_void_p] * 5),
+            "BN_bn2binpad": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int]),
+            "BN_free": (None, [ctypes.c_void_p]),
+            "BN_CTX_new": (ctypes.c_void_p, []),
+            "BN_CTX_free": (None, [ctypes.c_void_p]),
+        }
+        for name, (restype, argtypes) in signatures.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (ImportError, OSError, AttributeError):
+        return None
+    return lib
+
+
+#: Bound at import; None means every exponentiation is the builtin ``pow``.
+_libcrypto = _bind_libcrypto()
+
+
+def _bignum(lib, value: int, owned: list) -> int:
+    raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    bn = lib.BN_bin2bn(raw, len(raw), None)
+    if not bn:
+        raise MemoryError("BN_bin2bn failed")
+    owned.append(bn)
+    return bn
+
+
+def _modexp(base: int, exponent: int, modulus: int) -> int:
+    """``pow(base, exponent, modulus)``, computed by OpenSSL where it is bound.
+
+    Only non-negative ``base < modulus``, ``exponent >= 0`` and
+    ``modulus >= 2`` take the OpenSSL path; anything else, including a
+    non-``int`` operand, goes to ``pow`` and gets its result or error.
+    """
+    lib = _libcrypto
+    if lib is None or not (
+        isinstance(base, int)
+        and isinstance(exponent, int)
+        and isinstance(modulus, int)
+        and 0 <= base < modulus
+        and exponent >= 0
+        and modulus > 1
+    ):
+        return pow(base, exponent, modulus)
+    size = (modulus.bit_length() + 7) // 8
+    out = ctypes.create_string_buffer(size)
+    owned: list = []
+    ctx = lib.BN_CTX_new()
+    try:
+        if not ctx:
+            raise MemoryError("BN_CTX_new failed")
+        result = lib.BN_new()
+        if not result:
+            raise MemoryError("BN_new failed")
+        owned.append(result)
+        operands = [_bignum(lib, v, owned) for v in (base, exponent, modulus)]
+        if not lib.BN_mod_exp(result, *operands, ctx):
+            raise MemoryError("BN_mod_exp failed")
+        if lib.BN_bn2binpad(result, out, size) != size:
+            raise MemoryError("BN_bn2binpad failed")
+    finally:
+        for bn in owned:
+            lib.BN_free(bn)
+        lib.BN_CTX_free(ctx)
+    return int.from_bytes(out.raw, "big")
+
+
 def _is_probable_prime(n: int, rng) -> bool:
     if n < 2:
         return False
@@ -53,7 +136,7 @@ def _is_probable_prime(n: int, rng) -> bool:
         s += 1
     for _ in range(_MR_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = _modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -168,7 +251,7 @@ def step(
     the first link.
     """
     e = exponent_from_bytes(exponent_bytes)
-    result = pow(_base_value(prev, params), e, params.modulus)
+    result = _modexp(_base_value(prev, params), e, params.modulus)
     if result == 0:
         raise DomainError("degenerate accumulator step (base shares both factors)")
     return AccumulatorValue(result)

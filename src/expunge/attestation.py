@@ -86,6 +86,8 @@ class VerificationReport:
             "policy_ok": self.policy_ok,
             "state_ok": self.state_ok,
             "deletion_proof_match": self.deletion_proof_match,
+            "response_time": self.response_time,
+            "time_bound": self.time_bound,
             "time_bound_ok": self.time_bound_ok,
             "verified": self.verified,
         }

@@ -17,8 +17,9 @@ and the public policy.
 
 Protocol logic runs entirely on the virtual clock so state timelines
 replay identically; wall time is measured only where a benchmark or the
-deletion time bound needs it. Verdicts that rest on wall time (the time
-bound and the overall ``verified``) go to the run's measurements, not
+deletion time bound needs it. Wall-clock values and the verdicts that
+rest on them (response time, the time bound, its verdict and the overall
+``verified``) go to the run's measurements, not
 its transcript, so a transcript replays byte for byte. Fault-injection
 flags turn the cloud lazy (skips deletion, fabricates proofs on demand)
 or make the service provider tamper with a sealed query block, so tests
@@ -518,9 +519,9 @@ class _Run:
         fields = vreport.to_dict()
         self.measurements.append({
             "t": self.clock.now, "epoch_id": vreport.epoch_id, "role": role,
-            "state_claimed": vreport.state_claimed.name, "response_time": vreport.response_time,
-            "time_bound": vreport.time_bound,
-            **{k: fields.pop(k) for k in ("time_bound_ok", "verified")},  # wall-clock verdicts
+            "state_claimed": vreport.state_claimed.name,
+            # wall-clock values and the verdicts that rest on them
+            **{k: fields.pop(k) for k in ("response_time", "time_bound", "time_bound_ok", "verified")},
         })
         self.emit(role, "verify", expected_state=expect.name, **fields)
 

@@ -1,5 +1,8 @@
+import ssl
+
 import pytest
 
+from expunge import accumulator
 from expunge.accumulator import AccumulatorParams, setup
 from expunge.crypto import generate_keyring
 
@@ -7,7 +10,18 @@ from expunge.crypto import generate_keyring
 ACCEPTANCE_NOTES: dict[str, str] = {}
 
 
+def _modexp_line() -> str:
+    path = "builtin pow" if accumulator._libcrypto is None else f"openssl ({ssl.OPENSSL_VERSION})"
+    return f"accumulator modexp: {path}"
+
+
+def pytest_report_header(config):
+    return _modexp_line()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.get_verbosity() < 0:  # -q hides the header; say it here instead
+        terminalreporter.write_line(_modexp_line())
     rows = []
     for outcome in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(outcome, []):

@@ -1,14 +1,22 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expunge import accumulator
 from expunge.accumulator import (
     AccumulatorParams,
     AccumulatorValue,
+    _modexp,
     _random_seed,
     exponent_from_bytes,
     setup,
@@ -51,6 +59,87 @@ class TestSetup:
 
     def test_params_round_trip(self, small_params):
         assert AccumulatorParams.from_bytes(small_params.to_bytes()) == small_params
+
+    @pytest.mark.parametrize(
+        "bits, seed, digest",
+        [
+            (2048, 2003_04969, "eaeda7a253483ced5c4c847d098b6cf26f082155ccae495d701d50f103a01c26"),
+            (1024, 1024, "8b5dc5ae763912dc88676818cd0076b564fa02849f747762810ac111db3727cd"),
+        ],
+    )
+    def test_seeded_setup_is_pinned(self, bits, seed, digest):
+        # Digests of the canonical parameter bytes as computed with the
+        # builtin pow; the witness sequence, and so the primes, must not move.
+        params = setup(bits, rng=random.Random(seed))
+        assert hashlib.sha256(params.to_bytes()).hexdigest() == digest
+
+
+@st.composite
+def modexp_operands(draw):
+    bits = draw(st.integers(min_value=2, max_value=4096))
+    modulus = draw(st.integers(min_value=1 << (bits - 1), max_value=(1 << bits) - 1))
+    exponent_bits = draw(st.sampled_from([0, 1, 256, 1024]))
+    exponent = (
+        exponent_bits
+        if exponent_bits < 2
+        else draw(st.integers(min_value=1 << (exponent_bits - 1), max_value=(1 << exponent_bits) - 1))
+    )
+    base = draw(st.integers(min_value=0, max_value=modulus - 1))
+    return base, exponent, modulus
+
+
+class TestModexp:
+    @pytest.mark.parametrize("path", ["openssl", "builtin"])
+    @given(operands=modexp_operands())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_pow(self, path, operands):
+        if path == "openssl" and accumulator._libcrypto is None:
+            pytest.skip("libcrypto is not bound on this host")
+        libcrypto = accumulator._libcrypto if path == "openssl" else None
+        with mock.patch.object(accumulator, "_libcrypto", libcrypto):
+            assert _modexp(*operands) == pow(*operands)
+
+    def test_non_int_operand_is_type_error(self, tiny_params):
+        with pytest.raises(TypeError):
+            _modexp(5.0, 3, 3233)
+        with pytest.raises(TypeError):
+            step(5.0, b"\x03", tiny_params)
+        assert not verify_step(5.0, b"\x03", AccumulatorValue(125), tiny_params)
+
+    def test_threads_agree_with_pow(self):
+        params = setup(2048, rng=random.Random(2003_04969))
+        rng = random.Random(7)
+        jobs = [[rng.randbytes(32) for _ in range(25)] for _ in range(4)]
+
+        def chain(exponents):
+            acc, out = params.seed, []
+            for e in exponents:
+                acc = step(acc, e, params)
+                out.append(acc.value)
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(chain, j) for j in jobs]]
+        finally:
+            sys.setswitchinterval(interval)
+        for exponents, values in zip(jobs, results):
+            acc = params.seed
+            for e, value in zip(exponents, values):
+                acc = pow(acc, exponent_from_bytes(e), params.modulus)
+                assert value == acc
+
+    def test_import_spawns_no_process(self):
+        # ctypes.util.find_library would run ldconfig; binding must not need it.
+        code = (
+            "import sys, expunge; "
+            "assert 'ctypes.util' not in sys.modules and 'subprocess' not in sys.modules"
+        )
+        src = str(Path(accumulator.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
 
 class TestStep:

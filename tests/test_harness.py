@@ -436,6 +436,32 @@ class TestCli:
         assert "time bound EXCEEDED" in capsys.readouterr().out
         assert code == 1
 
+    def test_verify_json_states_the_inputs_of_the_time_bound(self, tmp_path, capsys, monkeypatch):
+        # The JSON report must explain an EXCEEDED on its own: it carries
+        # the judged response time and the bound it was held to.
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = next(int(e) for e, s in summary["states"].items() if s == "IRRECOVERABLE")
+
+        fetch_bundle = CloudStore.fetch_bundle
+
+        def slow_fetch(store, at, now):
+            if at == target:
+                time.sleep(0.3)
+            return fetch_bundle(store, at, now)
+
+        monkeypatch.setattr(CloudStore, "fetch_bundle", slow_fetch)
+        monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 1.0)
+        main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"])
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        assert report["time_bound_ok"] is False
+        assert report["response_time"] >= 0.3 > report["time_bound"] > 0
+
     def test_verify_purged_epoch_is_protocol_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         ScenarioConfig(**FAST).save(cfg)
