@@ -29,6 +29,8 @@ below a calibrated floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
@@ -102,12 +104,9 @@ def verify_membership(
     asks the cloud for no index and reveals nothing about who it is
     looking for.
     """
-    candidates = reading_digests(device_id, bundle.epoch_id, len(bundle.digests), hasher)
-    return [
-        position
-        for position, (candidate, digest) in enumerate(zip(candidates, bundle.digests), start=1)
-        if candidate == digest
-    ]
+    count = len(bundle.digests)
+    candidates = reading_digests(device_id, bundle.epoch_id, count, hasher)
+    return list(compress(range(1, count + 1), map(eq, candidates, bundle.digests)))
 
 
 def verify_completeness(

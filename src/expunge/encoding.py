@@ -33,6 +33,13 @@ The combination of fixed field order, fixed-width integers and length
 prefixes makes each record encoding injective; the TYPE byte keeps the
 encodings of distinct record types disjoint. Decoding is strict: any
 bytes that decode re-encode to exactly themselves.
+
+Encoding emits each record as a list of pieces (a list field gives one
+``u32`` prefix piece and the element itself per element) that the
+record joins once. Decoders walk only the bytes present: a list is read
+in one pass at a running offset, each element bounds-checked where it
+stands, and a digest list is sliced straight out of the record, so a
+declared count never sizes an allocation.
 """
 
 from __future__ import annotations
@@ -71,22 +78,26 @@ def u8(n: int) -> bytes:
     return bytes([n])
 
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+
+
 def u32(n: int) -> bytes:
     if not 0 <= n <= 0xFFFFFFFF:
         raise EncodingError(f"u32 out of range: {n}")
-    return struct.pack(">I", n)
+    return _U32.pack(n)
 
 
 def u64(n: int) -> bytes:
     if not 0 <= n <= 0xFFFFFFFFFFFFFFFF:
         raise EncodingError(f"u64 out of range: {n}")
-    return struct.pack(">Q", n)
+    return _U64.pack(n)
 
 
 def vbytes(b: bytes) -> bytes:
     if len(b) > 0xFFFFFFFF:
         raise EncodingError("byte string too long")
-    return struct.pack(">I", len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 def vint(n: int) -> bytes:
@@ -115,21 +126,26 @@ class Reader:
                 f"record type mismatch: expected 0x{type_byte:02x}, got 0x{head[2]:02x}"
             )
 
-    def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def _advance(self, n: int) -> int:
+        """Claim the next ``n`` bytes; return where they start."""
+        start = self._pos
+        if start + n > len(self._data):
             raise EncodingError("truncated record")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = start + n
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self._advance(n)
+        return self._data[start : self._pos]
 
     def take_u8(self) -> int:
         return self.take(1)[0]
 
     def take_u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
+        return _U32.unpack_from(self._data, self._advance(4))[0]
 
     def take_u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
+        return _U64.unpack_from(self._data, self._advance(8))[0]
 
     def take_vbytes(self) -> bytes:
         return self.take(self.take_u32())
@@ -147,7 +163,7 @@ class Reader:
         return flag == 1
 
     def take_digests(self) -> tuple[bytes, ...]:
-        """A digest list: width and count, then one take, then slices."""
+        """A digest list: width and count, then slices of the record itself."""
         width = self.take_u32()
         count = self.take_u32()
         if not count:
@@ -156,8 +172,32 @@ class Reader:
             return ()
         if not width:
             raise EncodingError("zero-width list with a nonzero count")
-        raw = self.take(width * count)
-        return tuple([raw[i : i + width] for i in range(0, len(raw), width)])
+        start = self._advance(width * count)
+        data = self._data
+        return tuple([data[i : i + width] for i in range(start, self._pos, width)])
+
+    def take_vbytes_list(self) -> tuple[bytes, ...]:
+        """A ``u32`` count, then that many ``vbytes``, in one pass.
+
+        Each element's prefix and body are bounds-checked where they
+        stand, so the list grows only with the bytes present: a count
+        that the bytes cannot back fails as truncated, having allocated
+        nothing for the elements that are missing.
+        """
+        count = self.take_u32()
+        data, pos, end = self._data, self._pos, len(self._data)
+        unpack_from = _U32.unpack_from
+        items = []
+        for _ in range(count):
+            if pos + 4 > end:
+                raise EncodingError("truncated record")
+            stop = pos + 4 + unpack_from(data, pos)[0]
+            if stop > end:
+                raise EncodingError("truncated record")
+            items.append(data[pos + 4 : stop])
+            pos = stop
+        self._pos = pos
+        return tuple(items)
 
     def finish(self) -> None:
         if self._pos != len(self._data):
@@ -239,10 +279,21 @@ DIGESTS = Kind(
     lambda items: [u32(len(items[0]) if items else 0), u32(len(items)), *items],
     Reader.take_digests,
 )
-VBYTES_LIST = Kind(
-    lambda items: [u32(len(items)), *[vbytes(item) for item in items]],
-    lambda r: tuple([r.take_vbytes() for _ in range(r.take_u32())]),
-)
+
+
+def _vbytes_list_parts(items) -> list[bytes]:
+    """``u32(count)``, then ``u32(len(item))`` and ``item`` for each item."""
+    parts = [u32(len(items))] + [b""] * (2 * len(items))
+    try:
+        parts[1::2] = map(_U32.pack, map(len, items))
+    except struct.error:
+        raise EncodingError("byte string too long") from None
+    parts[2::2] = items
+    return parts
+
+
+#: A ``u32`` count, then each element as ``vbytes``.
+VBYTES_LIST = Kind(_vbytes_list_parts, Reader.take_vbytes_list)
 
 
 def _take_u64_or_inf(r: Reader) -> int | float:

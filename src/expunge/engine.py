@@ -60,7 +60,7 @@ def cell_geometry(ciphertexts) -> tuple[int, int]:
     """
     if not ciphertexts:
         return 2, EMPTY_EPOCH_CELL_SIZE
-    return len(ciphertexts), 4 + max(len(ct) for ct in ciphertexts)
+    return len(ciphertexts), 4 + max(map(len, ciphertexts))
 
 
 def pad_cell(epoch_id: int, position: int, cell_size: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:

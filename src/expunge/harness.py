@@ -687,6 +687,8 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
 # -- benchmarks ----------------------------------------------------------------
 
 BENCH_DELTAS_MS = (15 * 60_000, MS_PER_HOUR, MS_PER_DAY)
+#: Timed passes over experiment 1's per-day inputs; each duration keeps its minimum.
+BENCH_DAY_PASSES = 3
 
 
 def _flat_rate_epoch(
@@ -708,10 +710,10 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     """Reproduce one of the five desk-scale experiments.
 
     1: provider control-phase time per epoch and per day across epoch
-    durations; 2: storage ratio outsourced/raw; 3: verification wall
-    time for one day (+ year projection); 4: cloud expunge time per
-    epoch size; 5: bundle transfer time, measured and at nominal link
-    speeds.
+    durations (per day, the fastest of three interleaved passes);
+    2: storage ratio outsourced/raw; 3: verification wall time for one
+    day (+ year projection); 4: cloud expunge time per epoch size;
+    5: bundle transfer time, measured and at nominal link speeds.
     """
     if experiment not in (1, 2, 3, 4, 5):
         raise DomainError("experiment must be 1..5")
@@ -731,28 +733,39 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
                 "control_per_epoch", time.perf_counter() - start, "s",
                 delta_ms=delta_ms, readings=len(readings),
             )
-        for delta_ms in BENCH_DELTAS_MS:
-            epochs = MS_PER_DAY // delta_ms
-            encrypt_total = 0.0
-            tag_total = 0.0
-            for k in range(epochs):
+        days = {delta_ms: [] for delta_ms in BENCH_DELTAS_MS}
+        for delta_ms, day in days.items():
+            for k in range(MS_PER_DAY // delta_ms):
                 window = epoch_of(k * delta_ms, delta_ms)
                 readings = [
                     SensorReading(r.device_id, r.time + window.bt, r.payload)
                     for r in _flat_rate_epoch(config, delta_ms, rng)
                 ]
-                start = time.perf_counter()
-                cts = tuple(
-                    encrypt_reading(r, window.id, keyring.enclave_public)
-                    for r in readings
-                )
-                encrypt_total += time.perf_counter() - start
-                start = time.perf_counter()
-                accessible_tag(cts, hasher)
-                irrecoverable_tag(cts, window.id, hasher)
-                tag_total += time.perf_counter() - start
-            report.add("encrypt_per_day", encrypt_total, "s", delta_ms=delta_ms)
-            report.add("tags_per_day", tag_total, "s", delta_ms=delta_ms)
+                day.append((window, readings))
+        # Interleaved passes over the same days; noise on a shared host only
+        # adds time, so each duration keeps its fastest pass.
+        encrypt_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
+        tag_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
+        for _ in range(BENCH_DAY_PASSES):
+            for delta_ms, day in days.items():
+                encrypt_total = 0.0
+                tag_total = 0.0
+                for window, readings in day:
+                    start = time.perf_counter()
+                    cts = tuple(
+                        encrypt_reading(r, window.id, keyring.enclave_public)
+                        for r in readings
+                    )
+                    encrypt_total += time.perf_counter() - start
+                    start = time.perf_counter()
+                    accessible_tag(cts, hasher)
+                    irrecoverable_tag(cts, window.id, hasher)
+                    tag_total += time.perf_counter() - start
+                encrypt_best[delta_ms] = min(encrypt_best[delta_ms], encrypt_total)
+                tag_best[delta_ms] = min(tag_best[delta_ms], tag_total)
+        for delta_ms in BENCH_DELTAS_MS:
+            report.add("encrypt_per_day", encrypt_best[delta_ms], "s", delta_ms=delta_ms)
+            report.add("tags_per_day", tag_best[delta_ms], "s", delta_ms=delta_ms)
 
     elif experiment == 2:
         readings = generate_readings(config)

@@ -159,6 +159,15 @@ _RECV_CHUNK = 1 << 20
 #: from the 4-byte header alone.
 MAX_FRAME_BYTES = 64 << 20
 
+#: Payload size of each fixed-width request, from its layout. A frame of
+#: one of these types that declares a longer payload is refused after
+#: its 5-byte head; every other type is held to MAX_FRAME_BYTES alone.
+_FIXED_PAYLOAD_BYTES = {
+    MessageType.TICK: len(U64_LAYOUT.pack(0)),
+    MessageType.FETCH_BUNDLE: len(FETCH_BUNDLE_LAYOUT.pack(0, 0)),
+    MessageType.AUDIT_FETCH: len(U64_LAYOUT.pack(0)),
+}
+
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     chunks = []
@@ -178,8 +187,13 @@ def _read_frame(sock: socket.socket) -> tuple[int, bytes]:
         raise WireError("empty frame")
     if length > MAX_FRAME_BYTES:
         raise WireError(f"declared frame length {length} exceeds {MAX_FRAME_BYTES}")
-    body = _recv_exact(sock, length)
-    return body[0], body[1:]
+    msg_type = _recv_exact(sock, 1)[0]
+    cap = _FIXED_PAYLOAD_BYTES.get(msg_type)
+    if cap is not None and length - 1 > cap:
+        raise WireError(
+            f"declared {MessageType(msg_type).name} payload of {length - 1} B exceeds {cap}"
+        )
+    return msg_type, _recv_exact(sock, length - 1)
 
 
 def _write_frame(sock: socket.socket, msg_type: int, payload: bytes) -> None:

@@ -15,14 +15,16 @@ from expunge.control import (
     epoch_timestamp,
     irrecoverable_tag,
     reading_digest,
+    reading_digests,
     sentinel_digest,
     timestamp_exponent,
 )
 from expunge.core import EpochWindow, SensorReading
 from expunge.crypto import HYBRID_OVERHEAD_BYTES, symmetric_decrypt
-from expunge.encoding import u64
+from expunge.encoding import u64, vbytes
 from expunge.engine import CellArray, expunge
 from expunge.errors import DomainError, EpochMismatchError, InconsistentRowsError
+from expunge.hashing import Hasher
 
 
 def _reading(t, device=b"\x02abcde", payload=b"load"):
@@ -275,3 +277,49 @@ class TestMembershipSoundness:
         absent = bytes([0x02]) + rng.randbytes(5)
         for position in range(1, len(readings) + 1):
             assert reading_digest(absent, WINDOW.id, position) not in sensor.digests
+
+
+def _per_element(algorithm: str, parts) -> bytes:
+    """The hash fed one ``update`` per part: what joined hashing must equal."""
+    h = hashlib.new(algorithm)
+    for part in parts:
+        h.update(part)
+    return h.digest()
+
+
+@pytest.mark.parametrize("algorithm", ["sha256", "sha512", "blake2b", "sha3_256"])
+@pytest.mark.parametrize("count", [0, 1, 1563])
+class TestJoinedHashing:
+    """One joined buffer and packed counters give the per-element digests."""
+
+    def test_timestamp_exponent(self, algorithm, count):
+        hasher = Hasher(algorithm)
+        rng = random.Random(count)
+        digests = tuple(rng.randbytes(hasher.size) for _ in range(count))
+        if not count:
+            with pytest.raises(DomainError):
+                timestamp_exponent(digests, hasher)
+            return
+        assert timestamp_exponent(digests, hasher) == _per_element(algorithm, digests)
+
+    def test_accessible_tag(self, algorithm, count):
+        rng = random.Random(count)
+        cts = tuple(rng.randbytes(rng.randrange(0, 400)) for _ in range(count))
+        assert accessible_tag(cts, Hasher(algorithm)) == _per_element(algorithm, cts)
+
+    def test_reading_digests(self, algorithm, count):
+        hasher = Hasher(algorithm)
+        device = b"\x02sensor"
+        expected = [
+            _per_element(algorithm, (vbytes(device), u64(3600000), u64(position)))
+            for position in range(1, count + 1)
+        ]
+        assert reading_digests(device, 3600000, count, hasher) == expected
+        assert expected == [
+            reading_digest(device, 3600000, position, hasher) for position in range(1, count + 1)
+        ]
+
+
+@pytest.mark.parametrize("algorithm", ["sha256", "sha512", "blake2b", "sha3_256"])
+def test_accessible_tag_of_no_ciphertexts_is_hash_of_empty_string(algorithm):
+    assert accessible_tag((), Hasher(algorithm)) == hashlib.new(algorithm, b"").digest()

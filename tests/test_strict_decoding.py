@@ -220,6 +220,27 @@ def test_frame_cap_admits_a_frame_of_exactly_the_cap(monkeypatch):
         wire._read_frame(RecordingSocket(u32(9) + b"\x10" + bytes(8)))
 
 
+@pytest.mark.parametrize(
+    "msg_type, payload_bytes",
+    [(MessageType.TICK, 8), (MessageType.FETCH_BUNDLE, 16), (MessageType.AUDIT_FETCH, 8)],
+)
+def test_fixed_width_request_is_capped_by_its_layout(msg_type, payload_bytes):
+    exact = bytes(range(payload_bytes))
+    frame = u32(payload_bytes + 1) + bytes([msg_type]) + exact
+    assert wire._read_frame(RecordingSocket(frame)) == (msg_type, exact)
+    for declared in (payload_bytes + 2, 1 << 20):
+        sock = RecordingSocket(u32(declared) + bytes([msg_type]) + bytes(declared - 1))
+        with pytest.raises(WireError, match="exceeds"):
+            wire._read_frame(sock)
+        assert sock.sizes == [4, 1]  # the 5-byte head, and nothing of the body
+
+
+def test_other_types_keep_the_global_cap():
+    payload = bytes(1 << 20)
+    frame = u32(len(payload) + 1) + bytes([MessageType.INGEST]) + payload
+    assert wire._read_frame(RecordingSocket(frame)) == (MessageType.INGEST, payload)
+
+
 # -- drift guard -------------------------------------------------------------
 
 _HAND_LAYOUT = re.compile(r"Reader\(|expect_header|header\(encoding\.TYPE_")
