@@ -25,6 +25,7 @@ from .control import (
     accessible_tag,
     batch_epoch,
     build_outsource_payload,
+    encrypt_epoch,
     encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,

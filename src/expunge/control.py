@@ -26,7 +26,13 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .core import EpochWindow, SensorReading
-from .crypto import KeyRing, hybrid_decrypt, hybrid_encrypt, symmetric_encrypt
+from .crypto import (
+    KeyRing,
+    hybrid_decrypt,
+    hybrid_encrypt,
+    hybrid_encrypt_many,
+    symmetric_encrypt,
+)
 from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
 from .engine import expunge_ciphertexts
 from .errors import DomainError, EpochMismatchError, InconsistentRowsError
@@ -134,6 +140,20 @@ def decrypt_reading(
     return SensorReading(device_id=device_id, time=time, payload=payload), epoch_id
 
 
+def encrypt_epoch(
+    readings: list[SensorReading], epoch_id: int, enclave_public: X25519PublicKey
+) -> tuple[bytes, ...]:
+    """:func:`encrypt_reading` for each reading, under one key agreement.
+
+    Each envelope opens alone with :func:`decrypt_reading`; the batch
+    only shares the ephemeral key, so an empty epoch makes no agreement.
+    """
+    pack = _READING_PLAINTEXT.pack
+    return hybrid_encrypt_many(
+        [pack(r.device_id, r.time, r.payload, epoch_id) for r in readings], enclave_public
+    )
+
+
 def accessible_tag(ciphertexts: tuple[bytes, ...], hasher: Hasher = DEFAULT_HASHER) -> bytes:
     """Hash over the raw ciphertext bytes in stored order.
 
@@ -225,10 +245,7 @@ def build_outsource_payload(
             reading_digest(reading.device_id, window.id, position, hasher)
             for position, reading in batched
         )
-        ciphertexts = tuple(
-            encrypt_reading(reading, window.id, keyring.enclave_public)
-            for _, reading in batched
-        )
+        ciphertexts = encrypt_epoch(readings, window.id, keyring.enclave_public)
     else:
         digests = (sentinel_digest(window.id, hasher),)
         ciphertexts = ()

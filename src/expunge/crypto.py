@@ -1,10 +1,15 @@
 """Key material and the concrete ciphers behind the protocol.
 
 Readings are encrypted non-deterministically for the enclave with a
-hybrid envelope: a fresh X25519 ephemeral key agreement per message,
-HKDF-SHA256 key derivation, then AES-256-GCM. Two encryptions of the
-same plaintext therefore always differ, and only the holder of the
-recipient private key can open the envelope.
+hybrid envelope ``eph_pub ‖ nonce ‖ AES-256-GCM(plaintext)``: an X25519
+ephemeral key agreement, HKDF-SHA256 key derivation, then AES-256-GCM
+under a fresh random 96-bit nonce. One agreement covers one batch, as in
+HPKE's multi-message context (RFC 9180): the provider seals an epoch's
+readings, and the query log a block's records, under one ephemeral key,
+so the envelopes of a batch share their 32-byte prefix. Two encryptions
+of the same plaintext still always differ, and only the holder of the
+recipient private key can open an envelope. A single envelope is the
+batch of one, and decryption derives one key per distinct prefix.
 
 The symmetric channel for verifiable tags uses AES-256-GCM under the
 shared key ``K``; tampering with a tag is an authentication failure,
@@ -20,6 +25,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -53,39 +59,77 @@ HYBRID_OVERHEAD_BYTES = EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES + TAG_BYTES
 _HKDF_INFO = b"expunge/hybrid-envelope/v1"
 
 
-def _derive_envelope_key(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes) -> bytes:
-    return HKDF(
-        algorithm=SHA256(),
-        length=SYMMETRIC_KEY_BYTES,
-        salt=ephemeral_pub + recipient_pub,
-        info=_HKDF_INFO,
-    ).derive(shared)
+def _envelope_cipher(shared: bytes, ephemeral_pub: bytes, recipient_pub: bytes) -> AESGCM:
+    return AESGCM(
+        HKDF(
+            algorithm=SHA256(),
+            length=SYMMETRIC_KEY_BYTES,
+            salt=ephemeral_pub + recipient_pub,
+            info=_HKDF_INFO,
+        ).derive(shared)
+    )
 
 
-def hybrid_encrypt(plaintext: bytes, recipient: X25519PublicKey) -> bytes:
-    """Encrypt for ``recipient``; fresh randomness on every call."""
+def hybrid_encrypt_many(
+    plaintexts: Sequence[bytes], recipient: X25519PublicKey
+) -> tuple[bytes, ...]:
+    """Encrypt each plaintext for ``recipient`` under one key agreement.
+
+    One ephemeral key, exchange and derived key serve the whole call;
+    each envelope draws its own random nonce. Envelopes come back in
+    input order. An empty input returns ``()`` without an agreement.
+    """
+    if not plaintexts:
+        return ()
     ephemeral = X25519PrivateKey.generate()
     eph_pub = ephemeral.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     rcpt_pub = recipient.public_bytes(Encoding.Raw, PublicFormat.Raw)
-    key = _derive_envelope_key(ephemeral.exchange(recipient), eph_pub, rcpt_pub)
-    nonce = os.urandom(NONCE_BYTES)
-    sealed = AESGCM(key).encrypt(nonce, plaintext, None)
-    return eph_pub + nonce + sealed
+    seal = _envelope_cipher(ephemeral.exchange(recipient), eph_pub, rcpt_pub).encrypt
+    envelopes = []
+    for plaintext in plaintexts:
+        nonce = os.urandom(NONCE_BYTES)
+        envelopes.append(eph_pub + nonce + seal(nonce, plaintext, None))
+    return tuple(envelopes)
+
+
+def hybrid_decrypt_many(
+    envelopes: Iterable[bytes], recipient: X25519PrivateKey
+) -> tuple[bytes, ...]:
+    """Open each envelope; one key agreement per distinct ephemeral key.
+
+    Derived keys live only for this call. A short envelope, a low-order
+    ephemeral key or a failed authentication raises ``IntegrityError``.
+    """
+    rcpt_pub = recipient.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+    openers = {}
+    plaintexts = []
+    for envelope in envelopes:
+        if len(envelope) < HYBRID_OVERHEAD_BYTES:
+            raise IntegrityError("envelope too short")
+        eph_pub = envelope[:EPHEMERAL_PUBLIC_BYTES]
+        opener = openers.get(eph_pub)
+        if opener is None:
+            try:
+                shared = recipient.exchange(X25519PublicKey.from_public_bytes(eph_pub))
+            except ValueError as exc:  # low-order point: no shared secret exists
+                raise IntegrityError("envelope key agreement failed") from exc
+            opener = openers[eph_pub] = _envelope_cipher(shared, eph_pub, rcpt_pub).decrypt
+        nonce = envelope[EPHEMERAL_PUBLIC_BYTES : EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES]
+        sealed = envelope[EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES :]
+        try:
+            plaintexts.append(opener(nonce, sealed, None))
+        except InvalidTag as exc:
+            raise IntegrityError("envelope authentication failed") from exc
+    return tuple(plaintexts)
+
+
+def hybrid_encrypt(plaintext: bytes, recipient: X25519PublicKey) -> bytes:
+    """Encrypt one message for ``recipient``: the batch of one."""
+    return hybrid_encrypt_many((plaintext,), recipient)[0]
 
 
 def hybrid_decrypt(envelope: bytes, recipient: X25519PrivateKey) -> bytes:
-    if len(envelope) < EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES + TAG_BYTES:
-        raise IntegrityError("envelope too short")
-    eph_pub = envelope[:EPHEMERAL_PUBLIC_BYTES]
-    nonce = envelope[EPHEMERAL_PUBLIC_BYTES : EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES]
-    sealed = envelope[EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES :]
-    ephemeral = X25519PublicKey.from_public_bytes(eph_pub)
-    rcpt_pub = recipient.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
-    key = _derive_envelope_key(recipient.exchange(ephemeral), eph_pub, rcpt_pub)
-    try:
-        return AESGCM(key).decrypt(nonce, sealed, None)
-    except InvalidTag as exc:
-        raise IntegrityError("envelope authentication failed") from exc
+    return hybrid_decrypt_many((envelope,), recipient)[0]
 
 
 def symmetric_encrypt(key: bytes, plaintext: bytes) -> bytes:

@@ -46,7 +46,7 @@ from .cloud import CloudStore
 from .control import (
     accessible_tag,
     build_outsource_payload,
-    encrypt_reading,
+    encrypt_epoch,
     irrecoverable_tag,
 )
 from .core import (
@@ -752,10 +752,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
                 tag_total = 0.0
                 for window, readings in day:
                     start = time.perf_counter()
-                    cts = tuple(
-                        encrypt_reading(r, window.id, keyring.enclave_public)
-                        for r in readings
-                    )
+                    cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
                     encrypt_total += time.perf_counter() - start
                     start = time.perf_counter()
                     accessible_tag(cts, hasher)
@@ -814,9 +811,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
         for delta_ms in BENCH_DELTAS_MS:
             window = epoch_of(0, delta_ms)
             readings = _flat_rate_epoch(config, delta_ms, rng)
-            cts = [
-                encrypt_reading(r, window.id, keyring.enclave_public) for r in readings
-            ]
+            cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
             array = CellArray.from_ciphertexts(cts, window.id)
             start = time.perf_counter()
             expunge(array, hasher=hasher)

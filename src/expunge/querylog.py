@@ -28,7 +28,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 
 from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
-from .crypto import hybrid_decrypt, hybrid_encrypt, sign, verify_signature
+from .crypto import hybrid_decrypt_many, hybrid_encrypt_many, sign, verify_signature
 from .encoding import U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes, vint
 from .errors import DomainError, IntegrityError, SealedBlockError, SignatureRejected
 from .hashing import DEFAULT_HASHER, Hasher
@@ -156,7 +156,9 @@ def seal_block(
     sealed_at: int,
     hasher: Hasher = DEFAULT_HASHER,
 ) -> SealedBlock:
-    """Freeze the block: chained proof, per-record encryption.
+    """Freeze the block: chained proof, each record encrypted on its own.
+
+    The block's records share one key agreement; each still opens alone.
 
     An empty block seals over a sentinel digest so the proof chain shows
     no gap that suppression could hide in. ``prev_proof`` is the seal of
@@ -175,8 +177,8 @@ def seal_block(
         created_at=block.created_at,
         sealed_at=sealed_at,
         block_proof=proof,
-        encrypted_records=tuple(
-            hybrid_encrypt(record.to_bytes(), sdp_public) for record in block.records
+        encrypted_records=hybrid_encrypt_many(
+            [record.to_bytes() for record in block.records], sdp_public
         ),
     )
 
@@ -214,10 +216,11 @@ def audit_block(
     count, or with the block's position in the chain shows up as a proof
     mismatch; signature failures point at impersonated users.
     """
-    records: list[QueryRecord] = []
     try:
-        for blob in sealed.encrypted_records:
-            records.append(QueryRecord.from_bytes(hybrid_decrypt(blob, sdp_private)))
+        records = [
+            QueryRecord.from_bytes(plaintext)
+            for plaintext in hybrid_decrypt_many(sealed.encrypted_records, sdp_private)
+        ]
     except (IntegrityError, encoding.EncodingError):
         return AuditReport(
             block_id=sealed.block_id,

@@ -130,13 +130,12 @@ class LoopbackTransport:
         self._handler = handler
 
     def request(self, msg_type: int, payload: bytes) -> tuple[int, bytes, float]:
-        # Frame both directions so loopback pays the same serialization
-        # cost a socket peer would.
+        # The handler gets and returns payloads as they are: no frame is
+        # built, so ``elapsed`` is the handler's time alone. A type that
+        # a frame could not carry is refused, as on a socket.
+        u8(msg_type)
         start = time.perf_counter()
-        frame = u32(len(payload) + 1) + u8(msg_type) + payload
-        resp_type, resp_payload = self._handler(frame[4], frame[5:])
-        resp_frame = u32(len(resp_payload) + 1) + u8(resp_type) + resp_payload
-        resp_payload = resp_frame[5:]
+        resp_type, resp_payload = self._handler(msg_type, payload)
         elapsed = time.perf_counter() - start
         return resp_type, resp_payload, elapsed
 

@@ -1,8 +1,9 @@
 import ssl
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from expunge import accumulator
+from expunge import accumulator, crypto
 from expunge.accumulator import AccumulatorParams, setup
 from expunge.crypto import generate_keyring
 
@@ -57,3 +58,41 @@ def small_params() -> AccumulatorParams:
 @pytest.fixture(scope="session")
 def keyring():
     return generate_keyring([b"user-00", b"user-01", b"user-02"])
+
+
+class _CountedKey:
+    """An X25519 private key whose exchanges a counter sees."""
+
+    def __init__(self, counter: "KeyAgreements", key: X25519PrivateKey):
+        self._counter = counter
+        self._key = key
+
+    def exchange(self, peer):
+        self._counter.exchanges += 1
+        return self._key.exchange(peer)
+
+    def public_key(self):
+        return self._key.public_key()
+
+
+class KeyAgreements:
+    """Counts the ephemeral keys ``expunge.crypto`` makes and every exchange."""
+
+    def __init__(self):
+        self.generated = 0
+        self.exchanges = 0
+
+    def generate(self) -> _CountedKey:
+        self.generated += 1
+        return _CountedKey(self, X25519PrivateKey.generate())
+
+    def watch(self, key: X25519PrivateKey) -> _CountedKey:
+        """``key`` as a recipient whose exchanges count."""
+        return _CountedKey(self, key)
+
+
+@pytest.fixture()
+def agreements(monkeypatch) -> KeyAgreements:
+    counter = KeyAgreements()
+    monkeypatch.setattr(crypto, "X25519PrivateKey", counter)
+    return counter

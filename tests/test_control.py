@@ -11,6 +11,7 @@ from expunge.control import (
     build_outsource_payload,
     check_rows_consistent,
     decrypt_reading,
+    encrypt_epoch,
     encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,
@@ -20,10 +21,20 @@ from expunge.control import (
     timestamp_exponent,
 )
 from expunge.core import EpochWindow, SensorReading
-from expunge.crypto import HYBRID_OVERHEAD_BYTES, symmetric_decrypt
+from expunge.crypto import (
+    EPHEMERAL_PUBLIC_BYTES,
+    HYBRID_OVERHEAD_BYTES,
+    NONCE_BYTES,
+    symmetric_decrypt,
+)
 from expunge.encoding import u64, vbytes
 from expunge.engine import CellArray, expunge
-from expunge.errors import DomainError, EpochMismatchError, InconsistentRowsError
+from expunge.errors import (
+    DomainError,
+    EpochMismatchError,
+    InconsistentRowsError,
+    IntegrityError,
+)
 from expunge.hashing import Hasher
 
 
@@ -133,6 +144,20 @@ class TestEncryptReading:
         plaintext_len = len(r_small.to_bytes()) + 8  # reading fields + epoch id
         assert len(small) == plaintext_len + HYBRID_OVERHEAD_BYTES
 
+    def test_epoch_batch_matches_single_envelopes(self, keyring):
+        readings = [_reading(1100), _reading(1200, payload=b""), _reading(1300, payload=b"x" * 99)]
+        batch = encrypt_epoch(readings, WINDOW.id, keyring.enclave_public)
+        singles = [encrypt_reading(r, WINDOW.id, keyring.enclave_public) for r in readings]
+        assert [len(blob) for blob in batch] == [len(blob) for blob in singles]
+        assert [decrypt_reading(blob, keyring.enclave_private) for blob in batch] == [
+            (r, WINDOW.id) for r in readings
+        ]
+
+    def test_low_order_ephemeral_key_fails_closed(self, keyring):
+        envelope = bytes(EPHEMERAL_PUBLIC_BYTES) + bytes(NONCE_BYTES) + bytes(40)
+        with pytest.raises(IntegrityError):
+            decrypt_reading(envelope, keyring.enclave_private)
+
 
 class TestTags:
     def test_single_ciphertext_tag_is_its_hash(self):
@@ -215,6 +240,16 @@ class TestOutsourcePayload:
         # the chain still advances off the sentinel digest
         expected = epoch_timestamp(tiny_params.seed, sensor.digests, tiny_params)
         assert sensor.crypto_time == expected
+
+    def test_one_key_agreement_per_non_empty_epoch(self, keyring, tiny_params, agreements):
+        readings = [_reading(1100 + 10 * i) for i in range(5)]
+        sensor, _ = build_outsource_payload(
+            WINDOW, readings, tiny_params.seed, keyring, tiny_params
+        )
+        assert agreements.generated == agreements.exchanges == 1
+        assert len({ct[:EPHEMERAL_PUBLIC_BYTES] for ct in sensor.ciphertexts}) == 1
+        build_outsource_payload(WINDOW, [], tiny_params.seed, keyring, tiny_params)
+        assert agreements.generated == agreements.exchanges == 1
 
     def test_sentinel_digest_layout(self):
         assert sentinel_digest(42) == hashlib.sha256(b"EMPTY" + u64(42)).digest()

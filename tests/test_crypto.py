@@ -5,10 +5,14 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from expunge.crypto import (
+    EPHEMERAL_PUBLIC_BYTES,
     HYBRID_OVERHEAD_BYTES,
+    NONCE_BYTES,
     generate_keyring,
     hybrid_decrypt,
+    hybrid_decrypt_many,
     hybrid_encrypt,
+    hybrid_encrypt_many,
     load_keyring,
     save_keyring,
     sign,
@@ -40,9 +44,73 @@ def test_hybrid_wrong_key_fails_authentication(keyring):
 
 
 def test_hybrid_overhead_is_fixed(keyring):
-    for size in (0, 1, 100, 4096):
+    sizes = (0, 1, 100, 4096)
+    for size in sizes:
         blob = hybrid_encrypt(b"x" * size, keyring.enclave_public)
         assert len(blob) == size + HYBRID_OVERHEAD_BYTES
+    batch = hybrid_encrypt_many([b"x" * size for size in sizes], keyring.enclave_public)
+    assert [len(blob) for blob in batch] == [size + HYBRID_OVERHEAD_BYTES for size in sizes]
+
+
+PLAINTEXTS = [b"reading-%d" % i for i in range(6)] + [b"", b"reading-0"]
+PREFIX = slice(0, EPHEMERAL_PUBLIC_BYTES)
+NONCE = slice(EPHEMERAL_PUBLIC_BYTES, EPHEMERAL_PUBLIC_BYTES + NONCE_BYTES)
+
+
+def test_every_batch_envelope_opens_alone_in_input_order(keyring):
+    batch = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    assert [hybrid_decrypt(blob, keyring.enclave_private) for blob in batch] == PLAINTEXTS
+    assert hybrid_decrypt_many(batch, keyring.enclave_private) == tuple(PLAINTEXTS)
+
+
+def test_batch_shares_its_prefix_and_draws_distinct_nonces(keyring):
+    one = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    two = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    for batch in (one, two):
+        assert len({blob[PREFIX] for blob in batch}) == 1
+        assert len({blob[NONCE] for blob in batch}) == len(batch)
+    assert one[0][PREFIX] != two[0][PREFIX]
+    assert not set(one) & set(two)
+
+
+def test_empty_batch_makes_no_key_agreement(keyring, agreements):
+    assert hybrid_encrypt_many([], keyring.enclave_public) == ()
+    assert hybrid_decrypt_many([], agreements.watch(keyring.enclave_private)) == ()
+    assert agreements.generated == agreements.exchanges == 0
+
+
+def test_batch_agrees_once_and_opens_once_per_prefix(keyring, agreements):
+    first = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    second = hybrid_encrypt_many(PLAINTEXTS[:2], keyring.enclave_public)
+    assert agreements.generated == agreements.exchanges == 2
+    recipient = agreements.watch(keyring.enclave_private)
+    opened = hybrid_decrypt_many(first + second + first[:1], recipient)
+    assert opened == tuple(PLAINTEXTS + PLAINTEXTS[:2] + PLAINTEXTS[:1])
+    assert agreements.exchanges == 4
+
+
+def test_tampered_batch_envelope_fails_authentication(keyring):
+    batch = list(hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public))
+    batch[3] = batch[3][:-1] + bytes([batch[3][-1] ^ 1])
+    with pytest.raises(IntegrityError):
+        hybrid_decrypt(batch[3], keyring.enclave_private)
+    with pytest.raises(IntegrityError):
+        hybrid_decrypt_many(batch, keyring.enclave_private)
+
+
+def test_prefix_moved_onto_another_batch_fails_authentication(keyring):
+    one = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    two = hybrid_encrypt_many(PLAINTEXTS, keyring.enclave_public)
+    moved = one[0][PREFIX] + two[0][EPHEMERAL_PUBLIC_BYTES:]
+    with pytest.raises(IntegrityError):
+        hybrid_decrypt(moved, keyring.enclave_private)
+
+
+def test_low_order_ephemeral_key_fails_closed(keyring):
+    # the all-zero point has no X25519 shared secret with any key
+    envelope = bytes(EPHEMERAL_PUBLIC_BYTES) + bytes(NONCE_BYTES) + bytes(40)
+    with pytest.raises(IntegrityError, match="key agreement"):
+        hybrid_decrypt(envelope, keyring.enclave_private)
 
 
 def test_symmetric_round_trip_and_tamper(keyring):

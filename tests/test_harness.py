@@ -11,6 +11,7 @@ from expunge.cli import main
 from expunge.cloud import CloudStore
 from expunge.control import build_outsource_payload
 from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
+from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
 from expunge.hashing import DEFAULT_HASHER
 from expunge.harness import (
@@ -135,6 +136,23 @@ class TestWire:
         assert bundle.epoch_id == 0
         transitions = CloudService.tick_via(transport, 3000)
         assert [t.to_state for t in transitions] == [DataState.IRRECOVERABLE]
+
+    def test_loopback_hands_payloads_over_unchanged(self):
+        payload = bytes(range(256)) * 64
+        response = bytes(1000)
+        seen = []
+
+        def handler(msg_type, received):
+            seen.append((msg_type, received))
+            return 19, response
+
+        transport = LoopbackTransport(handler)
+        resp_type, resp_payload, elapsed = transport.request(3, payload)
+        assert seen == [(3, payload)] and seen[0][1] is payload
+        assert resp_type == 19 and resp_payload is response and elapsed >= 0
+        with pytest.raises(EncodingError):
+            transport.request(256, payload)
+        assert len(seen) == 1
 
     def test_loopback_error_mapping(self, keyring, tiny_params):
         store, sensor, meta = self._store(keyring, tiny_params)

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from expunge.accumulator import exponent_from_bytes
-from expunge.crypto import generate_keyring
+from expunge.crypto import (
+    EPHEMERAL_PUBLIC_BYTES,
+    NONCE_BYTES,
+    generate_keyring,
+    hybrid_encrypt,
+)
 from expunge.encoding import vbytes
 from expunge.errors import SealedBlockError, SignatureRejected
 from expunge.querylog import (
@@ -206,6 +211,49 @@ class TestAudit:
         )
         assert not report.decrypt_ok and not report.ok
 
+    def test_one_key_agreement_per_sealed_and_audited_block(
+        self, ring, registry, small_params, agreements
+    ):
+        block = _filled_block(ring, registry, small_params, 5)
+        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        assert agreements.generated == agreements.exchanges == 1
+        assert len({blob[:EPHEMERAL_PUBLIC_BYTES] for blob in sealed.encrypted_records}) == 1
+        recipient = agreements.watch(ring.sdp_box_private)
+        assert audit_block(sealed, small_params.seed, recipient, small_params, registry).ok
+        assert agreements.exchanges == 2
+
+    def test_empty_block_makes_no_key_agreement(self, ring, registry, small_params, agreements):
+        block = QueryBlock(block_id=1, created_at=0, capacity=4)
+        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        recipient = agreements.watch(ring.sdp_box_private)
+        assert audit_block(sealed, small_params.seed, recipient, small_params, registry).ok
+        assert agreements.generated == agreements.exchanges == 0
+
+    def test_low_order_ephemeral_key_is_decrypt_failure(self, ring, registry, small_params):
+        block = _filled_block(ring, registry, small_params, 2)
+        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        zero_key = bytes(EPHEMERAL_PUBLIC_BYTES) + bytes(NONCE_BYTES) + bytes(40)
+        tampered = dataclasses.replace(
+            sealed, encrypted_records=(zero_key,) + sealed.encrypted_records[1:]
+        )
+        report = audit_block(
+            tampered, small_params.seed, ring.sdp_box_private, small_params, registry
+        )
+        assert not report.decrypt_ok and not report.ok
+
+    def test_block_mixing_per_record_and_batch_envelopes_audits_ok(
+        self, ring, registry, small_params
+    ):
+        # blocks sealed one agreement per record still audit
+        block = _filled_block(ring, registry, small_params, 4)
+        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        per_record = tuple(hybrid_encrypt(r.to_bytes(), ring.sdp_box_public) for r in block.records)
+        mixed = dataclasses.replace(
+            sealed, encrypted_records=per_record[:2] + sealed.encrypted_records[2:]
+        )
+        report = audit_block(mixed, small_params.seed, ring.sdp_box_private, small_params, registry)
+        assert report.ok
+
     def test_exhaustive_single_mutations_on_small_blocks(self, ring, registry, small_params):
         # every single-record modification, deletion, insertion, and
         # adjacent reorder on blocks of up to 8 records
@@ -223,8 +271,6 @@ class TestAudit:
             def reseal(mutated_records):
                 # the adversary cannot recompute a valid proof (no enclave
                 # key), so the proof stays; only the records change
-                from expunge.crypto import hybrid_encrypt
-
                 return dataclasses.replace(
                     sealed,
                     encrypted_records=tuple(
