@@ -25,7 +25,6 @@ from expunge import (
     setup,
 )
 from expunge.harness import EpochVerifier
-from expunge.hashing import DEFAULT_HASHER
 from expunge.wire import CloudService, LoopbackTransport
 
 rng = random.Random(7)
@@ -76,7 +75,7 @@ def build(lazy: bool) -> CloudStore:
 for label, lazy in (("honest cloud", False), ("lazy cloud  ", True)):
     transport = LoopbackTransport(CloudService(build(lazy)).handle)
     # the verifier's reference is the newest closed epoch, now - delta = 1000
-    report = EpochVerifier(transport, keyring, params, policy, DEFAULT_HASHER).verify(
+    report = EpochVerifier(transport, keyring, params, policy).verify(
         0, 2000, "sdp"
     )
     assert report.state_claimed is DataState.IRRECOVERABLE

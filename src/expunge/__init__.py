@@ -54,7 +54,6 @@ from .engine import (
     schedule_for,
 )
 from .harness import BenchmarkReport, ScenarioConfig, bench, generate_readings, run_scenario
-from .hashing import DEFAULT_HASHER, Hasher
 from .querylog import (
     AuditReport,
     QueryBlock,

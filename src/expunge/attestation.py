@@ -39,7 +39,6 @@ from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import symmetric_decrypt
 from .engine import cell_geometry, expunge_duration_estimate
 from .errors import DomainError
-from .hashing import DEFAULT_HASHER, Hasher
 
 #: Below this multiple of the round trip, the recompute estimate is too
 #: small for the time bound to separate honest from lazy clouds.
@@ -95,9 +94,7 @@ class VerificationReport:
         }
 
 
-def verify_membership(
-    device_id: bytes, bundle: AttestationBundle, hasher: Hasher = DEFAULT_HASHER
-) -> list[int]:
+def verify_membership(device_id: bytes, bundle: AttestationBundle) -> list[int]:
     """All 1-based positions at which the device appears in the epoch.
 
     A linear scan of hash evaluations, by construction: the verifier
@@ -105,14 +102,12 @@ def verify_membership(
     looking for.
     """
     count = len(bundle.digests)
-    candidates = reading_digests(device_id, bundle.epoch_id, count, hasher)
+    candidates = reading_digests(device_id, bundle.epoch_id, count)
     return list(compress(range(1, count + 1), map(eq, candidates, bundle.digests)))
 
 
 def verify_completeness(
-    bundle: AttestationBundle,
-    params: AccumulatorParams,
-    hasher: Hasher = DEFAULT_HASHER,
+    bundle: AttestationBundle, params: AccumulatorParams
 ) -> tuple[bool, AccumulatorValue | None]:
     """Replay the timestamp link from the digests exactly as received.
 
@@ -123,7 +118,7 @@ def verify_completeness(
     if base is None or not bundle.digests:
         return False, None
     try:
-        alpha = step(base, timestamp_exponent(bundle.digests, hasher), params)
+        alpha = step(base, timestamp_exponent(bundle.digests), params)
     except DomainError:
         return False, None
     return alpha == bundle.crypto_time, alpha
@@ -151,7 +146,6 @@ def verify_bundle(
     response_time: float | None = None,
     time_bound: float | None = None,
     time_bound_applicable: bool = True,
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> VerificationReport:
     """Run every check the role is entitled to and report each outcome.
 
@@ -160,9 +154,9 @@ def verify_bundle(
     """
     membership = None
     if role == "user" and device_id is not None:
-        membership = tuple(verify_membership(device_id, bundle, hasher))
+        membership = tuple(verify_membership(device_id, bundle))
 
-    completeness_ok, alpha = verify_completeness(bundle, params, hasher)
+    completeness_ok, alpha = verify_completeness(bundle, params)
     # anchor the cleartext timestamp to the provider-sealed copy
     sealed_ct = symmetric_decrypt(shared_key, bundle.enc_crypto_time)
     completeness_ok = completeness_ok and sealed_ct == bundle.crypto_time.to_bytes()
@@ -175,7 +169,7 @@ def verify_bundle(
     proof_match = None
     time_bound_ok = None
     if bundle.state is DataState.ACCESSIBLE:
-        user_hash = accessible_tag(bundle.ciphertexts or (), hasher)
+        user_hash = accessible_tag(bundle.ciphertexts or ())
         tag_match = user_hash == expected_tag
     else:
         if bundle.deletion_proof is None:
@@ -202,7 +196,7 @@ def verify_bundle(
     )
 
 
-def recompute_estimate_for_bundle(bundle: AttestationBundle, hasher: Hasher = DEFAULT_HASHER) -> float:
+def recompute_estimate_for_bundle(bundle: AttestationBundle) -> float:
     """Estimated honest-deletion recompute time for this epoch's cells.
 
     Without ciphertexts, the cell count is the digest list's length (two
@@ -211,8 +205,8 @@ def recompute_estimate_for_bundle(bundle: AttestationBundle, hasher: Hasher = DE
     """
     proof = bundle.deletion_proof
     if proof is None:
-        return expunge_duration_estimate(*cell_geometry(bundle.ciphertexts or ()), hasher)
+        return expunge_duration_estimate(*cell_geometry(bundle.ciphertexts or ()))
     cell_count = len(bundle.digests)
-    if bundle.digests == (sentinel_digest(bundle.epoch_id, hasher),):
+    if bundle.digests == (sentinel_digest(bundle.epoch_id),):
         cell_count = cell_geometry(())[0]
-    return expunge_duration_estimate(cell_count, proof.cell_size, hasher)
+    return expunge_duration_estimate(cell_count, proof.cell_size)

@@ -29,7 +29,6 @@ from .harness import (
     generate_readings,
     run_scenario,
 )
-from .hashing import Hasher
 from .querylog import SealedBlock, audit_block
 from .wire import CloudService, LoopbackTransport
 
@@ -53,7 +52,6 @@ def _load_state(state_dir: Path):
         config.policy,
         root=state_dir / "cloud",
         sp_allowlist=frozenset({config.sp_id.encode()}),
-        hasher=Hasher(config.hash_name),
         lazy_deletion=config.lazy_cloud,
     )
     return config, keyring, params, meta, store
@@ -115,7 +113,6 @@ def cmd_verify(args) -> int:
         keyring,
         params,
         config.policy,
-        Hasher(config.hash_name),
     )
     now = args.now if args.now is not None else meta["clock"]
 
@@ -145,7 +142,6 @@ def cmd_verify(args) -> int:
 def cmd_audit(args) -> int:
     state_dir = Path(args.state)
     config, keyring, params, _, _ = _load_state(state_dir)
-    hasher = Hasher(config.hash_name)
     blocks_dir = state_dir / "blocks"
     block_path = blocks_dir / f"{args.block:06d}.blk"
     if not block_path.exists():
@@ -159,9 +155,7 @@ def cmd_audit(args) -> int:
         else params.seed
     )
     registry = keyring.user_public_keys()
-    report = audit_block(
-        sealed, prev, keyring.sdp_box_private, params, registry, hasher
-    )
+    report = audit_block(sealed, prev, keyring.sdp_box_private, params, registry)
     print(
         json.dumps(
             {

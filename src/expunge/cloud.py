@@ -74,10 +74,10 @@ from .errors import (
     DataExpiredError,
     DomainError,
     DuplicateEpochError,
+    InconsistentRowsError,
     NotAuthorizedError,
     UnavailableError,
 )
-from .hashing import DEFAULT_HASHER, Hasher
 
 logger = logging.getLogger(__name__)
 
@@ -177,13 +177,11 @@ class CloudStore:
         policy: RetentionPolicy,
         root: Path | None = None,
         sp_allowlist: frozenset[bytes] = frozenset(),
-        hasher: Hasher = DEFAULT_HASHER,
         lazy_deletion: bool = False,
     ):
         self.policy = policy
         self.root = Path(root) if root is not None else None
         self.sp_allowlist = frozenset(sp_allowlist)
-        self.hasher = hasher
         self.lazy_deletion = lazy_deletion
         self.last_tick: int | None = None
         self._records: dict[int, EpochRecord] = {}
@@ -230,14 +228,20 @@ class CloudStore:
     def ingest(self, sensor_row: SensorDataRow, meta_row: MetaDataRow) -> int:
         """Persist one epoch payload; returns the epoch id acknowledged.
 
-        Epochs must arrive in chain order (strictly increasing ids), and
-        an epoch may not begin before its predecessor ends; the previous
+        Epochs must arrive in chain order (strictly increasing ids), each
+        one ``policy.delta`` long, and an epoch may not begin before its
+        predecessor ends: the store schedules and serves by the row's
+        window, and the verifier judges by the policy's. The previous
         epoch's timestamp is captured here so bundles can be served even
         after neighbours are purged.
         """
         with self._lock:
             check_rows_consistent(sensor_row, meta_row)
             eid = sensor_row.epoch_id
+            if meta_row.et - meta_row.bt != self.policy.delta:
+                raise InconsistentRowsError(
+                    f"epoch {eid} spans {meta_row.et - meta_row.bt}, not delta {self.policy.delta}"
+                )
             if eid in self._records:
                 raise DuplicateEpochError(f"epoch {eid} already ingested")
             tip = self._records[self._ids[-1]] if self._ids else None
@@ -334,7 +338,7 @@ class CloudStore:
                 transitions.append(Transition(eid, DataState.IRRECOVERABLE, DataState.PURGED, now))
 
     def _expunge_record(self, record: EpochRecord, now: int) -> None:
-        proof = expunge_ciphertexts(record.ciphertexts, record.epoch_id, now, self.hasher)
+        proof = expunge_ciphertexts(record.ciphertexts, record.epoch_id, now)
         self._adopt(
             record.advanced(DataState.IRRECOVERABLE, now, ciphertexts=None, deletion_proof=proof)
         )
@@ -403,7 +407,7 @@ class CloudStore:
                 and deletion_due(window, self.policy) <= now
             ):
                 # fabricated on demand; nothing was overwritten
-                proof = expunge_ciphertexts(ciphertexts, record.epoch_id, now, self.hasher)
+                proof = expunge_ciphertexts(ciphertexts, record.epoch_id, now)
                 state = DataState.IRRECOVERABLE
                 ciphertexts = None
             if state is DataState.IRRECOVERABLE:

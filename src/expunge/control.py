@@ -36,7 +36,7 @@ from .crypto import (
 from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
 from .engine import expunge_ciphertexts
 from .errors import DomainError, EpochMismatchError, InconsistentRowsError
-from .hashing import DEFAULT_HASHER, Hasher
+from .hashing import digest, digests_after
 
 _SENTINEL_LABEL = b"EMPTY"
 
@@ -62,12 +62,7 @@ def batch_epoch(
     return batched
 
 
-def reading_digest(
-    device_id: bytes,
-    epoch_id: int,
-    position: int,
-    hasher: Hasher = DEFAULT_HASHER,
-) -> bytes:
+def reading_digest(device_id: bytes, epoch_id: int, position: int) -> bytes:
     """Digest binding a device to one position of one epoch.
 
     Input layout: length-prefixed device id, then epoch id and position
@@ -77,12 +72,10 @@ def reading_digest(
     """
     if position < 1:
         raise DomainError("positions are 1-based")
-    return hasher.digest(vbytes(device_id), u64(epoch_id), u64(position))
+    return digest(vbytes(device_id), u64(epoch_id), u64(position))
 
 
-def reading_digests(
-    device_id: bytes, epoch_id: int, count: int, hasher: Hasher = DEFAULT_HASHER
-) -> list[bytes]:
+def reading_digests(device_id: bytes, epoch_id: int, count: int) -> list[bytes]:
     """:func:`reading_digest` at positions ``1..count``, in order.
 
     The device and epoch prefix is hashed once and continued for each
@@ -91,29 +84,28 @@ def reading_digests(
     ``Struct.pack``, so no Python-level call is made per position.
     """
     positions = map(_POSITION.pack, range(1, count + 1))
-    return hasher.digests_after(vbytes(device_id) + u64(epoch_id), positions)
+    return digests_after(vbytes(device_id) + u64(epoch_id), positions)
 
 
-def sentinel_digest(epoch_id: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def sentinel_digest(epoch_id: int) -> bytes:
     """Stand-in digest for an epoch that recorded no readings."""
-    return hasher.digest(_SENTINEL_LABEL, u64(epoch_id))
+    return digest(_SENTINEL_LABEL, u64(epoch_id))
 
 
-def timestamp_exponent(digests: tuple[bytes, ...], hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def timestamp_exponent(digests: tuple[bytes, ...]) -> bytes:
     """Digest of the concatenated per-reading digests, in stored order."""
     if not digests:
         raise DomainError("an epoch timestamp needs at least one digest")
-    return hasher.digest(b"".join(digests))
+    return digest(b"".join(digests))
 
 
 def epoch_timestamp(
     prev: AccumulatorValue | int,
     digests: tuple[bytes, ...],
     params: AccumulatorParams,
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> AccumulatorValue:
     """Chain the epoch onto the previous timestamp (or the seed)."""
-    return step(prev, timestamp_exponent(digests, hasher), params)
+    return step(prev, timestamp_exponent(digests), params)
 
 
 def encrypt_reading(
@@ -154,25 +146,21 @@ def encrypt_epoch(
     )
 
 
-def accessible_tag(ciphertexts: tuple[bytes, ...], hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def accessible_tag(ciphertexts: tuple[bytes, ...]) -> bytes:
     """Hash over the raw ciphertext bytes in stored order.
 
     An epoch with no ciphertexts tags the empty concatenation.
     """
-    return hasher.digest(b"".join(ciphertexts))
+    return digest(b"".join(ciphertexts))
 
 
-def irrecoverable_tag(
-    ciphertexts: tuple[bytes, ...],
-    epoch_id: int,
-    hasher: Hasher = DEFAULT_HASHER,
-) -> bytes:
+def irrecoverable_tag(ciphertexts: tuple[bytes, ...], epoch_id: int) -> bytes:
     """Simulate deletion on a copy of the ciphertexts; return the proof digest.
 
     Bit-identical to the proof the cloud must later produce by actually
     running the transform over its stored cells.
     """
-    return expunge_ciphertexts(ciphertexts, epoch_id, hasher=hasher).proof
+    return expunge_ciphertexts(ciphertexts, epoch_id).proof
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,6 @@ def build_outsource_payload(
     prev_crypto_time: AccumulatorValue | int,
     keyring: KeyRing,
     params: AccumulatorParams,
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> tuple[SensorDataRow, MetaDataRow]:
     """Produce one epoch's outsourcing rows, all-or-nothing.
 
@@ -242,17 +229,17 @@ def build_outsource_payload(
     batched = batch_epoch(readings, window)
     if batched:
         digests = tuple(
-            reading_digest(reading.device_id, window.id, position, hasher)
+            reading_digest(reading.device_id, window.id, position)
             for position, reading in batched
         )
         ciphertexts = encrypt_epoch(readings, window.id, keyring.enclave_public)
     else:
-        digests = (sentinel_digest(window.id, hasher),)
+        digests = (sentinel_digest(window.id),)
         ciphertexts = ()
 
-    crypto_time = epoch_timestamp(prev_crypto_time, digests, params, hasher)
-    ah = accessible_tag(ciphertexts, hasher)
-    irh = irrecoverable_tag(ciphertexts, window.id, hasher)
+    crypto_time = epoch_timestamp(prev_crypto_time, digests, params)
+    ah = accessible_tag(ciphertexts)
+    irh = irrecoverable_tag(ciphertexts, window.id)
 
     sensor_row = SensorDataRow(
         epoch_id=window.id,

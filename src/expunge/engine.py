@@ -22,10 +22,12 @@ recompute, instant to transmit) is what lets a verifier catch a storage
 provider that generates deletion proofs on demand instead of actually
 deleting (see the attestation module's time-bounded check).
 
-Pairs within one iteration are independent; iterations are strictly
-ordered. Only the final cells and the proof survive the call; no
-intermediate iteration is retained. The cloud keeps only the proof, which
-states the cell size; the epoch's digest list gives the cell count.
+A combine hashes the pair with the protocol hash (SHA-256, see the
+hashing module) and expands the digest back to a full cell. Pairs within
+one iteration are independent; iterations are strictly ordered. Only the
+final cells and the proof survive the call; no intermediate iteration is
+retained. The cloud keeps only the proof, which states the cell size; the
+epoch's digest list gives the cell count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Callable
 from . import encoding
 from .encoding import U32, U64, VBYTES, Layout, Record, u32, u64
 from .errors import DomainError
-from .hashing import DEFAULT_HASHER, Hasher
+from .hashing import BLOCK_SIZE, DIGEST_SIZE, digest, expand
 
 #: Cell size used when an epoch has no ciphertexts at all; the transform
 #: then runs over two synthetic pad cells so the proof chain stays total.
@@ -63,14 +65,13 @@ def cell_geometry(ciphertexts) -> tuple[int, int]:
     return len(ciphertexts), 4 + max(map(len, ciphertexts))
 
 
-def pad_cell(epoch_id: int, position: int, cell_size: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def pad_cell(epoch_id: int, position: int, cell_size: int) -> bytes:
     """Deterministic filler cell for 1-based slot ``position``.
 
     Both the provider's simulation and the cloud's execution must pad
     identically, so padding depends only on public values.
     """
-    seed = hasher.digest(_PAD_LABEL, u64(epoch_id), u64(position))
-    return hasher.expand(seed, cell_size)
+    return expand(digest(_PAD_LABEL, u64(epoch_id), u64(position)), cell_size)
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,7 @@ class CellArray:
                 raise DomainError("all cells must have the declared size")
 
     @classmethod
-    def from_ciphertexts(
-        cls,
-        ciphertexts: list[bytes],
-        epoch_id: int,
-        hasher: Hasher = DEFAULT_HASHER,
-    ) -> "CellArray":
+    def from_ciphertexts(cls, ciphertexts: list[bytes], epoch_id: int) -> "CellArray":
         """Pack ciphertexts into uniform cells.
 
         Each cell is a length prefix plus the ciphertext, zero-padded to
@@ -105,10 +101,7 @@ class CellArray:
         """
         cell_count, cell_size = cell_geometry(ciphertexts)
         if not ciphertexts:
-            cells = tuple(
-                pad_cell(epoch_id, position, cell_size, hasher)
-                for position in range(1, cell_count + 1)
-            )
+            cells = tuple(pad_cell(epoch_id, p, cell_size) for p in range(1, cell_count + 1))
         else:
             cells = tuple(
                 (u32(len(ct)) + ct).ljust(cell_size, b"\x00") for ct in ciphertexts
@@ -174,7 +167,7 @@ def schedule_for(cell_count: int) -> ButterflySchedule:
     return ButterflySchedule(padded_size=_next_power_of_two(cell_count))
 
 
-def combine(a: bytes, b: bytes, hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def combine(a: bytes, b: bytes) -> bytes:
     """One-way, order-sensitive combination of two equal-size cells.
 
     The pair digest is expanded back to full cell size so that writing
@@ -183,22 +176,21 @@ def combine(a: bytes, b: bytes, hasher: Hasher = DEFAULT_HASHER) -> bytes:
     """
     if len(a) != len(b):
         raise DomainError("combine requires equal-length cells")
-    return hasher.expand(hasher.digest(a, b), len(a))
+    return expand(digest(a, b), len(a))
 
 
-def _padded_cells(array: CellArray, hasher: Hasher) -> list[bytes]:
+def _padded_cells(array: CellArray) -> list[bytes]:
     n = len(array.cells)
     target = max(2, _next_power_of_two(max(n, 1)))
     cells = list(array.cells)
     for position in range(n + 1, target + 1):
-        cells.append(pad_cell(array.epoch_id, position, array.cell_size, hasher))
+        cells.append(pad_cell(array.epoch_id, position, array.cell_size))
     return cells
 
 
 def expunge(
     array: CellArray,
     now: int = 0,
-    hasher: Hasher = DEFAULT_HASHER,
     on_pair: Callable[[int, int, int], None] | None = None,
 ) -> tuple[CellArray, DeletionProof]:
     """Run the full transform and emit the deletion proof.
@@ -210,18 +202,18 @@ def expunge(
     """
     if not array.cells:
         raise DomainError("cannot expunge an empty cell array")
-    cells = _padded_cells(array, hasher)
+    cells = _padded_cells(array)
     schedule = ButterflySchedule(padded_size=len(cells))
     for iteration in range(1, schedule.iteration_count + 1):
         scratch: list[bytes] = [b""] * len(cells)
         for i, j in schedule.pairs(iteration):
             if on_pair is not None:
                 on_pair(iteration, i, j)
-            value = combine(cells[i], cells[j], hasher)
+            value = combine(cells[i], cells[j])
             scratch[i] = value
             scratch[j] = value
         cells = scratch
-    proof_digest = hasher.digest(*cells)
+    proof_digest = digest(*cells)
     overwritten = CellArray(
         epoch_id=array.epoch_id, cell_size=array.cell_size, cells=tuple(cells)
     )
@@ -231,17 +223,15 @@ def expunge(
     return overwritten, proof
 
 
-def expunge_ciphertexts(
-    ciphertexts, epoch_id: int, now: int = 0, hasher: Hasher = DEFAULT_HASHER
-) -> DeletionProof:
+def expunge_ciphertexts(ciphertexts, epoch_id: int, now: int = 0) -> DeletionProof:
     """Pack an epoch's ciphertexts into cells, overwrite them all, keep the proof.
 
     The one pack-and-expunge path: the provider's sealed irrecoverable
     tag, the cloud's scheduled deletion and a lazy cloud's on-demand
     proof all come from here, so they agree bit for bit.
     """
-    array = CellArray.from_ciphertexts(list(ciphertexts), epoch_id, hasher)
-    return expunge(array, now=now, hasher=hasher)[1]
+    array = CellArray.from_ciphertexts(list(ciphertexts), epoch_id)
+    return expunge(array, now=now)[1]
 
 
 # --- runtime estimation ----------------------------------------------------
@@ -254,58 +244,56 @@ _FIT_SECONDS = 0.003
 _FIT_BATCHES = 5
 
 
-def _combine_blocks(cell_size: int, hasher: Hasher) -> int:
+def _combine_blocks(cell_size: int) -> int:
     """Hash blocks in one combine: the pair digest, then the expansion."""
-    return -(-2 * cell_size // hasher.block_size) + -(-cell_size // hasher.size)
+    return -(-2 * cell_size // BLOCK_SIZE) + -(-cell_size // DIGEST_SIZE)
 
 
-#: Fitted ``(fixed, per_block)`` combine seconds per hash algorithm.
+#: The fitted ``(fixed, per_block)`` combine seconds under ``"combine"``,
+#: once per process; clearing it forces the next estimate to fit again.
 _calibration_cache: dict[str, tuple[float, float]] = {}
 
 
-def _fit_combine_cost(hasher: Hasher) -> tuple[float, float]:
+def _fit_combine_cost() -> tuple[float, float]:
     """Time combine at the two fit sizes and solve for both coefficients."""
     points = []
     for cell_size in _FIT_CELL_SIZES:
-        a = hasher.expand(b"calibrate-a", cell_size)
-        b = hasher.expand(b"calibrate-b", cell_size)
+        a = expand(b"calibrate-a", cell_size)
+        b = expand(b"calibrate-b", cell_size)
         batches = []
         for _ in range(_FIT_BATCHES):
             rounds = 0
             start = time.perf_counter()
             while (elapsed := time.perf_counter() - start) < _FIT_SECONDS / _FIT_BATCHES:
-                combine(a, b, hasher)
+                combine(a, b)
                 rounds += 1
             batches.append(elapsed / rounds)
-        points.append((_combine_blocks(cell_size, hasher), statistics.median(batches)))
+        points.append((_combine_blocks(cell_size), statistics.median(batches)))
     (small_blocks, small_s), (large_blocks, large_s) = points
     per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
     return max(0.0, small_s - per_block * small_blocks), per_block
 
 
-def _combine_seconds(cell_size: int, hasher: Hasher) -> float:
-    cost = _calibration_cache.get(hasher.algorithm)
-    if cost is None:
-        cost = _calibration_cache[hasher.algorithm] = _fit_combine_cost(hasher)
-    fixed, per_block = cost
-    return fixed + per_block * _combine_blocks(cell_size, hasher)
+def _combine_seconds(cell_size: int) -> float:
+    if "combine" not in _calibration_cache:
+        _calibration_cache["combine"] = _fit_combine_cost()
+    fixed, per_block = _calibration_cache["combine"]
+    return fixed + per_block * _combine_blocks(cell_size)
 
 
 #: Nominal memory throughput for the linear pack/hash pass over the input.
 _PACK_SECONDS_PER_BYTE = 1e-9
 
 
-def expunge_duration_estimate(
-    cell_count: int, cell_size: int, hasher: Hasher = DEFAULT_HASHER
-) -> float:
+def expunge_duration_estimate(cell_count: int, cell_size: int) -> float:
     """Estimated wall seconds to run :func:`expunge` on this host.
 
-    A combine costs a fixed number of hash blocks for a given cell size:
-    the pair digest over ``2 * cell_size`` bytes plus
-    ``ceil(cell_size / digest_size)`` expansion blocks. The per-combine
-    overhead and the per-block cost are fitted once per process and hash
-    algorithm, by timing combine at 64 B and 4 KiB cells, so later cell
-    sizes cost no timing at all. The estimate grows with
+    A combine costs a fixed number of SHA-256 blocks for a given cell
+    size: the pair digest over ``2 * cell_size`` bytes plus
+    ``ceil(cell_size / 32)`` expansion blocks. The per-combine overhead
+    and the per-block cost are fitted once per process, by timing
+    combine at 64 B and 4 KiB cells, so later cell sizes cost no timing
+    at all (see :data:`_calibration_cache`). The estimate grows with
     ``n * cell_size * log n``, plus the linear packing and proof-hash
     pass over the input bytes. Used to size the time bound in the
     attestation phase.
@@ -315,4 +303,4 @@ def expunge_duration_estimate(
     padded = max(2, _next_power_of_two(cell_count))
     combines = (padded // 2) * (padded.bit_length() - 1)
     linear = cell_count * cell_size * _PACK_SECONDS_PER_BYTE
-    return combines * _combine_seconds(cell_size, hasher) + linear
+    return combines * _combine_seconds(cell_size) + linear

@@ -32,6 +32,7 @@ import json
 import math
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -61,7 +62,6 @@ from .core import (
 from .crypto import KeyRing, generate_keyring, save_keyring
 from .engine import CellArray, expunge
 from .errors import DataExpiredError, DomainError, UnavailableError
-from .hashing import Hasher
 from .querylog import QueryLogger, SealedBlock, audit_block, make_query_record
 from .wire import CloudService, LoopbackTransport, SocketTransport, SpService, serve
 
@@ -91,7 +91,6 @@ class ScenarioConfig:
     payload_mean_bytes: int = 230
     payload_jitter_bytes: int = 40
     modulus_bits: int = 2048
-    hash_name: str = "sha256"
     seed: int = 7
     queries_per_epoch: int = 2
     block_capacity: int = 4
@@ -146,11 +145,15 @@ class ScenarioConfig:
         """A config from its JSON object, each value of its default's type (or as README allows)."""
         if not isinstance(doc, dict):
             raise DomainError("config must be a JSON object")
+        doc = dict(doc)
+        # configs saved while the hash was a field still name it
+        hash_name = doc.pop("hash_name", "sha256")
+        if hash_name != "sha256":
+            raise DomainError(f"config field hash_name cannot be {hash_name!r}: the hash is sha256")
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
             raise DomainError(f"unknown config field(s): {', '.join(unknown)}")
-        doc = dict(doc)
         for name, value in doc.items():
             if name == "p_ver" and value == "inf":
                 doc[name] = NEVER
@@ -306,7 +309,6 @@ def _run_metadata(config: ScenarioConfig) -> dict:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "hash": config.hash_name,
         "modulus_bits": config.modulus_bits,
         "seed": config.seed,
     }
@@ -349,7 +351,6 @@ class EpochVerifier:
     keyring: KeyRing
     params: AccumulatorParams
     policy: RetentionPolicy
-    hasher: Hasher
 
     def reference_seconds(self, epoch_id: int, now: int) -> float:
         """Round trip of the reference fetch for judging ``epoch_id`` at ``now``."""
@@ -371,7 +372,7 @@ class EpochVerifier:
         time_bound = None
         applicable = True
         if bundle.state is not DataState.ACCESSIBLE:
-            estimate = recompute_estimate_for_bundle(bundle, self.hasher)
+            estimate = recompute_estimate_for_bundle(bundle)
             rtt = self.reference_seconds(bundle.epoch_id, now)
             time_bound, applicable = calibrate_time_bound(rtt, estimate)
         return verify_bundle(
@@ -384,7 +385,6 @@ class EpochVerifier:
             response_time=elapsed,
             time_bound=time_bound,
             time_bound_applicable=applicable,
-            hasher=self.hasher,
         )
 
 
@@ -393,7 +393,6 @@ def _outsource_epochs(
     readings: list[SensorReading],
     keyring: KeyRing,
     params: AccumulatorParams,
-    hasher: Hasher,
 ):
     """Yield ``(window, readings, sensor_row, meta_row)`` per arrival epoch.
 
@@ -411,7 +410,7 @@ def _outsource_epochs(
         )
         epoch_readings = by_epoch.get(window.id, [])
         sensor_row, meta_row = build_outsource_payload(
-            window, epoch_readings, prev, keyring, params, hasher
+            window, epoch_readings, prev, keyring, params
         )
         prev = sensor_row.crypto_time
         yield window, epoch_readings, sensor_row, meta_row
@@ -422,7 +421,6 @@ class _Run:
 
     def __init__(self, config: ScenarioConfig, state_dir: Path | None):
         self.config = config
-        self.hasher = Hasher(config.hash_name)
         self.policy = config.policy
         self.rng = random.Random(config.seed ^ 0xC0FFEE)
         self.devices = device_pool(config)
@@ -443,7 +441,6 @@ class _Run:
             self.policy,
             root=(self.state_dir / "cloud") if self.state_dir is not None else None,
             sp_allowlist=frozenset({self.sp_id}),
-            hasher=self.hasher,
             lazy_deletion=config.lazy_cloud,
         )
         self.logger = QueryLogger(
@@ -454,7 +451,6 @@ class _Run:
             registry=self.registry,
             start_time=config.origin_ms,
             sink=self.sink_block,
-            hasher=self.hasher,
         )
         handlers = (CloudService(self.store).handle, SpService(self.logger).handle)
         self.servers = [serve(h) for h in handlers] if config.transport == "socket" else []
@@ -464,9 +460,7 @@ class _Run:
             )
         else:
             self.cloud, self.sp = (LoopbackTransport(h) for h in handlers)
-        self.verifier = EpochVerifier(
-            self.cloud, self.keyring, self.params, self.policy, self.hasher
-        )
+        self.verifier = EpochVerifier(self.cloud, self.keyring, self.params, self.policy)
         self.clock = VirtualClock(config.origin_ms)
         self.transcript: list[dict] = []
         self.measurements: list[dict] = []
@@ -620,7 +614,6 @@ class _Run:
                 self.keyring.sdp_box_private,
                 self.params,
                 self.registry,
-                self.hasher,
             )
             self.audits_failed += not audit.ok
             self.emit(
@@ -653,7 +646,7 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
     run = _Run(config, state_dir)
     readings = generate_readings(config)
     try:
-        epochs = _outsource_epochs(config, readings, run.keyring, run.params, run.hasher)
+        epochs = _outsource_epochs(config, readings, run.keyring, run.params)
         for _ in range(config.arrival_epochs):
             start = time.perf_counter()
             epoch = next(epochs)
@@ -717,7 +710,6 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     """
     if experiment not in (1, 2, 3, 4, 5):
         raise DomainError("experiment must be 1..5")
-    hasher = Hasher(config.hash_name)
     rng = random.Random(config.seed)
     report = BenchmarkReport(f"exp{experiment}", metadata=_run_metadata(config))
     keyring = generate_keyring([])
@@ -728,7 +720,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             window = epoch_of(0, delta_ms)
             readings = _flat_rate_epoch(config, delta_ms, rng)
             start = time.perf_counter()
-            build_outsource_payload(window, readings, params.seed, keyring, params, hasher)
+            build_outsource_payload(window, readings, params.seed, keyring, params)
             report.add(
                 "control_per_epoch", time.perf_counter() - start, "s",
                 delta_ms=delta_ms, readings=len(readings),
@@ -755,8 +747,8 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
                     cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
                     encrypt_total += time.perf_counter() - start
                     start = time.perf_counter()
-                    accessible_tag(cts, hasher)
-                    irrecoverable_tag(cts, window.id, hasher)
+                    accessible_tag(cts)
+                    irrecoverable_tag(cts, window.id)
                     tag_total += time.perf_counter() - start
                 encrypt_best[delta_ms] = min(encrypt_best[delta_ms], encrypt_total)
                 tag_best[delta_ms] = min(tag_best[delta_ms], tag_total)
@@ -769,9 +761,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
         raw_bytes = sum(len(reading.to_bytes()) for reading in readings)
         outsourced_bytes = sum(
             len(sensor_row.to_bytes()) + len(meta_row.to_bytes())
-            for _, _, sensor_row, meta_row in _outsource_epochs(
-                config, readings, keyring, params, hasher
-            )
+            for _, _, sensor_row, meta_row in _outsource_epochs(config, readings, keyring, params)
         )
         report.add("raw_bytes", raw_bytes, "B", readings=len(readings))
         report.add("outsourced_bytes", outsourced_bytes, "B")
@@ -786,15 +776,12 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             night_rate_per_hour=config.day_rate_per_hour, transport="loopback",
             p_del=max(1, config.p_del),
         )
-        store = CloudStore(day_config.policy, hasher=hasher)
+        store = CloudStore(day_config.policy)
         verifier = EpochVerifier(
-            LoopbackTransport(CloudService(store).handle), keyring, params,
-            day_config.policy, hasher,
+            LoopbackTransport(CloudService(store).handle), keyring, params, day_config.policy
         )
         readings = generate_readings(day_config)
-        for _, _, sensor_row, meta_row in _outsource_epochs(
-            day_config, readings, keyring, params, hasher
-        ):
+        for _, _, sensor_row, meta_row in _outsource_epochs(day_config, readings, keyring, params):
             store.ingest(sensor_row, meta_row)
         device = device_pool(day_config)[0]
         start = time.perf_counter()
@@ -814,7 +801,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
             cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
             array = CellArray.from_ciphertexts(cts, window.id)
             start = time.perf_counter()
-            expunge(array, hasher=hasher)
+            expunge(array)
             report.add(
                 "expunge_per_epoch", time.perf_counter() - start, "s",
                 delta_ms=delta_ms, cells=len(cts),
@@ -824,13 +811,19 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
         for delta_ms in (MS_PER_HOUR, MS_PER_DAY):
             window = epoch_of(0, delta_ms)
             readings = _flat_rate_epoch(config, delta_ms, rng)
-            store = CloudStore(config.policy, hasher=hasher)
+            store = CloudStore(replace(config.policy, delta=delta_ms))
             sensor_row, meta_row = build_outsource_payload(
-                window, readings, params.seed, keyring, params, hasher
+                window, readings, params.seed, keyring, params
             )
             store.ingest(sensor_row, meta_row)
-            transport = LoopbackTransport(CloudService(store).handle)
-            bundle, elapsed = CloudService.fetch_bundle_via(transport, window.id, window.et)
+            # over a socket on 127.0.0.1: the loopback would time the handler alone
+            server = serve(CloudService(store).handle)
+            try:
+                with closing(SocketTransport("127.0.0.1", server.server_address[1])) as transport:
+                    bundle, elapsed = CloudService.fetch_bundle_via(transport, window.id, window.et)
+            finally:
+                server.shutdown()
+                server.server_close()
             size = len(bundle.to_bytes())
             report.add(
                 "bundle_transfer_measured", elapsed, "s",

@@ -31,7 +31,7 @@ from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .crypto import hybrid_decrypt_many, hybrid_encrypt_many, sign, verify_signature
 from .encoding import U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes, vint
 from .errors import DomainError, IntegrityError, SealedBlockError, SignatureRejected
-from .hashing import DEFAULT_HASHER, Hasher
+from .hashing import digest
 
 _EMPTY_BLOCK_LABEL = b"EMPTYBLOCK"
 
@@ -75,14 +75,14 @@ def seed_link(params: AccumulatorParams) -> bytes:
     return vint(params.seed)
 
 
-def chain_digest(record: QueryRecord, prev_link: bytes, hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def chain_digest(record: QueryRecord, prev_link: bytes) -> bytes:
     """Next running digest: the record's own fields chained onto ``prev_link``."""
-    return hasher.digest(record.to_bytes(), vbytes(prev_link))
+    return digest(record.to_bytes(), vbytes(prev_link))
 
 
-def empty_block_digest(block_id: int, hasher: Hasher = DEFAULT_HASHER) -> bytes:
+def empty_block_digest(block_id: int) -> bytes:
     """Sentinel chain head for a block sealed with no records."""
-    return hasher.digest(_EMPTY_BLOCK_LABEL, u64(block_id))
+    return digest(_EMPTY_BLOCK_LABEL, u64(block_id))
 
 
 @dataclass
@@ -131,7 +131,6 @@ def append_query(
     record: QueryRecord,
     registry: dict[bytes, Ed25519PublicKey],
     params: AccumulatorParams,
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> None:
     """Chain one record into the open block after signature screening."""
     if block.sealed:
@@ -144,7 +143,7 @@ def append_query(
     ):
         raise SignatureRejected(f"record from {record.user_id!r} failed verification")
     prev_link = block.running_digest if block.records else seed_link(params)
-    block.running_digest = chain_digest(record, prev_link, hasher)
+    block.running_digest = chain_digest(record, prev_link)
     block.records.append(record)
 
 
@@ -154,7 +153,6 @@ def seal_block(
     params: AccumulatorParams,
     sdp_public: X25519PublicKey,
     sealed_at: int,
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> SealedBlock:
     """Freeze the block: chained proof, each record encrypted on its own.
 
@@ -168,7 +166,7 @@ def seal_block(
         raise SealedBlockError(f"block {block.block_id} is already sealed")
     head = block.running_digest
     if head is None:
-        head = empty_block_digest(block.block_id, hasher)
+        head = empty_block_digest(block.block_id)
     proof = step(prev_proof, head, params)
     block.sealed = True
     block.block_proof = proof
@@ -206,7 +204,6 @@ def audit_block(
     sdp_private: X25519PrivateKey,
     params: AccumulatorParams,
     registry: dict[bytes, Ed25519PublicKey],
-    hasher: Hasher = DEFAULT_HASHER,
 ) -> AuditReport:
     """Provider-side audit of one sealed block.
 
@@ -241,9 +238,9 @@ def audit_block(
     if records:
         link = seed_link(params)
         for record in records:
-            link = chain_digest(record, link, hasher)
+            link = chain_digest(record, link)
     else:
-        link = empty_block_digest(sealed.block_id, hasher)
+        link = empty_block_digest(sealed.block_id)
     recomputed = step(prev_proof, link, params)
 
     return AuditReport(
@@ -273,7 +270,6 @@ class QueryLogger:
         registry: dict[bytes, Ed25519PublicKey],
         start_time: int = 0,
         sink: Callable[[SealedBlock], None] | None = None,
-        hasher: Hasher = DEFAULT_HASHER,
     ):
         if time_limit <= 0:
             raise DomainError("block time limit must be positive")
@@ -283,7 +279,6 @@ class QueryLogger:
         self.sdp_public = sdp_public
         self.registry = registry
         self.sink = sink
-        self.hasher = hasher
         self.sealed_blocks: list[SealedBlock] = []
         self.security_events: list[dict] = []
         self._chain_tip: AccumulatorValue | int = params.seed
@@ -294,9 +289,7 @@ class QueryLogger:
         return self._open
 
     def _seal_open(self, now: int) -> None:
-        sealed = seal_block(
-            self._open, self._chain_tip, self.params, self.sdp_public, now, self.hasher
-        )
+        sealed = seal_block(self._open, self._chain_tip, self.params, self.sdp_public, now)
         self.sealed_blocks.append(sealed)
         self._chain_tip = sealed.block_proof
         if self.sink is not None:
@@ -314,7 +307,7 @@ class QueryLogger:
         """Admit one query record; the logging call sits on the request path."""
         self.advance(now)
         try:
-            append_query(self._open, record, self.registry, self.params, self.hasher)
+            append_query(self._open, record, self.registry, self.params)
         except SignatureRejected:
             self.security_events.append(
                 {"at": now, "user_id": record.user_id.hex(), "event": "signature_rejected"}

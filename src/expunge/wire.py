@@ -123,6 +123,20 @@ def raise_for_error(msg_type: int, payload: bytes) -> None:
     raise _CODE_ERRORS[code](message.decode(errors="replace"))
 
 
+def _exchange(transport, msg_type: int, payload: bytes, reply_type: int) -> tuple[bytes, float]:
+    """Send one request; return the reply's payload and the request's wall time.
+
+    An error reply raises its error; any reply type but ``reply_type``
+    raises :class:`WireError`, so no helper decodes a payload of the
+    wrong kind.
+    """
+    resp_type, resp_payload, elapsed = transport.request(msg_type, payload)
+    raise_for_error(resp_type, resp_payload)
+    if resp_type != reply_type:
+        raise WireError(f"expected a {MessageType(reply_type).name} reply, got type {resp_type}")
+    return resp_payload, elapsed
+
+
 class LoopbackTransport:
     """Direct handler invocation with the same timing interface as sockets."""
 
@@ -270,10 +284,9 @@ class CloudService:
 
     @staticmethod
     def ingest_via(transport, sensor_row: SensorDataRow, meta_row: MetaDataRow) -> int:
-        resp_type, payload, _ = transport.request(
-            MessageType.INGEST, INGEST_LAYOUT.pack(sensor_row, meta_row)
+        payload, _ = _exchange(
+            transport, MessageType.INGEST, INGEST_LAYOUT.pack(sensor_row, meta_row), MessageType.OK
         )
-        raise_for_error(resp_type, payload)
         (eid,) = U64_LAYOUT.unpack(payload)
         return eid
 
@@ -281,25 +294,30 @@ class CloudService:
     def fetch_sp_via(
         transport, epoch_id: int, requester: bytes, now: int
     ) -> tuple[tuple[bytes, ...], float]:
-        resp_type, payload, elapsed = transport.request(
-            MessageType.FETCH_SP, FETCH_SP_LAYOUT.pack(epoch_id, requester, now)
+        payload, elapsed = _exchange(
+            transport,
+            MessageType.FETCH_SP,
+            FETCH_SP_LAYOUT.pack(epoch_id, requester, now),
+            MessageType.CIPHERTEXTS,
         )
-        raise_for_error(resp_type, payload)
         (cts,) = CIPHERTEXTS_LAYOUT.unpack(payload)
         return cts, elapsed
 
     @staticmethod
     def fetch_bundle_via(transport, at: int, now: int) -> tuple[AttestationBundle, float]:
-        resp_type, payload, elapsed = transport.request(
-            MessageType.FETCH_BUNDLE, FETCH_BUNDLE_LAYOUT.pack(at, now)
+        payload, elapsed = _exchange(
+            transport,
+            MessageType.FETCH_BUNDLE,
+            FETCH_BUNDLE_LAYOUT.pack(at, now),
+            MessageType.BUNDLE,
         )
-        raise_for_error(resp_type, payload)
         return AttestationBundle.from_bytes(payload), elapsed
 
     @staticmethod
     def tick_via(transport, now: int) -> list[Transition]:
-        resp_type, payload, _ = transport.request(MessageType.TICK, U64_LAYOUT.pack(now))
-        raise_for_error(resp_type, payload)
+        payload, _ = _exchange(
+            transport, MessageType.TICK, U64_LAYOUT.pack(now), MessageType.TRANSITIONS
+        )
         (transitions,) = TRANSITIONS_LAYOUT.unpack(payload)
         return transitions
 
@@ -333,19 +351,17 @@ class SpService:
 
     @staticmethod
     def query_via(transport, record: QueryRecord, now: int) -> None:
-        resp_type, payload, _ = transport.request(
-            MessageType.QUERY, QUERY_LAYOUT.pack(record.to_bytes(), now)
+        _exchange(
+            transport, MessageType.QUERY, QUERY_LAYOUT.pack(record.to_bytes(), now), MessageType.OK
         )
-        raise_for_error(resp_type, payload)
 
     @staticmethod
     def audit_fetch_via(
         transport, block_id: int
     ) -> tuple[SealedBlock, AccumulatorValue | None]:
         """Returns (sealed block, previous block proof or None)."""
-        resp_type, payload, _ = transport.request(
-            MessageType.AUDIT_FETCH, U64_LAYOUT.pack(block_id)
+        payload, _ = _exchange(
+            transport, MessageType.AUDIT_FETCH, U64_LAYOUT.pack(block_id), MessageType.BLOCK
         )
-        raise_for_error(resp_type, payload)
         blob, prev = BLOCK_LAYOUT.unpack(payload)
         return SealedBlock.from_bytes(blob), prev

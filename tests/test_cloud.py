@@ -34,12 +34,14 @@ from expunge.errors import (
     DataExpiredError,
     DomainError,
     DuplicateEpochError,
+    InconsistentRowsError,
     NotAuthorizedError,
     UnavailableError,
 )
 
 SP = b"sp-main"
 FIG2_POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1)
+DELTA10_POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=10)
 
 
 def _reading(t, device=b"\x02abcde", payload=b"snmp-load"):
@@ -102,7 +104,7 @@ class TestIngest:
             store.ingest(s1, m1)
 
     def test_overlapping_window_rejected(self, keyring, tiny_params):
-        store = CloudStore(FIG2_POLICY)
+        store = CloudStore(DELTA10_POLICY)
         (s1, m1), (s2, m2) = _chain(
             keyring, tiny_params, [EpochWindow(0, 10), EpochWindow(5, 15)]
         )
@@ -110,6 +112,15 @@ class TestIngest:
         with pytest.raises(DomainError, match="inside epoch 0"):
             store.ingest(s2, m2)
         assert store.epoch_ids() == [0]
+
+    @pytest.mark.parametrize("window", [EpochWindow(0, 20), EpochWindow(0, 5)])
+    def test_window_not_one_delta_long_rejected(self, keyring, tiny_params, window):
+        # the store would schedule and serve by this window, the verifier by delta
+        store = CloudStore(DELTA10_POLICY)
+        ((sensor, meta),) = _chain(keyring, tiny_params, [window])
+        with pytest.raises(InconsistentRowsError, match="not delta 10"):
+            store.ingest(sensor, meta)
+        assert store.epoch_ids() == []
 
 
 class TestScheduler:
@@ -249,18 +260,18 @@ class TestServingPaths:
         assert bundle.deletion_proof.cell_size == 1024
 
     def test_bundle_by_contained_time(self, keyring, tiny_params):
-        store = CloudStore(FIG2_POLICY)
+        store = CloudStore(DELTA10_POLICY)
         _ingest_epochs(store, keyring, tiny_params, 2, delta=10, origin=0)
         assert store.fetch_bundle(13, now=20).epoch_id == 10
 
     def test_bundle_by_contained_time_among_many_epochs(self, keyring, tiny_params):
-        store = CloudStore(FIG2_POLICY)
+        store = CloudStore(DELTA10_POLICY)
         _ingest_epochs(store, keyring, tiny_params, 40, delta=10, origin=0, per_epoch=1)
         for at in (0, 9, 10, 137, 255, 399):
             assert store.fetch_bundle(at, now=400).epoch_id == at // 10 * 10
 
     def test_bundle_between_windows_unavailable(self, keyring, tiny_params):
-        store = CloudStore(FIG2_POLICY)
+        store = CloudStore(DELTA10_POLICY)
         for sensor, meta in _chain(
             keyring, tiny_params, [EpochWindow(10, 20), EpochWindow(30, 40)]
         ):

@@ -19,7 +19,6 @@ from expunge.engine import (
     schedule_for,
 )
 from expunge.errors import DomainError
-from expunge.hashing import DEFAULT_HASHER
 
 #: Normative three-iteration pairing pattern for eight cells (1-based).
 REFERENCE_N8_TRACE = {
@@ -260,17 +259,18 @@ class TestDurationEstimate:
         measured = time.perf_counter() - start
         assert measured / 3 <= estimate <= measured * 3
 
-    def test_cost_model_is_fitted_once_per_hasher(self, monkeypatch):
+    def test_clearing_the_cache_forces_exactly_one_new_fit(self, monkeypatch):
         fits = []
         fit = engine._fit_combine_cost
 
-        def counting_fit(hasher):
-            fits.append(hasher)
-            return fit(hasher)
+        def counting_fit():
+            fits.append(None)
+            return fit()
 
         monkeypatch.setattr(engine, "_fit_combine_cost", counting_fit)
-        engine._calibration_cache.clear()
-        for size in range(1, 51):
-            assert expunge_duration_estimate(64, 37 * size) > 0
+        for _ in range(2):
+            engine._calibration_cache.clear()
+            for size in range(1, 51):
+                assert expunge_duration_estimate(64, 37 * size) > 0
         assert len(engine._calibration_cache) == 1
-        assert fits == [DEFAULT_HASHER]
+        assert len(fits) == 2

@@ -13,7 +13,6 @@ from expunge.control import build_outsource_payload
 from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
-from expunge.hashing import DEFAULT_HASHER
 from expunge.harness import (
     MS_PER_HOUR,
     EpochVerifier,
@@ -208,9 +207,9 @@ class TestEpochVerifier:
             seen["fetch"].append((at, now))
             return fetch_bundle(store, at, now)
 
-        def recording_expunge(ciphertexts, epoch_id, now, hasher):
+        def recording_expunge(ciphertexts, epoch_id, now):
             seen["expunge"].append((epoch_id, now))
-            return expunge_ciphertexts(ciphertexts, epoch_id, now, hasher)
+            return expunge_ciphertexts(ciphertexts, epoch_id, now)
 
         monkeypatch.setattr(CloudStore, "fetch_bundle", recording_fetch)
         monkeypatch.setattr(cloud, "expunge_ciphertexts", recording_expunge)
@@ -220,7 +219,7 @@ class TestEpochVerifier:
     def verify(store, keyring, params, p_del, at, now):
         policy = RetentionPolicy(p_del=p_del, p_ver=4, delta=1000)
         transport = LoopbackTransport(CloudService(store).handle)
-        verifier = EpochVerifier(transport, keyring, params, policy, DEFAULT_HASHER)
+        verifier = EpochVerifier(transport, keyring, params, policy)
         return verifier.verify(at, now, "sdp")
 
     def test_slow_honest_cloud_not_flagged(self, keyring, tiny_params, monkeypatch):
@@ -567,6 +566,23 @@ class TestCli:
         assert main(["verify", "--state", str(state), "--time", str(accessible)]) == 0
         assert main(["tick", "--state", str(state), "--now", str(summary["final_clock"])]) == 0
         assert capsys.readouterr().out.endswith("no transitions due\n")
+
+    def test_state_dir_whose_config_names_the_hash(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        summary = json.loads((state / "summary.json").read_text())
+        accessible = next(int(e) for e, s in summary["states"].items() if s == "ACCESSIBLE")
+        argv = ["verify", "--state", str(state), "--time", str(accessible)]
+        # a config saved while the hash was a field names it
+        saved = json.loads((state / "config.json").read_text())
+        (state / "config.json").write_text(json.dumps({**saved, "hash_name": "sha256"}))
+        capsys.readouterr()
+        assert main(argv) == 0
+        (state / "config.json").write_text(json.dumps({**saved, "hash_name": "sha512"}))
+        capsys.readouterr()
+        self.assert_input_error(capsys, argv)
 
     def test_bench_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_encoding import GOLDEN, RECORDS, _identity
+from test_encoding import GOLDEN, META, QUERY, RECORDS, SENSOR_ROW, _identity
 
 import expunge
 from expunge import control, wire
@@ -22,7 +22,7 @@ from expunge.cloud import AttestationBundle
 from expunge.control import decrypt_reading, encrypt_reading
 from expunge.encoding import EncodingError, u32, vbytes
 from expunge.errors import ExpungeError, WireError
-from expunge.wire import MessageType, raise_for_error
+from expunge.wire import CloudService, MessageType, SpService, raise_for_error
 
 D1, D2 = bytes(range(8)), bytes(range(8, 16))
 
@@ -186,6 +186,36 @@ def test_malformed_error_frame_is_wire_error(payload):
         raise_for_error(MessageType.ERROR, payload)
 
 
+_CLIENT_HELPERS = {
+    "ingest": (MessageType.OK, lambda t: CloudService.ingest_via(t, SENSOR_ROW, META)),
+    "fetch_sp": (MessageType.CIPHERTEXTS, lambda t: CloudService.fetch_sp_via(t, 3600, b"s", 0)),
+    "fetch_bundle": (MessageType.BUNDLE, lambda t: CloudService.fetch_bundle_via(t, 3600, 5000)),
+    "tick": (MessageType.TRANSITIONS, lambda t: CloudService.tick_via(t, 10800)),
+    "query": (MessageType.OK, lambda t: SpService.query_via(t, QUERY, 4000)),
+    "audit_fetch": (MessageType.BLOCK, lambda t: SpService.audit_fetch_via(t, 2)),
+}
+
+
+class Replying:
+    """Transport that answers every request with one fixed reply."""
+
+    def __init__(self, msg_type: int, payload: bytes):
+        self.reply = msg_type, payload, 0.0
+
+    def request(self, msg_type, payload):
+        return self.reply
+
+
+@pytest.mark.parametrize("name", _CLIENT_HELPERS)
+def test_client_helpers_refuse_a_reply_of_another_type(name):
+    expected, call = _CLIENT_HELPERS[name]
+    payload = bytes.fromhex(GOLDEN[f"wire_{name}_response"])
+    call(Replying(expected, payload))  # the payload is valid for this helper
+    for other in {t for t, _ in _CLIENT_HELPERS.values()} - {expected}:
+        with pytest.raises(WireError, match=f"expected a {expected.name} reply"):
+            call(Replying(other, payload))
+
+
 class RecordingSocket:
     """Socket stand-in that serves a fixed stream and records each ``recv`` size."""
 
@@ -254,5 +284,21 @@ def test_only_encoding_builds_record_layouts():
         if path.name != "encoding.py"
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if _HAND_LAYOUT.search(line)
+    ]
+    assert offenders == []
+
+
+# ``accumulator`` binds libcrypto through ``_hashlib``, which hashes nothing
+_HASHLIB_USE = re.compile(r"\bimport hashlib\b|\bfrom hashlib\b|\bhashlib\.")
+
+
+def test_only_hashing_uses_hashlib():
+    package = Path(expunge.__file__).parent
+    offenders = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "hashing.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if _HASHLIB_USE.search(line)
     ]
     assert offenders == []
