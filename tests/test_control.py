@@ -313,36 +313,41 @@ class TestMembershipSoundness:
             assert reading_digest(absent, WINDOW.id, position) not in sensor.digests
 
 
-def _per_element(parts) -> bytes:
+def _per_element(algorithm: str, parts) -> bytes:
     """The hash fed one ``update`` per part: what joined hashing must equal."""
-    h = hashlib.sha256()
+    h = hashlib.new(algorithm)
     for part in parts:
         h.update(part)
     return h.digest()
 
 
+#: The protocol hash by its hashlib name, for the per-element references.
+PROTOCOL_HASH = ["sha256"]
+
+
+@pytest.mark.parametrize("algorithm", PROTOCOL_HASH)
 @pytest.mark.parametrize("count", [0, 1, 1563])
 class TestJoinedHashing:
     """One joined buffer and packed counters give the per-element digests."""
 
-    def test_timestamp_exponent(self, count):
+    def test_timestamp_exponent(self, algorithm, count):
         rng = random.Random(count)
         digests = tuple(rng.randbytes(32) for _ in range(count))
         if not count:
             with pytest.raises(DomainError):
                 timestamp_exponent(digests)
             return
-        assert timestamp_exponent(digests) == _per_element(digests)
+        assert timestamp_exponent(digests) == _per_element(algorithm, digests)
 
-    def test_accessible_tag(self, count):
+    def test_accessible_tag(self, algorithm, count):
         rng = random.Random(count)
         cts = tuple(rng.randbytes(rng.randrange(0, 400)) for _ in range(count))
-        assert accessible_tag(cts) == _per_element(cts)
+        assert accessible_tag(cts) == _per_element(algorithm, cts)
 
-    def test_reading_digests(self, count):
+    def test_reading_digests(self, algorithm, count):
         device = b"\x02sensor"
         expected = [
-            _per_element((vbytes(device), u64(3600000), u64(position)))
+            _per_element(algorithm, (vbytes(device), u64(3600000), u64(position)))
             for position in range(1, count + 1)
         ]
         assert reading_digests(device, 3600000, count) == expected
@@ -351,5 +356,6 @@ class TestJoinedHashing:
         ]
 
 
-def test_accessible_tag_of_no_ciphertexts_is_hash_of_empty_string():
-    assert accessible_tag(()) == hashlib.sha256(b"").digest()
+@pytest.mark.parametrize("algorithm", PROTOCOL_HASH)
+def test_accessible_tag_of_no_ciphertexts_is_hash_of_empty_string(algorithm):
+    assert accessible_tag(()) == hashlib.new(algorithm, b"").digest()

@@ -4,28 +4,37 @@ import pytest
 
 from expunge import hashing
 
+#: The protocol hash by its hashlib name; the references below build it
+#: independently of ``expunge.hashing``.
+ALGORITHMS = ["sha256"]
 
-def _reference_expand(seed: bytes, length: int) -> bytes:
+
+def _reference_expand(algorithm: str, seed: bytes, length: int) -> bytes:
     """``H(seed || u32(i))`` for i = 0, 1, ... concatenated and truncated."""
     out = b""
     counter = 0
     while len(out) < length:
-        out += hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+        out += hashlib.new(algorithm, seed + counter.to_bytes(4, "big")).digest()
         counter += 1
     return out[:length]
 
 
-def test_expand_matches_reference_concatenation():
-    seed = hashlib.sha256(b"sha256").digest()
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_expand_matches_reference_concatenation(algorithm):
+    seed = hashlib.sha256(algorithm.encode()).digest()
     # 17,000 B needs more than the 256 packed counters
     for length in [*range(201), 17_000]:
-        assert hashing.expand(seed, length) == _reference_expand(seed, length)
+        assert hashing.expand(seed, length) == _reference_expand(algorithm, seed, length)
 
 
-def test_digests_after_equals_digest_of_concatenation():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_digests_after_equals_digest_of_concatenation(algorithm):
     suffixes = [b"", b"a", bytes(range(200))]
     assert hashing.digests_after(b"prefix", suffixes) == [
         hashing.digest(b"prefix", suffix) for suffix in suffixes
+    ]
+    assert hashing.digests_after(b"prefix", suffixes) == [
+        hashlib.new(algorithm, b"prefix" + suffix).digest() for suffix in suffixes
     ]
 
 
