@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from . import encoding
 from .encoding import U32, VINT, Layout, Record
 from .errors import DomainError
+from .hashing import bind_libcrypto
 
 MIN_MODULUS_BITS = 512
 DEFAULT_MODULUS_BITS = 2048
@@ -45,31 +46,18 @@ for _n in range(2, 2000):
 del _sieve, _n
 
 
-def _bind_libcrypto():
-    """The libcrypto behind ``hashlib`` with its BIGNUM calls typed, or None."""
-    try:
-        import _hashlib
-
-        lib = ctypes.CDLL(_hashlib.__file__)
-        signatures = {
-            "BN_new": (ctypes.c_void_p, []),
-            "BN_bin2bn": (ctypes.c_void_p, [ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p]),
-            "BN_mod_exp": (ctypes.c_int, [ctypes.c_void_p] * 5),
-            "BN_bn2binpad": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int]),
-            "BN_free": (None, [ctypes.c_void_p]),
-            "BN_CTX_new": (ctypes.c_void_p, []),
-            "BN_CTX_free": (None, [ctypes.c_void_p]),
-        }
-        for name, (restype, argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (ImportError, OSError, AttributeError):
-        return None
-    return lib
-
-
 #: Bound at import; None means every exponentiation is the builtin ``pow``.
-_libcrypto = _bind_libcrypto()
+_libcrypto = bind_libcrypto(
+    {
+        "BN_new": (ctypes.c_void_p, []),
+        "BN_bin2bn": (ctypes.c_void_p, [ctypes.c_char_p, ctypes.c_int, ctypes.c_void_p]),
+        "BN_mod_exp": (ctypes.c_int, [ctypes.c_void_p] * 5),
+        "BN_bn2binpad": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int]),
+        "BN_free": (None, [ctypes.c_void_p]),
+        "BN_CTX_new": (ctypes.c_void_p, []),
+        "BN_CTX_free": (None, [ctypes.c_void_p]),
+    }
+)
 
 
 def _bignum(lib, value: int, owned: list) -> int:

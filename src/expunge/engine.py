@@ -23,7 +23,10 @@ provider that generates deletion proofs on demand instead of actually
 deleting (see the attestation module's time-bounded check).
 
 A combine hashes the pair with the protocol hash (SHA-256, see the
-hashing module) and expands the digest back to a full cell. Pairs within
+hashing module) and expands the digest back to a full cell: block 0 is
+``H(d || u32(0))`` and the rest is the X9.63 KDF of ``d``, whose counter
+starts at 1, derived natively where OpenSSL 3 provides it and hashed
+block by block elsewhere, with the same bytes either way. Pairs within
 one iteration are independent; iterations are strictly ordered. Only the
 final cells and the proof survive the call; no intermediate iteration is
 retained. The cloud keeps only the proof, which states the cell size; the

@@ -3,7 +3,7 @@ import ssl
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from expunge import accumulator, crypto
+from expunge import accumulator, crypto, hashing
 from expunge.accumulator import AccumulatorParams, setup
 from expunge.crypto import generate_keyring
 
@@ -11,18 +11,21 @@ from expunge.crypto import generate_keyring
 ACCEPTANCE_NOTES: dict[str, str] = {}
 
 
-def _modexp_line() -> str:
-    path = "builtin pow" if accumulator._libcrypto is None else f"openssl ({ssl.OPENSSL_VERSION})"
-    return f"accumulator modexp: {path}"
+def _native_path_lines() -> list[str]:
+    """Which libcrypto paths this run takes, read from the bindings themselves."""
+    modexp = "builtin pow" if accumulator._libcrypto is None else f"openssl ({ssl.OPENSSL_VERSION})"
+    expand = "hashlib" if hashing._x963kdf is None else f"openssl X963KDF ({ssl.OPENSSL_VERSION})"
+    return [f"accumulator modexp: {modexp}", f"hashing expand: {expand}"]
 
 
 def pytest_report_header(config):
-    return _modexp_line()
+    return _native_path_lines()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if config.get_verbosity() < 0:  # -q hides the header; say it here instead
-        terminalreporter.write_line(_modexp_line())
+        for line in _native_path_lines():
+            terminalreporter.write_line(line)
     rows = []
     for outcome in ("passed", "failed", "error"):
         for report in terminalreporter.stats.get(outcome, []):

@@ -1,4 +1,9 @@
+import ctypes
 import hashlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -19,12 +24,72 @@ def _reference_expand(algorithm: str, seed: bytes, length: int) -> bytes:
     return out[:length]
 
 
+def _expand_path(path: str):
+    """A patch that sends ``expand`` down one path.
+
+    ``openssl`` takes the X9.63 KDF call for every output of two blocks
+    or more; ``hashlib`` unbinds it, so every block is hashed in Python.
+    """
+    if path == "openssl":
+        if hashing._x963kdf is None:
+            pytest.skip("libcrypto's X963KDF is not bound on this host")
+        return mock.patch.object(hashing, "NATIVE_MIN_BLOCKS", 2)
+    return mock.patch.object(hashing, "_x963kdf", None)
+
+
+@pytest.mark.parametrize("path", ["openssl", "hashlib"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_expand_matches_reference_concatenation(algorithm):
-    seed = hashlib.sha256(algorithm.encode()).digest()
-    # 17,000 B needs more than the 256 packed counters
-    for length in [*range(201), 17_000]:
-        assert hashing.expand(seed, length) == _reference_expand(algorithm, seed, length)
+def test_expand_matches_reference_concatenation(algorithm, path):
+    digest_seed = hashlib.sha256(algorithm.encode()).digest()
+    seeds = [b"", bytes(range(11)), digest_seed, bytes(range(100))]
+    with _expand_path(path):
+        for seed in seeds:
+            # 17,000 B needs more than the 256 packed counters
+            for length in [*range(201), 17_000]:
+                assert hashing.expand(seed, length) == _reference_expand(algorithm, seed, length)
+
+
+def test_expand_threads_agree_with_reference():
+    if hashing._x963kdf is None:
+        pytest.skip("libcrypto's X963KDF is not bound on this host")
+    jobs = [
+        [(hashlib.sha256(b"%d/%d" % (worker, i)).digest(), (528, 4096)[i % 2]) for i in range(300)]
+        for worker in range(4)
+    ]
+    barrier = threading.Barrier(len(jobs))
+
+    def run(job):
+        barrier.wait(timeout=60)
+        return [hashing.expand(seed, length) for seed, length in job]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+            results = [f.result(timeout=120) for f in [pool.submit(run, job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    for job, outputs in zip(jobs, results):
+        for (seed, length), output in zip(job, outputs):
+            assert output == _reference_expand("sha256", seed, length)
+
+
+def test_failed_derive_raises_instead_of_returning_bytes():
+    kdf = hashing._x963kdf
+    if kdf is None:
+        pytest.skip("libcrypto's X963KDF is not bound on this host")
+
+    def failing_derive(ctx, out, length, params):
+        ctypes.memset(out, 0xFF, length)
+        return 0
+
+    with mock.patch.object(kdf, "_derive", failing_derive):
+        with pytest.raises(MemoryError):
+            hashing.expand(b"seed", 4096)
+    # libcrypto itself refuses a zero-length output
+    with pytest.raises(MemoryError):
+        kdf.derive(b"seed", 0)
+    assert hashing.expand(b"seed", 4096) == _reference_expand("sha256", b"seed", 4096)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

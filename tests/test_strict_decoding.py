@@ -288,7 +288,7 @@ def test_only_encoding_builds_record_layouts():
     assert offenders == []
 
 
-# ``accumulator`` binds libcrypto through ``_hashlib``, which hashes nothing
+# ``hashing`` opens libcrypto through ``_hashlib``, which this does not match
 _HASHLIB_USE = re.compile(r"\bimport hashlib\b|\bfrom hashlib\b|\bhashlib\.")
 
 
@@ -302,3 +302,13 @@ def test_only_hashing_uses_hashlib():
         if _HASHLIB_USE.search(line)
     ]
     assert offenders == []
+
+
+def test_only_hashing_loads_libcrypto():
+    package = Path(expunge.__file__).parent
+    loaders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"\bCDLL\(|\b_hashlib\b", path.read_text())
+    ]
+    assert loaders == ["hashing.py"]
