@@ -45,25 +45,20 @@ from .core import (
 )
 from .crypto import KeyRing, generate_keyring
 from .engine import (
-    ButterflySchedule,
     CellArray,
     DeletionProof,
     combine,
     expunge,
     expunge_duration_estimate,
-    schedule_for,
 )
 from .harness import BenchmarkReport, ScenarioConfig, bench, generate_readings, run_scenario
 from .querylog import (
     AuditReport,
-    QueryBlock,
     QueryLogger,
     QueryRecord,
     SealedBlock,
-    append_query,
     audit_block,
     make_query_record,
-    seal_block,
 )
 
 __version__ = "0.1.0"

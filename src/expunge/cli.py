@@ -118,7 +118,7 @@ def cmd_verify(args) -> int:
 
     device = None
     if args.role == "user":
-        device = bytes.fromhex(args.device) if args.device else device_pool(config)[0]
+        device = args.device or device_pool(config)[0]
 
     report = verifier.verify(args.time, now, args.role, device)
     print(json.dumps(report.to_dict(), indent=2))
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--time", type=int, required=True, help="instant or epoch id")
     p.add_argument("--role", choices=["user", "sdp"], default="user")
-    p.add_argument("--device", help="device id hex (user role)")
+    p.add_argument("--device", type=bytes.fromhex, help="device id hex (user role)")
     p.add_argument("--now", type=int, help="verification clock; defaults to run end")
     p.set_defaults(func=cmd_verify)
 

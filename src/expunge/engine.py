@@ -13,7 +13,8 @@ For eight cells the pairing trace is, in 1-based positions::
     iteration 2 (block 4, step 2): (1,3) (2,4) (5,7) (6,8)
     iteration 3 (block 8, step 4): (1,5) (2,6) (3,7) (4,8)
 
-This table is normative; the code below is checked against it.
+This table is normative; the tests check the transform's ``on_pair``
+trace against it.
 
 Each iteration reads only the previous iteration's output, so the proof
 digest over the final cells cannot be produced without walking the whole
@@ -130,46 +131,6 @@ class DeletionProof(Record):
     cell_size: int
 
 
-@dataclass(frozen=True)
-class ButterflySchedule:
-    """Pairing plan for one array size: block and stride double per level."""
-
-    padded_size: int
-
-    def __post_init__(self):
-        n = self.padded_size
-        if n < 2 or n & (n - 1):
-            raise DomainError("schedule requires a power-of-two size of at least 2")
-
-    @property
-    def iteration_count(self) -> int:
-        return self.padded_size.bit_length() - 1
-
-    def block_and_step(self, iteration: int) -> tuple[int, int]:
-        """(blockSize, stepSize) for a 1-based iteration number."""
-        if not 1 <= iteration <= self.iteration_count:
-            raise DomainError(f"iteration out of range: {iteration}")
-        return 2**iteration, 2 ** (iteration - 1)
-
-    def pairs(self, iteration: int) -> list[tuple[int, int]]:
-        """0-based index pairs combined in the given iteration."""
-        block, step = self.block_and_step(iteration)
-        return [
-            (base + offset, base + offset + step)
-            for base in range(0, self.padded_size, block)
-            for offset in range(step)
-        ]
-
-    def one_based_pairs(self, iteration: int) -> list[tuple[int, int]]:
-        return [(i + 1, j + 1) for i, j in self.pairs(iteration)]
-
-
-def schedule_for(cell_count: int) -> ButterflySchedule:
-    if cell_count < 1:
-        raise DomainError("cannot schedule an empty array")
-    return ButterflySchedule(padded_size=_next_power_of_two(cell_count))
-
-
 def combine(a: bytes, b: bytes) -> bytes:
     """One-way, order-sensitive combination of two equal-size cells.
 
@@ -184,9 +145,8 @@ def combine(a: bytes, b: bytes) -> bytes:
 
 def _padded_cells(array: CellArray) -> list[bytes]:
     n = len(array.cells)
-    target = max(2, _next_power_of_two(max(n, 1)))
     cells = list(array.cells)
-    for position in range(n + 1, target + 1):
+    for position in range(n + 1, _next_power_of_two(n) + 1):
         cells.append(pad_cell(array.epoch_id, position, array.cell_size))
     return cells
 
@@ -201,20 +161,23 @@ def expunge(
     The input array is padded to a power of two (at least two cells)
     with deterministic filler, so the same ciphertexts always produce
     the same proof on any machine. ``on_pair(iteration, i, j)`` exposes
-    the pairing trace for conformance checks.
+    the pairing trace, in 0-based slots, for conformance checks.
     """
     if not array.cells:
         raise DomainError("cannot expunge an empty cell array")
     cells = _padded_cells(array)
-    schedule = ButterflySchedule(padded_size=len(cells))
-    for iteration in range(1, schedule.iteration_count + 1):
-        scratch: list[bytes] = [b""] * len(cells)
-        for i, j in schedule.pairs(iteration):
-            if on_pair is not None:
-                on_pair(iteration, i, j)
-            value = combine(cells[i], cells[j])
-            scratch[i] = value
-            scratch[j] = value
+    n = len(cells)
+    for iteration in range(1, n.bit_length()):
+        block, stride = 2**iteration, 2 ** (iteration - 1)
+        scratch: list[bytes] = [b""] * n
+        for base in range(0, n, block):
+            for i in range(base, base + stride):
+                j = i + stride
+                if on_pair is not None:
+                    on_pair(iteration, i, j)
+                value = combine(cells[i], cells[j])
+                scratch[i] = value
+                scratch[j] = value
         cells = scratch
     proof_digest = digest(*cells)
     overwritten = CellArray(
@@ -303,7 +266,7 @@ def expunge_duration_estimate(cell_count: int, cell_size: int) -> float:
     """
     if cell_count < 1 or cell_size < 1:
         raise DomainError("estimate requires at least one cell of at least one byte")
-    padded = max(2, _next_power_of_two(cell_count))
+    padded = _next_power_of_two(cell_count)
     combines = (padded // 2) * (padded.bit_length() - 1)
     linear = cell_count * cell_size * _PACK_SECONDS_PER_BYTE
     return combines * _combine_seconds(cell_size) + linear

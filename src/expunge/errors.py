@@ -38,7 +38,7 @@ class IntegrityError(ExpungeError):
 
 
 class SealedBlockError(ExpungeError):
-    """Attempted to modify a sealed query block."""
+    """A peer reports a write to a sealed query block; this package never raises it."""
 
 
 class SignatureRejected(ExpungeError):

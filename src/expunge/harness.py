@@ -113,6 +113,10 @@ class ScenarioConfig:
         if self.drain_epochs is None:
             horizon = self.p_del + 2 if self.p_ver is NEVER else int(self.p_ver) + 2
             self.drain_epochs = horizon
+        if self.verify_every_epochs < 1:
+            raise DomainError("verify_every_epochs must be at least 1")
+        if self.queries_per_epoch < 0 or self.drain_epochs < 0:
+            raise DomainError("queries_per_epoch and drain_epochs must be non-negative")
 
     def require_state_machine_coverage(self) -> None:
         """Scenario runs must cover p_ver + 1 epochs to exercise every state."""

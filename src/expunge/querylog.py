@@ -3,10 +3,14 @@
 Every query a user sends to the service provider is signed by the user,
 chained into the current block by hash and, when the block seals,
 bound into a chained accumulator proof. The service provider stores only
-encrypted sealed blocks, so it can neither read, alter, drop, nor
-reorder logged queries without the next audit noticing: a record-level
-change breaks the recomputed block proof, and a missing block breaks the
-proof chain itself.
+encrypted sealed blocks, so it cannot read logged queries, and the next
+audit notices a changed, dropped, added or reordered record (the
+recomputed block proof differs) or a missing block between two kept ones
+(the proof chain breaks). The audit does not notice a dropped or
+re-derived *newest* block: the accumulator step and the SDP's box key are
+public, so the service provider can recompute a tail's proofs over
+records of its choosing, and nothing vouches for the chain's tip.
+ROADMAP item 4 (the truncation attack) closes that gap.
 
 The "enclave" here is an in-process trusted component with its own key
 namespace; there is no hardware attestation in this harness.
@@ -14,7 +18,7 @@ namespace; there is no hardware attestation in this harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -30,7 +34,7 @@ from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .crypto import hybrid_decrypt_many, hybrid_encrypt_many, sign, verify_signature
 from .encoding import U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes, vint
-from .errors import DomainError, IntegrityError, SealedBlockError, SignatureRejected
+from .errors import DomainError, IntegrityError, SignatureRejected
 from .hashing import digest
 
 _EMPTY_BLOCK_LABEL = b"EMPTYBLOCK"
@@ -85,27 +89,6 @@ def empty_block_digest(block_id: int) -> bytes:
     return digest(_EMPTY_BLOCK_LABEL, u64(block_id))
 
 
-@dataclass
-class QueryBlock:
-    """The open block being filled inside the trusted component."""
-
-    block_id: int
-    created_at: int
-    capacity: int
-    records: list[QueryRecord] = field(default_factory=list)
-    running_digest: bytes | None = None
-    sealed: bool = False
-    block_proof: AccumulatorValue | None = None
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise DomainError("block capacity must be at least 1")
-
-    @property
-    def full(self) -> bool:
-        return len(self.records) >= self.capacity
-
-
 @dataclass(frozen=True)
 class SealedBlock(Record):
     """Durable on-disk form: proof plus per-record encryption."""
@@ -126,58 +109,12 @@ class SealedBlock(Record):
     encrypted_records: tuple[bytes, ...]
 
 
-def append_query(
-    block: QueryBlock,
-    record: QueryRecord,
-    registry: dict[bytes, Ed25519PublicKey],
-    params: AccumulatorParams,
-) -> None:
-    """Chain one record into the open block after signature screening."""
-    if block.sealed:
-        raise SealedBlockError(f"block {block.block_id} is sealed")
-    if block.full:
-        raise SealedBlockError(f"block {block.block_id} is full; seal it first")
+def _signed_by_registered_user(
+    record: QueryRecord, registry: dict[bytes, Ed25519PublicKey]
+) -> bool:
     public = registry.get(record.user_id)
-    if public is None or not verify_signature(
+    return public is not None and verify_signature(
         public, record.signature, signed_payload(record.query, record.time)
-    ):
-        raise SignatureRejected(f"record from {record.user_id!r} failed verification")
-    prev_link = block.running_digest if block.records else seed_link(params)
-    block.running_digest = chain_digest(record, prev_link)
-    block.records.append(record)
-
-
-def seal_block(
-    block: QueryBlock,
-    prev_proof: AccumulatorValue | int,
-    params: AccumulatorParams,
-    sdp_public: X25519PublicKey,
-    sealed_at: int,
-) -> SealedBlock:
-    """Freeze the block: chained proof, each record encrypted on its own.
-
-    The block's records share one key agreement; each still opens alone.
-
-    An empty block seals over a sentinel digest so the proof chain shows
-    no gap that suppression could hide in. ``prev_proof`` is the seal of
-    the previous block, or the public seed for the first one.
-    """
-    if block.sealed:
-        raise SealedBlockError(f"block {block.block_id} is already sealed")
-    head = block.running_digest
-    if head is None:
-        head = empty_block_digest(block.block_id)
-    proof = step(prev_proof, head, params)
-    block.sealed = True
-    block.block_proof = proof
-    return SealedBlock(
-        block_id=block.block_id,
-        created_at=block.created_at,
-        sealed_at=sealed_at,
-        block_proof=proof,
-        encrypted_records=hybrid_encrypt_many(
-            [record.to_bytes() for record in block.records], sdp_public
-        ),
     )
 
 
@@ -227,13 +164,11 @@ def audit_block(
             recomputed_proof=None,
         )
 
-    bad_signatures = []
-    for position, record in enumerate(records, start=1):
-        public = registry.get(record.user_id)
-        if public is None or not verify_signature(
-            public, record.signature, signed_payload(record.query, record.time)
-        ):
-            bad_signatures.append(position)
+    bad_signatures = [
+        position
+        for position, record in enumerate(records, start=1)
+        if not _signed_by_registered_user(record, registry)
+    ]
 
     if records:
         link = seed_link(params)
@@ -253,12 +188,20 @@ def audit_block(
 
 
 class QueryLogger:
-    """The trusted component's logging loop: open block, seal, hand off.
+    """The trusted component's logging loop: chain, seal, hand off.
 
-    Blocks seal when full or when their wall-time limit passes,
-    whichever happens first, so quiet periods still produce auditable
-    blocks. Sealed blocks go to ``sink`` (typically a file writer owned
-    by the service provider).
+    Each admitted record chains by hash onto the open block's running
+    link, which starts from the public seed. Blocks seal when full or
+    when their wall-time limit passes, whichever happens first, so quiet
+    periods still produce auditable blocks. A seal raises the previous
+    block's proof (the public seed for block 1) to the block's last link,
+    so each proof chains from the one before. An empty block seals over a
+    sentinel digest (:func:`empty_block_digest`), so the proof chain shows
+    no gap that suppression could hide in. A block's records share one
+    key agreement, and each still opens alone; an empty block makes none.
+    Block ids come from a counter, not from ``sealed_blocks``, which the
+    service provider holds. Sealed blocks go to ``sink`` (typically a
+    file writer owned by the service provider).
     """
 
     def __init__(
@@ -271,6 +214,8 @@ class QueryLogger:
         start_time: int = 0,
         sink: Callable[[SealedBlock], None] | None = None,
     ):
+        if capacity < 1:
+            raise DomainError("block capacity must be at least 1")
         if time_limit <= 0:
             raise DomainError("block time limit must be positive")
         self.capacity = capacity
@@ -282,41 +227,51 @@ class QueryLogger:
         self.sealed_blocks: list[SealedBlock] = []
         self.security_events: list[dict] = []
         self._chain_tip: AccumulatorValue | int = params.seed
-        self._open = QueryBlock(block_id=1, created_at=start_time, capacity=capacity)
-
-    @property
-    def open_block(self) -> QueryBlock:
-        return self._open
+        self._block_id = 1
+        self._created_at = start_time
+        self._records: list[QueryRecord] = []
+        self._link = seed_link(params)
 
     def _seal_open(self, now: int) -> None:
-        sealed = seal_block(self._open, self._chain_tip, self.params, self.sdp_public, now)
+        head = self._link if self._records else empty_block_digest(self._block_id)
+        proof = step(self._chain_tip, head, self.params)
+        sealed = SealedBlock(
+            block_id=self._block_id,
+            created_at=self._created_at,
+            sealed_at=now,
+            block_proof=proof,
+            encrypted_records=hybrid_encrypt_many(
+                [record.to_bytes() for record in self._records], self.sdp_public
+            ),
+        )
         self.sealed_blocks.append(sealed)
-        self._chain_tip = sealed.block_proof
+        self._chain_tip = proof
         if self.sink is not None:
             self.sink(sealed)
-        self._open = QueryBlock(
-            block_id=sealed.block_id + 1, created_at=now, capacity=self.capacity
-        )
+        self._block_id += 1
+        self._created_at = now
+        self._records = []
+        self._link = seed_link(self.params)
 
     def advance(self, now: int) -> None:
         """Seal on the time limit; called whenever the clock moves."""
-        while now - self._open.created_at >= self.time_limit:
-            self._seal_open(self._open.created_at + self.time_limit)
+        while now - self._created_at >= self.time_limit:
+            self._seal_open(self._created_at + self.time_limit)
 
     def log(self, record: QueryRecord, now: int) -> None:
         """Admit one query record; the logging call sits on the request path."""
         self.advance(now)
-        try:
-            append_query(self._open, record, self.registry, self.params)
-        except SignatureRejected:
+        if not _signed_by_registered_user(record, self.registry):
             self.security_events.append(
                 {"at": now, "user_id": record.user_id.hex(), "event": "signature_rejected"}
             )
-            raise
-        if self._open.full:
+            raise SignatureRejected(f"record from {record.user_id!r} failed verification")
+        self._link = chain_digest(record, self._link)
+        self._records.append(record)
+        if len(self._records) >= self.capacity:
             self._seal_open(now)
 
     def flush(self, now: int) -> None:
         """Seal whatever is open (end of run)."""
-        if self._open.records:
+        if self._records:
             self._seal_open(now)

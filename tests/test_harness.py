@@ -543,6 +543,33 @@ class TestCli:
         cfg.write_text(json.dumps(doc))
         self.assert_input_error(capsys, ["run", "--config", str(cfg)])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("verify_every_epochs", 0),
+            ("verify_every_epochs", -1),
+            ("queries_per_epoch", -1),
+            ("drain_epochs", -1),
+        ],
+    )
+    def test_config_value_out_of_range_is_input_error(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.json"
+        doc = {"modulus_bits": 512, "arrival_epochs": 4, "p_del": 1, "p_ver": 2, field: value}
+        cfg.write_text(json.dumps(doc))
+        self.assert_input_error(capsys, ["run", "--config", str(cfg)])
+
+    def test_device_that_is_not_hex_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**{**FAST, "arrival_epochs": 2, "p_del": 1, "p_ver": 1}).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "--state", str(state), "--time", "1", "--device", "zz"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--device" in err and "Traceback" not in err
+
     def test_config_accepts_the_documented_alternatives(self):
         doc = {"day_rate_per_hour": 100, "p_ver": "inf", "drain_epochs": None, "day_hours": [6, 18]}
         config = ScenarioConfig.from_dict(doc)

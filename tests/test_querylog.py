@@ -12,17 +12,15 @@ from expunge.crypto import (
     hybrid_encrypt,
 )
 from expunge.encoding import vbytes
-from expunge.errors import SealedBlockError, SignatureRejected
+from expunge.errors import DomainError, SignatureRejected
 from expunge.querylog import (
-    QueryBlock,
     QueryLogger,
     QueryRecord,
-    append_query,
+    SealedBlock,
     audit_block,
     chain_digest,
     empty_block_digest,
     make_query_record,
-    seal_block,
     seed_link,
 )
 
@@ -49,55 +47,74 @@ def _record(ring, i, query=None, t=None):
     )
 
 
-def _filled_block(ring, registry, params, n, capacity=None, block_id=1):
-    block = QueryBlock(block_id=block_id, created_at=0, capacity=capacity or max(n, 1))
+def _logger(ring, registry, params, capacity, time_limit=10**9):
+    return QueryLogger(
+        capacity=capacity, time_limit=time_limit, params=params,
+        sdp_public=ring.sdp_box_public, registry=registry,
+    )
+
+
+def _sealed_block(ring, registry, params, n):
+    """Block 1 of a fresh logger, sealed full with records 0..n-1 (empty if n is 0)."""
+    logger = _logger(ring, registry, params, capacity=max(n, 1), time_limit=1000)
     for i in range(n):
-        append_query(block, _record(ring, i), registry, params)
-    return block
+        logger.log(_record(ring, i), now=10)
+    logger.advance(now=1000)
+    return logger.sealed_blocks[0]
+
+
+def _fold(params, records):
+    """The block's last link, chained record by record from the seed."""
+    link = seed_link(params)
+    for record in records:
+        link = chain_digest(record, link)
+    return link
+
+
+def _raised(base, link, params) -> int:
+    return pow(base, exponent_from_bytes(link), params.modulus)
 
 
 class TestHashChain:
     def test_first_record_chains_from_seed(self, ring, registry, tiny_params):
         record = _record(ring, 0)
-        block = _filled_block(ring, registry, tiny_params, 0, capacity=4)
-        append_query(block, record, registry, tiny_params)
+        logger = _logger(ring, registry, tiny_params, capacity=1)
+        logger.log(record, now=10)
         expected = hashlib.sha256(
             record.to_bytes() + vbytes(seed_link(tiny_params))
         ).digest()
-        assert block.running_digest == expected
+        assert logger.sealed_blocks[0].block_proof.value == _raised(
+            tiny_params.seed, expected, tiny_params
+        )
 
     def test_same_record_different_prefix_changes_digest(self, ring, registry, tiny_params):
         record = _record(ring, 5)
-        b1 = _filled_block(ring, registry, tiny_params, 1, capacity=4)
-        b2 = _filled_block(ring, registry, tiny_params, 2, capacity=4)
-        d1 = chain_digest(record, b1.running_digest)
-        d2 = chain_digest(record, b2.running_digest)
+        d1 = chain_digest(record, _fold(tiny_params, [_record(ring, 0)]))
+        d2 = chain_digest(record, _fold(tiny_params, [_record(ring, i) for i in range(2)]))
         assert d1 != d2
 
     def test_three_record_chain_matches_scripted_fold(self, ring, registry, tiny_params):
         records = [_record(ring, i) for i in range(3)]
-        block = QueryBlock(block_id=1, created_at=0, capacity=3)
+        logger = _logger(ring, registry, tiny_params, capacity=3)
         for r in records:
-            append_query(block, r, registry, tiny_params)
+            logger.log(r, now=10)
         link = vbytes(seed_link(tiny_params))
         for r in records:
-            link = vbytes(hashlib.sha256(r.to_bytes() + link).digest())
-        assert vbytes(block.running_digest) == link
+            head = hashlib.sha256(r.to_bytes() + link).digest()
+            link = vbytes(head)
+        assert logger.sealed_blocks[0].block_proof.value == _raised(
+            tiny_params.seed, head, tiny_params
+        )
 
     def test_invalid_signature_rejected(self, ring, registry, tiny_params):
         good = _record(ring, 0)
         forged = dataclasses.replace(good, signature=bytes(64))
-        block = QueryBlock(block_id=1, created_at=0, capacity=2)
+        logger = _logger(ring, registry, tiny_params, capacity=2)
         with pytest.raises(SignatureRejected):
-            append_query(block, forged, registry, tiny_params)
+            logger.log(forged, now=10)
         unknown = dataclasses.replace(good, user_id=b"user-99")
         with pytest.raises(SignatureRejected):
-            append_query(block, unknown, registry, tiny_params)
-
-    def test_full_block_must_seal_first(self, ring, registry, tiny_params):
-        block = _filled_block(ring, registry, tiny_params, 2, capacity=2)
-        with pytest.raises(SealedBlockError):
-            append_query(block, _record(ring, 9), registry, tiny_params)
+            logger.log(unknown, now=10)
 
     def test_record_round_trip(self, ring):
         record = _record(ring, 3)
@@ -106,60 +123,51 @@ class TestHashChain:
 
 class TestSealing:
     def test_first_block_proof_is_seed_raised_to_head(self, ring, registry, tiny_params):
-        block = _filled_block(ring, registry, tiny_params, 3)
-        head = block.running_digest
-        sealed = seal_block(
-            block, tiny_params.seed, tiny_params, ring.sdp_box_public, sealed_at=50
+        records = [_record(ring, i) for i in range(3)]
+        logger = _logger(ring, registry, tiny_params, capacity=3)
+        for r in records:
+            logger.log(r, now=50)
+        assert len(logger.sealed_blocks) == 1
+        head = _fold(tiny_params, records)
+        assert logger.sealed_blocks[0].block_proof.value == _raised(
+            tiny_params.seed, head, tiny_params
         )
-        expected = pow(
-            tiny_params.seed, exponent_from_bytes(head), tiny_params.modulus
-        )
-        assert sealed.block_proof.value == expected
-        assert block.sealed
 
     def test_second_block_chains_off_first_proof(self, ring, registry, tiny_params):
-        b1 = _filled_block(ring, registry, tiny_params, 2, block_id=1)
-        s1 = seal_block(b1, tiny_params.seed, tiny_params, ring.sdp_box_public, 10)
-        b2 = _filled_block(ring, registry, tiny_params, 2, block_id=2)
-        s2 = seal_block(b2, s1.block_proof, tiny_params, ring.sdp_box_public, 20)
-        expected = pow(
-            s1.block_proof.value,
-            exponent_from_bytes(b2.running_digest),
-            tiny_params.modulus,
-        )
+        records = [_record(ring, i) for i in range(4)]
+        logger = _logger(ring, registry, tiny_params, capacity=2)
+        for r in records:
+            logger.log(r, now=10)
+        s1, s2 = logger.sealed_blocks
+        expected = _raised(s1.block_proof.value, _fold(tiny_params, records[2:]), tiny_params)
         assert s2.block_proof.value == expected
 
-    def test_sealed_block_rejects_appends_and_reseal(self, ring, registry, tiny_params):
-        block = _filled_block(ring, registry, tiny_params, 1)
-        seal_block(block, tiny_params.seed, tiny_params, ring.sdp_box_public, 10)
-        with pytest.raises(SealedBlockError):
-            append_query(block, _record(ring, 4), registry, tiny_params)
-        with pytest.raises(SealedBlockError):
-            seal_block(block, tiny_params.seed, tiny_params, ring.sdp_box_public, 11)
-
     def test_empty_block_seals_with_sentinel(self, ring, registry, tiny_params):
-        block = QueryBlock(block_id=7, created_at=0, capacity=4)
-        sealed = seal_block(block, tiny_params.seed, tiny_params, ring.sdp_box_public, 10)
-        expected = pow(
-            tiny_params.seed,
-            exponent_from_bytes(empty_block_digest(7)),
-            tiny_params.modulus,
-        )
-        assert sealed.block_proof.value == expected
-        assert sealed.encrypted_records == ()
+        logger = _logger(ring, registry, tiny_params, capacity=4, time_limit=10)
+        logger.advance(now=70)
+        assert [b.block_id for b in logger.sealed_blocks] == list(range(1, 8))
+        prev = tiny_params.seed
+        for sealed in logger.sealed_blocks:
+            expected = _raised(prev, empty_block_digest(sealed.block_id), tiny_params)
+            assert sealed.block_proof.value == expected
+            assert sealed.encrypted_records == ()
+            prev = expected
 
     def test_sealed_block_round_trip(self, ring, registry, tiny_params):
-        block = _filled_block(ring, registry, tiny_params, 2)
-        sealed = seal_block(block, tiny_params.seed, tiny_params, ring.sdp_box_public, 10)
-        from expunge.querylog import SealedBlock
-
+        sealed = _sealed_block(ring, registry, tiny_params, 2)
         assert SealedBlock.from_bytes(sealed.to_bytes()) == sealed
+
+    @pytest.mark.parametrize("capacity, time_limit", [(0, 10), (1, 0), (1, -5)])
+    def test_bad_capacity_or_time_limit_refused(
+        self, ring, registry, tiny_params, capacity, time_limit
+    ):
+        with pytest.raises(DomainError):
+            _logger(ring, registry, tiny_params, capacity, time_limit)
 
 
 class TestAudit:
     def test_honest_block_passes(self, ring, registry, small_params):
-        block = _filled_block(ring, registry, small_params, 4)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 4)
         report = audit_block(
             sealed, small_params.seed, ring.sdp_box_private, small_params, registry
         )
@@ -169,8 +177,7 @@ class TestAudit:
         rng = random.Random(31)
         detected = 0
         trials = 10**3
-        block = _filled_block(ring, registry, small_params, 6)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 6)
         for _ in range(trials):
             drop = rng.randrange(len(sealed.encrypted_records))
             tampered = dataclasses.replace(
@@ -185,13 +192,11 @@ class TestAudit:
         assert detected == trials
 
     def test_block_suppression_breaks_chain(self, ring, registry, small_params):
-        blocks = []
-        prev = small_params.seed
+        logger = _logger(ring, registry, small_params, capacity=2)
         for bid in (1, 2, 3):
-            block = _filled_block(ring, registry, small_params, 2, block_id=bid)
-            sealed = seal_block(block, prev, small_params, ring.sdp_box_public, bid * 10)
-            blocks.append(sealed)
-            prev = sealed.block_proof
+            for i in range(2):
+                logger.log(_record(ring, i), now=bid * 10)
+        blocks = logger.sealed_blocks
         # suppress block 2: auditing block 3 against block 1's proof fails
         report = audit_block(
             blocks[2], blocks[0].block_proof, ring.sdp_box_private, small_params, registry
@@ -199,8 +204,7 @@ class TestAudit:
         assert not report.ok
 
     def test_garbled_record_is_tamper_verdict(self, ring, registry, small_params):
-        block = _filled_block(ring, registry, small_params, 2)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 2)
         garbled = dataclasses.replace(
             sealed,
             encrypted_records=(sealed.encrypted_records[0][:-1] + b"\x00",)
@@ -214,8 +218,7 @@ class TestAudit:
     def test_one_key_agreement_per_sealed_and_audited_block(
         self, ring, registry, small_params, agreements
     ):
-        block = _filled_block(ring, registry, small_params, 5)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 5)
         assert agreements.generated == agreements.exchanges == 1
         assert len({blob[:EPHEMERAL_PUBLIC_BYTES] for blob in sealed.encrypted_records}) == 1
         recipient = agreements.watch(ring.sdp_box_private)
@@ -223,15 +226,13 @@ class TestAudit:
         assert agreements.exchanges == 2
 
     def test_empty_block_makes_no_key_agreement(self, ring, registry, small_params, agreements):
-        block = QueryBlock(block_id=1, created_at=0, capacity=4)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 0)
         recipient = agreements.watch(ring.sdp_box_private)
         assert audit_block(sealed, small_params.seed, recipient, small_params, registry).ok
         assert agreements.generated == agreements.exchanges == 0
 
     def test_low_order_ephemeral_key_is_decrypt_failure(self, ring, registry, small_params):
-        block = _filled_block(ring, registry, small_params, 2)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
+        sealed = _sealed_block(ring, registry, small_params, 2)
         zero_key = bytes(EPHEMERAL_PUBLIC_BYTES) + bytes(NONCE_BYTES) + bytes(40)
         tampered = dataclasses.replace(
             sealed, encrypted_records=(zero_key,) + sealed.encrypted_records[1:]
@@ -245,9 +246,9 @@ class TestAudit:
         self, ring, registry, small_params
     ):
         # blocks sealed one agreement per record still audit
-        block = _filled_block(ring, registry, small_params, 4)
-        sealed = seal_block(block, small_params.seed, small_params, ring.sdp_box_public, 10)
-        per_record = tuple(hybrid_encrypt(r.to_bytes(), ring.sdp_box_public) for r in block.records)
+        sealed = _sealed_block(ring, registry, small_params, 4)
+        records = [_record(ring, i) for i in range(4)]
+        per_record = tuple(hybrid_encrypt(r.to_bytes(), ring.sdp_box_public) for r in records)
         mixed = dataclasses.replace(
             sealed, encrypted_records=per_record[:2] + sealed.encrypted_records[2:]
         )
@@ -261,12 +262,10 @@ class TestAudit:
         intruder = _record(ring, 77)
         for n in (1, 2, 4, 8):
             records = base_records[:n]
-            block = QueryBlock(block_id=1, created_at=0, capacity=n)
+            logger = _logger(ring, registry, small_params, capacity=n)
             for r in records:
-                append_query(block, r, registry, small_params)
-            sealed = seal_block(
-                block, small_params.seed, small_params, ring.sdp_box_public, 10
-            )
+                logger.log(r, now=10)
+            (sealed,) = logger.sealed_blocks
 
             def reseal(mutated_records):
                 # the adversary cannot recompute a valid proof (no enclave
@@ -318,7 +317,8 @@ class TestLogger:
         for i in range(5):
             logger.log(_record(ring, i), now=10 + i)
         assert len(logger.sealed_blocks) == 2
-        assert len(logger.open_block.records) == 1
+        logger.flush(now=20)
+        assert [len(b.encrypted_records) for b in logger.sealed_blocks] == [2, 2, 1]
 
     def test_seals_on_time_limit_even_empty(self, ring, registry, tiny_params):
         logger = QueryLogger(
@@ -355,4 +355,30 @@ class TestLogger:
         with pytest.raises(SignatureRejected):
             logger.log(forged, now=5)
         assert logger.security_events and logger.security_events[0]["event"] == "signature_rejected"
-        assert logger.open_block.records == []
+        logger.flush(now=6)
+        assert logger.sealed_blocks == []  # nothing chained
+
+    def test_block_ids_count_on_across_time_limit_seals(self, ring, registry, small_params):
+        logger = _logger(ring, registry, small_params, capacity=2, time_limit=100)
+        for i in range(2):
+            logger.log(_record(ring, i), now=10 + i)
+        logger.advance(now=11 + 2 * 100)
+        for i in range(2, 4):
+            logger.log(_record(ring, i), now=220 + i)
+        blocks = logger.sealed_blocks
+        assert [b.block_id for b in blocks] == [1, 2, 3, 4]
+        assert [len(b.encrypted_records) for b in blocks] == [2, 0, 0, 2]
+        prev = small_params.seed
+        for sealed in blocks:
+            report = audit_block(sealed, prev, ring.sdp_box_private, small_params, registry)
+            assert report.ok
+            prev = sealed.block_proof
+        skipped = audit_block(
+            blocks[3], blocks[1].block_proof, ring.sdp_box_private, small_params, registry
+        )
+        assert not skipped.ok
+        # the id comes from the logger's own counter, whatever the
+        # service provider does to the list it holds
+        blocks.clear()
+        logger.advance(now=223 + 100)
+        assert [b.block_id for b in logger.sealed_blocks] == [5]

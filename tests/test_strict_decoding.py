@@ -312,3 +312,13 @@ def test_only_hashing_loads_libcrypto():
         if re.search(r"\bCDLL\(|\b_hashlib\b", path.read_text())
     ]
     assert loaders == ["hashing.py"]
+
+
+def test_only_querylog_builds_sealed_blocks():
+    package = Path(expunge.__file__).parent
+    builders = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if re.search(r"\bSealedBlock\(", path.read_text())
+    ]
+    assert builders == ["querylog.py"]
