@@ -28,10 +28,12 @@ hashing module) and expands the digest back to a full cell: block 0 is
 ``H(d || u32(0))`` and the rest is the X9.63 KDF of ``d``, whose counter
 starts at 1, derived natively where OpenSSL 3 provides it and hashed
 block by block elsewhere, with the same bytes either way. Pairs within
-one iteration are independent; iterations are strictly ordered. Only the
-final cells and the proof survive the call; no intermediate iteration is
-retained. The cloud keeps only the proof, which states the cell size; the
-epoch's digest list gives the cell count.
+one iteration are independent: it hashes them all, then expands the
+digests in one batch that holds the native context's lock for the whole
+iteration. Iterations are strictly ordered. Only the final cells and the
+proof survive the call; no intermediate iteration is retained. The cloud
+keeps only the proof, which states the cell size; the epoch's digest
+list gives the cell count.
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from . import encoding
+from . import encoding, hashing
 from .encoding import U32, U64, VBYTES, Layout, Record, u32, u64
 from .errors import DomainError
-from .hashing import BLOCK_SIZE, DIGEST_SIZE, digest, expand
+from .hashing import BLOCK_SIZE, DIGEST_SIZE, digest, expand, expand_many
 
 #: Cell size used when an epoch has no ciphertexts at all; the transform
 #: then runs over two synthetic pad cells so the proof chain stays total.
@@ -143,6 +145,11 @@ def combine(a: bytes, b: bytes) -> bytes:
     return expand(digest(a, b), len(a))
 
 
+def _combine_level(pairs: list[tuple[bytes, bytes]], cell_size: int) -> list[bytes]:
+    """:func:`combine` of every pair of one transform level, in one expansion batch."""
+    return expand_many([digest(a, b) for a, b in pairs], cell_size)
+
+
 def _padded_cells(array: CellArray) -> list[bytes]:
     n = len(array.cells)
     cells = list(array.cells)
@@ -169,15 +176,14 @@ def expunge(
     n = len(cells)
     for iteration in range(1, n.bit_length()):
         block, stride = 2**iteration, 2 ** (iteration - 1)
+        lefts = [i for base in range(0, n, block) for i in range(base, base + stride)]
+        if on_pair is not None:
+            for i in lefts:
+                on_pair(iteration, i, i + stride)
+        values = _combine_level([(cells[i], cells[i + stride]) for i in lefts], array.cell_size)
         scratch: list[bytes] = [b""] * n
-        for base in range(0, n, block):
-            for i in range(base, base + stride):
-                j = i + stride
-                if on_pair is not None:
-                    on_pair(iteration, i, j)
-                value = combine(cells[i], cells[j])
-                scratch[i] = value
-                scratch[j] = value
+        for i, value in zip(lefts, values):
+            scratch[i] = scratch[i + stride] = value
         cells = scratch
     proof_digest = digest(*cells)
     overwritten = CellArray(
@@ -202,11 +208,10 @@ def expunge_ciphertexts(ciphertexts, epoch_id: int, now: int = 0) -> DeletionPro
 
 # --- runtime estimation ----------------------------------------------------
 
-#: Cell sizes at which :func:`combine` is timed to fit the cost model.
-_FIT_CELL_SIZES = (64, 4096)
-#: Wall time spent timing combine at each fit size, split into batches;
-#: the median batch stands, so one scheduler pause cannot skew the fit.
-_FIT_SECONDS = 0.003
+#: The fit times a four-pair transform level for ``_FIT_SECONDS`` at
+#: each of its four cell sizes, split into batches; the median batch
+#: stands, so one scheduler pause cannot skew the fit.
+_FIT_SECONDS = 0.0013
 _FIT_BATCHES = 5
 
 
@@ -215,35 +220,41 @@ def _combine_blocks(cell_size: int) -> int:
     return -(-2 * cell_size // BLOCK_SIZE) + -(-cell_size // DIGEST_SIZE)
 
 
-#: The fitted ``(fixed, per_block)`` combine seconds under ``"combine"``,
-#: once per process; clearing it forces the next estimate to fit again.
-_calibration_cache: dict[str, tuple[float, float]] = {}
+#: Under ``"combine"``, once per process: the largest cell the hashlib
+#: loop expands, then that loop's and the native call's fitted ``(fixed,
+#: per_block)`` seconds. Clearing it forces the next estimate to fit again.
+_calibration_cache: dict[str, tuple] = {}
 
 
-def _fit_combine_cost() -> tuple[float, float]:
-    """Time combine at the two fit sizes and solve for both coefficients."""
-    points = []
-    for cell_size in _FIT_CELL_SIZES:
-        a = expand(b"calibrate-a", cell_size)
-        b = expand(b"calibrate-b", cell_size)
-        batches = []
-        for _ in range(_FIT_BATCHES):
-            rounds = 0
-            start = time.perf_counter()
-            while (elapsed := time.perf_counter() - start) < _FIT_SECONDS / _FIT_BATCHES:
-                combine(a, b)
-                rounds += 1
-            batches.append(elapsed / rounds)
-        points.append((_combine_blocks(cell_size), statistics.median(batches)))
-    (small_blocks, small_s), (large_blocks, large_s) = points
-    per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
-    return max(0.0, small_s - per_block * small_blocks), per_block
+def _fit_point(cell_size: int) -> tuple[int, float]:
+    """Hash blocks per combine, and the median seconds per pair of a level."""
+    pairs = [(bytes([k]) * cell_size, bytes([~k & 255]) * cell_size) for k in range(4)]
+    batches = []
+    for _ in range(_FIT_BATCHES):
+        start, rounds = time.perf_counter(), 0
+        while (elapsed := time.perf_counter() - start) < _FIT_SECONDS / _FIT_BATCHES:
+            _combine_level(pairs, cell_size)
+            rounds += 1
+        batches.append(elapsed / rounds / len(pairs))
+    return _combine_blocks(cell_size), statistics.median(batches)
+
+
+def _fit_combine_cost() -> tuple:
+    """Fit each expansion path's line through both ends of the sizes it prices."""
+    loop_max = (hashing.NATIVE_MIN_BLOCKS - 1) * DIGEST_SIZE
+    lines = []
+    for ends in ((EMPTY_EPOCH_CELL_SIZE, loop_max), (loop_max + 1, 4096)):
+        (small_blocks, small_s), (large_blocks, large_s) = map(_fit_point, ends)
+        per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
+        lines.append((max(0.0, small_s - per_block * small_blocks), per_block))
+    return loop_max, *lines
 
 
 def _combine_seconds(cell_size: int) -> float:
     if "combine" not in _calibration_cache:
         _calibration_cache["combine"] = _fit_combine_cost()
-    fixed, per_block = _calibration_cache["combine"]
+    loop_max, loop_line, native_line = _calibration_cache["combine"]
+    fixed, per_block = loop_line if cell_size <= loop_max else native_line
     return fixed + per_block * _combine_blocks(cell_size)
 
 
@@ -257,12 +268,13 @@ def expunge_duration_estimate(cell_count: int, cell_size: int) -> float:
     A combine costs a fixed number of SHA-256 blocks for a given cell
     size: the pair digest over ``2 * cell_size`` bytes plus
     ``ceil(cell_size / 32)`` expansion blocks. The per-combine overhead
-    and the per-block cost are fitted once per process, by timing
-    combine at 64 B and 4 KiB cells, so later cell sizes cost no timing
-    at all (see :data:`_calibration_cache`). The estimate grows with
-    ``n * cell_size * log n``, plus the linear packing and proof-hash
-    pass over the input bytes. Used to size the time bound in the
-    attestation phase.
+    and the per-block cost are fitted once per process for each
+    expansion path, by timing a transform level at both ends of the cell
+    sizes it expands (64 B to 4 KiB in all), so later cell sizes cost no
+    timing at all (see :data:`_calibration_cache`). The estimate grows
+    with ``n * cell_size * log n``, plus the linear packing and
+    proof-hash pass over the input bytes. Used to size the time bound in
+    the attestation phase.
     """
     if cell_count < 1 or cell_size < 1:
         raise DomainError("estimate requires at least one cell of at least one byte")

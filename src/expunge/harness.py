@@ -61,8 +61,8 @@ from .core import (
 )
 from .crypto import KeyRing, generate_keyring, save_keyring
 from .engine import CellArray, expunge
-from .errors import DataExpiredError, DomainError, UnavailableError
-from .querylog import QueryLogger, SealedBlock, audit_block, make_query_record
+from .errors import DataExpiredError, DomainError, UnavailableError, WireError
+from .querylog import AuditReport, QueryLogger, SealedBlock, audit_block, make_query_record
 from .wire import CloudService, LoopbackTransport, SocketTransport, SpService, serve
 
 MS_PER_HOUR = 3_600_000
@@ -611,14 +611,18 @@ class _Run:
     def audit(self) -> None:
         """The provider audits every sealed query block."""
         for sealed in self.logger.sealed_blocks:
-            fetched, prev = SpService.audit_fetch_via(self.sp, sealed.block_id)
-            audit = audit_block(
-                fetched,
-                prev if prev is not None else self.params.seed,
-                self.keyring.sdp_box_private,
-                self.params,
-                self.registry,
-            )
+            try:
+                fetched, prev = SpService.audit_fetch_via(self.sp, sealed.block_id)
+            except (UnavailableError, WireError):  # refused, or another block came back
+                audit = AuditReport(sealed.block_id, False, False, (), None)
+            else:
+                audit = audit_block(
+                    fetched,
+                    prev if prev is not None else self.params.seed,
+                    self.keyring.sdp_box_private,
+                    self.params,
+                    self.registry,
+                )
             self.audits_failed += not audit.ok
             self.emit(
                 "sdp", "audit", block_id=sealed.block_id, ok=audit.ok,

@@ -9,10 +9,10 @@ The expansion that fills a cell, ``H(seed || u32(0)) || H(seed ||
 u32(1)) || ...``, is from its second block on the ANSI X9.63 KDF over
 SHA-256 with no shared info (SEC 1 v2, section 3.6.1), whose counter
 starts at 1. Where the libcrypto behind ``hashlib`` ships that KDF
-(OpenSSL 3), :func:`expand` hashes block 0 with ``hashlib`` and derives
-every later block in one native call; elsewhere, and for outputs too
-short to repay the call, it hashes block by block. Both paths return
-the same bytes.
+(OpenSSL 3), :func:`expand_many` hashes block 0 with ``hashlib`` and
+derives the rest in one native call per seed, a batch at a time;
+elsewhere, and for outputs too short to repay the call, it hashes
+block by block. Both paths return the same bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import ctypes
 import sys
 import threading
 from hashlib import sha256
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .encoding import u32
 
@@ -88,10 +88,11 @@ class _X963KDF:
     """One libcrypto X9.63 KDF context over SHA-256, shared by every thread.
 
     ctypes releases the interpreter lock inside the derive call, so the
-    lock keeps one derive at a time on the context, on the key parameter
-    that points at the caller's seed and on the output buffer. The
-    buffer only grows: a ctypes array of a new length is a new type,
-    which costs microseconds to build again once the collector frees it.
+    lock keeps one batch at a time on the context, on the key parameter
+    and on the output buffer. The derive is typed once with ``void *``
+    arguments and gets prebuilt pointers; the output is read through a
+    memoryview. The buffer only grows: a ctypes array of a new length is
+    a new type, which costs microseconds to build again once freed.
     """
 
     def __init__(self, lib):
@@ -106,24 +107,32 @@ class _X963KDF:
         if not lib.EVP_KDF_CTX_set_params(ctx, digest_param):
             lib.EVP_KDF_CTX_free(ctx)
             raise OSError("EVP_KDF_CTX_set_params failed")
-        self._ctx = ctx
-        self._derive = lib.EVP_KDF_derive
+        void_p = ctypes.c_void_p
+        derive_type = ctypes.CFUNCTYPE(ctypes.c_int, void_p, void_p, ctypes.c_size_t, void_p)
+        self._derive = derive_type(("EVP_KDF_derive", lib))
         self._clear_errors = lib.ERR_clear_error
         self._params = (_Param * 2)(_Param(b"key", _OCTET_STRING, None, 0, _UNMODIFIED))
         self._key = self._params[0]
-        self._out = ctypes.create_string_buffer(0)
+        self._ctx, self._params_ptr = void_p(ctx), void_p(ctypes.addressof(self._params))
+        self._out, self._out_ptr = memoryview(b""), None
         self._lock = threading.Lock()
 
-    def derive(self, seed: bytes, length: int) -> bytes:
-        """``length >= 1`` bytes of ``H(seed || u32(1)) || ...`` for a non-empty ``seed``."""
+    def derive(self, seeds: Iterable[bytes], length: int) -> list[bytes]:
+        """``length >= 1`` bytes of ``H(seed || u32(1)) || ...`` for each non-empty seed."""
         with self._lock:
             if len(self._out) < length:
-                self._out = ctypes.create_string_buffer(length)
-            self._key.data, self._key.data_size = seed, len(seed)
-            if self._derive(self._ctx, self._out, length, self._params) == 1:
-                return ctypes.string_at(self._out, length)
-            self._clear_errors()
-        raise MemoryError("EVP_KDF_derive failed")
+                buffer = ctypes.create_string_buffer(length)
+                self._out, self._out_ptr = memoryview(buffer), ctypes.c_void_p(ctypes.addressof(buffer))
+            key, view = self._key, self._out[:length]
+            args = (self._ctx, self._out_ptr, ctypes.c_size_t(length), self._params_ptr)
+            outputs = []
+            for seed in seeds:
+                key.data, key.data_size = seed, len(seed)
+                if self._derive(*args) != 1:
+                    self._clear_errors()
+                    raise MemoryError("EVP_KDF_derive failed")
+                outputs.append(view.tobytes())
+        return outputs
 
 
 def _bind_x963kdf() -> _X963KDF | None:
@@ -134,10 +143,6 @@ def _bind_x963kdf() -> _X963KDF | None:
             "EVP_KDF_CTX_new": (ctypes.c_void_p, [ctypes.c_void_p]),
             "EVP_KDF_CTX_free": (None, [ctypes.c_void_p]),
             "EVP_KDF_CTX_set_params": (ctypes.c_int, [ctypes.c_void_p, ctypes.POINTER(_Param)]),
-            "EVP_KDF_derive": (
-                ctypes.c_int,
-                [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_size_t, ctypes.POINTER(_Param)],
-            ),
             "ERR_clear_error": (None, []),
         }
     )
@@ -145,23 +150,24 @@ def _bind_x963kdf() -> _X963KDF | None:
         return None
     try:
         return _X963KDF(lib)
-    except OSError:
+    except (AttributeError, OSError):  # AttributeError: no EVP_KDF_derive
         return None
 
 
 #: Bound at import; None means every expansion hashes block by block.
 _x963kdf = _bind_x963kdf()
 
-#: Fewest output blocks for which :func:`expand` takes the native call.
-#: The call costs about 3.5 us before its first block, a hashlib block
-#: about 0.45 us and a native one 0.1-0.15 us (2-CPU x86-64, Python
-#: 3.11, OpenSSL 3.0). In a tight loop the paths break even at 8-9
-#: blocks; at 2 blocks (64 B) the call is twice as slow. Between other
-#: work the call's fixed cost grows more than the loop's: timed inside
-#: a perfbench long-retention run, each path taken at random per call,
-#: native / hashlib was 9.7 / 8.3 us at 11 blocks, 9.2 / 8.7 at 12 and
-#: 8.9 / 9.1 at 13; inside verify-audit, 6.7 / 8.0 us at 13 blocks.
-NATIVE_MIN_BLOCKS = 13
+#: Fewest output blocks for which :func:`expand_many` takes the native
+#: call. In a batch, a seed's call costs about 1.3 us before its first
+#: block and 0.14 us a block after it, against 0.43 us a hashlib block
+#: (2-CPU x86-64, Python 3.11, OpenSSL 3.0); in a tight loop the paths
+#: break even at 4-5 blocks in batches of 64 seeds and at 7-8 for a lone
+#: seed. Between other work the call costs more: timed inside perfbench
+#: runs, each batch's path drawn at random, the median native / hashlib
+#: time per seed was 7.4 / 6.8 us at 11 blocks and 5.9 / 6.6 us at 12 in
+#: long-retention (batches of 2-3 seeds), and 4.7 / 5.8 us at 12 blocks
+#: in verify-audit.
+NATIVE_MIN_BLOCKS = 12
 
 
 def digest(*parts: bytes) -> bytes:
@@ -189,24 +195,31 @@ def digests_after(prefix: bytes, suffixes: Iterable[bytes]) -> list[bytes]:
 
 
 def expand(seed: bytes, length: int) -> bytes:
-    """Counter-mode expansion of ``seed`` to exactly ``length`` bytes.
+    """:func:`expand_many` of one seed."""
+    return expand_many((seed,), length)[0]
+
+
+def expand_many(seeds: Sequence[bytes], length: int) -> list[bytes]:
+    """Counter-mode expansion of each seed to exactly ``length`` bytes.
 
     Output block i is ``H(seed || u32(i))``; blocks are concatenated
     and truncated. Used wherever a digest must fill a whole storage
-    cell rather than be truncated into it. Blocks 1 onward come from
-    one X9.63 KDF call where it is bound, there are at least
-    :data:`NATIVE_MIN_BLOCKS` blocks and the seed is not empty (handed
-    an empty key, libcrypto keeps the previous call's); the bytes are
-    the same either way.
+    cell rather than be truncated into it. Blocks 1 onward come from one
+    X9.63 KDF call per seed, all under one hold of the shared context,
+    where it is bound, there are at least :data:`NATIVE_MIN_BLOCKS`
+    blocks and no seed is empty (handed an empty key, libcrypto keeps
+    the previous call's); the bytes are the same either way. A failed
+    call raises and returns nothing.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     blocks = -(-length // DIGEST_SIZE)
     kdf = _x963kdf
-    if kdf is not None and seed and blocks >= NATIVE_MIN_BLOCKS:
-        return digest(seed, _COUNTERS[0]) + kdf.derive(seed, length - DIGEST_SIZE)
-    counters = _COUNTERS[:blocks] if blocks <= len(_COUNTERS) else map(u32, range(blocks))
-    return b"".join(digests_after(seed, counters))[:length]
+    if kdf is not None and blocks >= NATIVE_MIN_BLOCKS and all(seeds):
+        tails = kdf.derive(seeds, length - DIGEST_SIZE)
+        return [sha256(seed + _COUNTERS[0]).digest() + tail for seed, tail in zip(seeds, tails)]
+    counters = _COUNTERS[:blocks] if blocks <= len(_COUNTERS) else tuple(map(u32, range(blocks)))
+    return [b"".join(digests_after(seed, counters))[:length] for seed in seeds]
 
 
 #: This module, under the name by which perfbench's tracer calls

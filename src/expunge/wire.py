@@ -10,6 +10,7 @@ consumes.
 
 from __future__ import annotations
 
+import bisect
 import socket
 import socketserver
 import struct
@@ -339,15 +340,22 @@ class SpService:
                 return MessageType.OK, b""
             if msg_type == MessageType.AUDIT_FETCH:
                 (block_id,) = U64_LAYOUT.unpack(payload)
-                blocks = self.logger.sealed_blocks  # block ids are 1-based positions
-                if not 1 <= block_id <= len(blocks):
-                    raise UnavailableError(f"no sealed block {block_id}")
-                prev_proof = blocks[block_id - 2].block_proof if block_id > 1 else None
-                body = BLOCK_LAYOUT.pack(blocks[block_id - 1].to_bytes(), prev_proof)
-                return MessageType.BLOCK, body
+                block = self._sealed(block_id)
+                prev_proof = self._sealed(block_id - 1).block_proof if block_id > 1 else None
+                return MessageType.BLOCK, BLOCK_LAYOUT.pack(block.to_bytes(), prev_proof)
             raise WireError(f"service provider cannot handle message type {msg_type}")
         except (ExpungeError, EncodingError) as exc:
             return error_payload(exc)
+
+    def _sealed(self, block_id: int) -> SealedBlock:
+        """The sealed block with this id: at its 1-based position until one is gone."""
+        blocks = self.logger.sealed_blocks  # in id order
+        i = block_id - 1
+        if not (0 <= i < len(blocks) and blocks[i].block_id == block_id):
+            i = bisect.bisect_left(blocks, block_id, key=lambda block: block.block_id)
+        if i < len(blocks) and blocks[i].block_id == block_id:
+            return blocks[i]
+        raise UnavailableError(f"no sealed block {block_id}")
 
     @staticmethod
     def query_via(transport, record: QueryRecord, now: int) -> None:
@@ -359,9 +367,12 @@ class SpService:
     def audit_fetch_via(
         transport, block_id: int
     ) -> tuple[SealedBlock, AccumulatorValue | None]:
-        """Returns (sealed block, previous block proof or None)."""
+        """Returns (sealed block, previous block proof or None); refuses any other block."""
         payload, _ = _exchange(
             transport, MessageType.AUDIT_FETCH, U64_LAYOUT.pack(block_id), MessageType.BLOCK
         )
         blob, prev = BLOCK_LAYOUT.unpack(payload)
-        return SealedBlock.from_bytes(blob), prev
+        block = SealedBlock.from_bytes(blob)
+        if block.block_id != block_id:
+            raise WireError(f"asked for sealed block {block_id}, got block {block.block_id}")
+        return block, prev

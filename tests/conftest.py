@@ -14,7 +14,9 @@ ACCEPTANCE_NOTES: dict[str, str] = {}
 def _native_path_lines() -> list[str]:
     """Which libcrypto paths this run takes, read from the bindings themselves."""
     modexp = "builtin pow" if accumulator._libcrypto is None else f"openssl ({ssl.OPENSSL_VERSION})"
-    expand = "hashlib" if hashing._x963kdf is None else f"openssl X963KDF ({ssl.OPENSSL_VERSION})"
+    expand = "hashlib"
+    if hashing._x963kdf is not None:
+        expand = f"openssl X963KDF ({ssl.OPENSSL_VERSION}) from {hashing.NATIVE_MIN_BLOCKS} blocks"
     return [f"accumulator modexp: {modexp}", f"hashing expand: {expand}"]
 
 

@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from expunge import engine
+from expunge import engine, hashing
 from expunge.encoding import u32
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
@@ -233,6 +233,25 @@ class TestExpunge:
         array = _random_cells(rng, 16, 40)
         assert expunge(array)[1].proof == expunge(array)[1].proof
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_one_expansion_batch_per_iteration(self, n, monkeypatch):
+        kdf = hashing._x963kdf
+        if kdf is None:
+            pytest.skip("libcrypto's X963KDF is not bound on this host")
+        batches = []
+
+        class CountingKdf:
+            def derive(self, seeds, length):
+                batches.append(len(seeds))
+                return kdf.derive(seeds, length)
+
+        monkeypatch.setattr(hashing, "_x963kdf", CountingKdf())
+        size = hashing.NATIVE_MIN_BLOCKS * hashing.DIGEST_SIZE
+        array = _random_cells(random.Random(n), n, size)
+        expunge(array)
+        # log2 n batches of n/2 seeds, not n/2 * log2 n single derives
+        assert batches == [n // 2] * (n.bit_length() - 1)
+
     def test_proof_round_trip(self):
         proof = DeletionProof(epoch_id=9, proof=b"\x07" * 32, produced_at=77, cell_size=1024)
         assert DeletionProof.from_bytes(proof.to_bytes()) == proof
@@ -255,8 +274,8 @@ class TestDurationEstimate:
 
     @pytest.mark.parametrize(
         "n, size",
-        [(2**14, 64), (2**13, 256), (2**12, 1024), (2**10, 4096)],
-        ids=["64B", "256B", "1KiB", "4KiB"],
+        [(2**14, 64), (2**13, 256), (2**12, 400), (2**12, 1024), (2**10, 4096)],
+        ids=["64B", "256B", "400B", "1KiB", "4KiB"],
     )
     def test_estimate_within_3x_of_measured(self, n, size):
         estimate = expunge_duration_estimate(n, size)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from expunge import attestation, cloud
+from expunge import attestation, cloud, harness
 from expunge.cli import main
 from expunge.cloud import CloudStore
 from expunge.control import build_outsource_payload
@@ -347,6 +347,16 @@ class TestScenario:
         assert all(a["ok"] for a in audits if a["block_id"] != tampered_block)
         # verifications against the cloud are unaffected
         assert result.summary["verification_failures"] == 0
+
+    def test_refused_audit_fetch_counts_as_failed_audit(self, monkeypatch):
+        # the provider loses its first sealed block: block 2's predecessor
+        # is gone, so its fetch is refused, and the run reports it
+        monkeypatch.setattr(harness._Run, "inject_tamper", lambda run: run.logger.sealed_blocks.pop(0))
+        result = run_scenario(ScenarioConfig(**{**FAST, "tampering_sp": True}))
+        audits = {a["block_id"]: a["ok"] for a in result.events("audit")}
+        assert 1 not in audits and audits[2] is False
+        assert all(ok for block_id, ok in audits.items() if block_id > 2)
+        assert result.summary["audits_failed"] == 1
 
     def test_socket_transport_scenario(self):
         config = ScenarioConfig(

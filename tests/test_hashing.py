@@ -7,7 +7,8 @@ from unittest import mock
 
 import pytest
 
-from expunge import hashing
+from expunge import engine, hashing
+from expunge.engine import CellArray
 
 #: The protocol hash by its hashlib name; the references below build it
 #: independently of ``expunge.hashing``.
@@ -49,6 +50,36 @@ def test_expand_matches_reference_concatenation(algorithm, path):
                 assert hashing.expand(seed, length) == _reference_expand(algorithm, seed, length)
 
 
+@pytest.mark.parametrize("path", ["openssl", "hashlib"])
+def test_expand_many_equals_expand_per_seed(path):
+    seeds = [b"", bytes(range(11)), hashlib.sha256(b"seed").digest(), bytes(range(100))]
+    threshold = hashing.NATIVE_MIN_BLOCKS * hashing.DIGEST_SIZE
+    lengths = [*range(threshold - 2 * hashing.DIGEST_SIZE, threshold + hashing.DIGEST_SIZE + 2), 4096]
+    with _expand_path(path):
+        for length in lengths:
+            expected = [_reference_expand("sha256", seed, length) for seed in seeds]
+            # with and without the empty seed, which keeps a batch off the native call
+            for batch in (seeds, seeds[1:]):
+                outputs = hashing.expand_many(batch, length)
+                assert outputs == [hashing.expand(seed, length) for seed in batch]
+                assert outputs == expected[len(seeds) - len(batch):]
+    assert hashing.expand_many([], 4096) == []
+
+
+def _reference_expunge(cells: list[bytes]) -> list[bytes]:
+    """The butterfly over a power-of-two array, combining with the references."""
+    n, size = len(cells), len(cells[0])
+    stride = 1
+    while stride < n:
+        nxt = list(cells)
+        for base in range(0, n, 2 * stride):
+            for i in range(base, base + stride):
+                pair = hashlib.sha256(cells[i] + cells[i + stride]).digest()
+                nxt[i] = nxt[i + stride] = _reference_expand("sha256", pair, size)
+        cells, stride = nxt, 2 * stride
+    return cells
+
+
 def test_expand_threads_agree_with_reference():
     if hashing._x963kdf is None:
         pytest.skip("libcrypto's X963KDF is not bound on this host")
@@ -56,22 +87,41 @@ def test_expand_threads_agree_with_reference():
         [(hashlib.sha256(b"%d/%d" % (worker, i)).digest(), (528, 4096)[i % 2]) for i in range(300)]
         for worker in range(4)
     ]
-    barrier = threading.Barrier(len(jobs))
+    # workers that run whole transforms on their own arrays meanwhile
+    arrays = [
+        [
+            CellArray(epoch_id=worker, cell_size=size, cells=tuple(
+                hashing.expand(b"%d/%d/%d" % (worker, size, i), size) for i in range(16)
+            ))
+            for size in (528, 4096)
+        ]
+        for worker in range(2)
+    ]
+    barrier = threading.Barrier(len(jobs) + len(arrays))
 
     def run(job):
         barrier.wait(timeout=60)
         return [hashing.expand(seed, length) for seed, length in job]
 
+    def run_expunge(job):
+        barrier.wait(timeout=60)
+        return [engine.expunge(array)[0].cells for array in job for _ in range(3)]
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            results = [f.result(timeout=120) for f in [pool.submit(run, job) for job in jobs]]
+        with ThreadPoolExecutor(max_workers=len(jobs) + len(arrays)) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            futures += [pool.submit(run_expunge, job) for job in arrays]
+            results = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     for job, outputs in zip(jobs, results):
         for (seed, length), output in zip(job, outputs):
             assert output == _reference_expand("sha256", seed, length)
+    for job, outputs in zip(arrays, results[len(jobs):]):
+        expected = [tuple(_reference_expunge(list(array.cells))) for array in job for _ in range(3)]
+        assert outputs == expected
 
 
 def test_failed_derive_raises_instead_of_returning_bytes():
@@ -88,8 +138,31 @@ def test_failed_derive_raises_instead_of_returning_bytes():
             hashing.expand(b"seed", 4096)
     # libcrypto itself refuses a zero-length output
     with pytest.raises(MemoryError):
-        kdf.derive(b"seed", 0)
+        kdf.derive([b"seed"], 0)
     assert hashing.expand(b"seed", 4096) == _reference_expand("sha256", b"seed", 4096)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_batch_whose_kth_derive_fails_returns_nothing(k):
+    kdf = hashing._x963kdf
+    if kdf is None:
+        pytest.skip("libcrypto's X963KDF is not bound on this host")
+    derive = kdf._derive
+    calls = []
+
+    def fails_on_kth(ctx, out, length, params):
+        calls.append(length)
+        return 0 if len(calls) == k else derive(ctx, out, length, params)
+
+    seeds = [b"seed-%d" % i for i in range(5)]
+    outputs = None
+    with mock.patch.object(kdf, "_derive", fails_on_kth):
+        with pytest.raises(MemoryError):
+            outputs = hashing.expand_many(seeds, 4096)
+    assert outputs is None and len(calls) == k
+    assert hashing.expand_many(seeds, 4096) == [
+        _reference_expand("sha256", seed, 4096) for seed in seeds
+    ]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

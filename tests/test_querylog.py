@@ -12,7 +12,7 @@ from expunge.crypto import (
     hybrid_encrypt,
 )
 from expunge.encoding import vbytes
-from expunge.errors import DomainError, SignatureRejected
+from expunge.errors import DomainError, SignatureRejected, UnavailableError, WireError
 from expunge.querylog import (
     QueryLogger,
     QueryRecord,
@@ -23,6 +23,7 @@ from expunge.querylog import (
     make_query_record,
     seed_link,
 )
+from expunge.wire import U64_LAYOUT, LoopbackTransport, SpService
 
 USERS = [b"user-00", b"user-01", b"user-02"]
 
@@ -382,3 +383,31 @@ class TestLogger:
         blocks.clear()
         logger.advance(now=223 + 100)
         assert [b.block_id for b in logger.sealed_blocks] == [5]
+
+
+class TestAuditFetch:
+    """``SpService`` answers AUDIT_FETCH by block id, not by list position."""
+
+    def _service(self, ring, registry, params):
+        logger = _logger(ring, registry, params, capacity=1)
+        for i in range(3):
+            logger.log(_record(ring, i), now=10 + i)
+        return logger, LoopbackTransport(SpService(logger).handle)
+
+    def test_fetch_finds_blocks_by_id_after_one_is_gone(self, ring, registry, small_params):
+        logger, sp = self._service(ring, registry, small_params)
+        block_2, block_3 = logger.sealed_blocks[1:]
+        del logger.sealed_blocks[0]
+        assert SpService.audit_fetch_via(sp, 3) == (block_3, block_2.block_proof)
+        for block_id in (1, 2, 4):  # block 1 is gone, and with it block 2's predecessor
+            with pytest.raises(UnavailableError):
+                SpService.audit_fetch_via(sp, block_id)
+
+    def test_reply_with_another_block_refused(self, ring, registry, small_params):
+        logger, _ = self._service(ring, registry, small_params)
+        handle = SpService(logger).handle
+        # a provider that answers every fetch with block 3
+        sp = LoopbackTransport(lambda msg_type, payload: handle(msg_type, U64_LAYOUT.pack(3)))
+        assert SpService.audit_fetch_via(sp, 3)[0] == logger.sealed_blocks[2]
+        with pytest.raises(WireError):
+            SpService.audit_fetch_via(sp, 2)
