@@ -148,12 +148,17 @@ def cmd_audit(args) -> int:
         print(f"no sealed block {args.block}", file=sys.stderr)
         return EXIT_PROTOCOL_ERROR
     sealed = SealedBlock.from_bytes(block_path.read_bytes())
-    prev_path = blocks_dir / f"{args.block - 1:06d}.blk"
-    prev = (
-        SealedBlock.from_bytes(prev_path.read_bytes()).block_proof
-        if prev_path.exists()
-        else params.seed
-    )
+    prev = params.seed
+    if args.block > 1:
+        # chaining from the seed instead would pass a dropped block off as a proof mismatch
+        prev_path = blocks_dir / f"{args.block - 1:06d}.blk"
+        if not prev_path.exists():
+            print(
+                f"sealed block {args.block - 1}, the predecessor of block {args.block}, is missing",
+                file=sys.stderr,
+            )
+            return EXIT_VERIFICATION_FAILED
+        prev = SealedBlock.from_bytes(prev_path.read_bytes()).block_proof
     registry = keyring.user_public_keys()
     report = audit_block(sealed, prev, keyring.sdp_box_private, params, registry)
     print(

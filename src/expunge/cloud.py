@@ -9,6 +9,17 @@ resulting proof, and discards the original ciphertexts; when the
 verification window passes, it purges proof and metadata, leaving a
 tombstone so "purged" remains distinguishable from "never existed".
 
+A record keeps each epoch fact once. The metadata row's three sealed
+values are fields of the record; the accessible tag goes with the
+ciphertexts at deletion, since no deleted epoch serves it. The previous
+epoch's timestamp is the predecessor record's own ``crypto_time``, so a
+bundle takes it from there; a record holds a copy in ``prev_crypto_time``
+only once its predecessor is purged. A purge writes that copy into the
+successor before the tombstone drops the original, so a crash between
+the two writes leaves two copies and never none. A purged tip (the
+newest stored epoch) keeps its ``crypto_time``: the next ingest chains
+from it and its successor's bundles read it there.
+
 Each epoch waits in a deadline heap keyed by its next transition time
 (deletion, then verification expiry when that is finite), so a tick
 costs O(due · log n) for n stored epochs and touches only the epochs
@@ -16,13 +27,15 @@ that are due, in ascending epoch order. Epoch windows must not overlap,
 so the epoch containing an instant is found by bisecting the epoch ids.
 
 Persistence is one segment file per epoch, nothing else: each record
-holds its state and state history. A transition writes a temporary file
-and commits it with one ``os.replace`` over the epoch's segment, so a
-process crash leaves the old or the new record, never half of one (files
-are not fsynced, so a power loss can still lose recent writes). A reload
-reads the segments in name order, ignores leftover temporary files, takes
-the last tick from the newest recorded transition, and fails closed on a
-segment that does not decode or is not named after its epoch. A record's
+holds its state and state history. A record version is written to a
+temporary file and committed with one ``os.replace`` over the epoch's
+segment, so a process crash leaves the old or the new record, never half
+of one (files are not fsynced, so a power loss can still lose recent
+writes). A reload reads the segments in name order, ignores leftover
+temporary files, takes the last tick from the newest recorded
+transition, and fails closed on a segment that does not decode or is not
+named after its epoch, and on a live epoch whose previous timestamp is
+in neither its own record nor its predecessor's. A record's
 next version is written before the store adopts it, so a failed write
 leaves memory as it was and the transition is retried. A store created
 with ``root=None`` lives purely in memory (benchmarks, quick tests).
@@ -38,7 +51,7 @@ import heapq
 import logging
 import os
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,11 +61,11 @@ from .control import MetaDataRow, SensorDataRow, check_rows_consistent
 from .core import (
     NEVER,
     DataState,
+    EpochWindow,
     RetentionPolicy,
     deletion_due,
     state_at,
     verification_expiry,
-    window_for_id,
 )
 from .encoding import (
     DIGESTS,
@@ -119,12 +132,15 @@ class AttestationBundle(Record):
 
 @dataclass
 class EpochRecord(Record):
-    """One epoch's stored material plus its state history; each transition is a new version."""
+    """One epoch's stored material plus its state history; each transition is a new version.
+
+    The epoch's window is ``[epoch_id, et)``: ingest refuses a row whose
+    epoch id is not its window's start.
+    """
 
     LAYOUT = Layout(
         encoding.TYPE_EPOCH_RECORD,
         ("epoch_id", U64),
-        ("bt", U64),
         ("et", U64),
         ("first_epoch", FLAG),
         ("state", _STATE),
@@ -132,29 +148,40 @@ class EpochRecord(Record):
         ("crypto_time", optional(_ACC_VALUE)),
         ("digests", DIGESTS),
         ("ciphertexts", optional(VBYTES_LIST)),
-        ("meta", optional(nested(MetaDataRow))),
+        ("enc_crypto_time", optional(VBYTES)),
+        ("enc_accessible_tag", optional(VBYTES)),
+        ("enc_irrecoverable_tag", optional(VBYTES)),
         ("deletion_proof", optional(nested(DeletionProof))),
         ("state_history", seq(tup(_STATE, U64))),
     )
 
     epoch_id: int
-    bt: int
     et: int
     first_epoch: bool
     prev_crypto_time: AccumulatorValue | None
     crypto_time: AccumulatorValue | None
     digests: tuple[bytes, ...]
     ciphertexts: tuple[bytes, ...] | None
-    meta: MetaDataRow | None
+    enc_crypto_time: bytes | None
+    enc_accessible_tag: bytes | None
+    enc_irrecoverable_tag: bytes | None
     deletion_proof: DeletionProof | None
     state: DataState
     state_history: list[tuple[DataState, int]] = field(default_factory=list)
 
+    @property
+    def window(self) -> EpochWindow:
+        return EpochWindow(self.epoch_id, self.et)
+
+    def replaced(self, **changes) -> EpochRecord:
+        """This record with ``changes``, in the same state."""
+        # a plain constructor call: dataclasses.replace costs several times as much
+        return EpochRecord(**{**vars(self), **changes})
+
     def advanced(self, state: DataState, at: int, **changes) -> EpochRecord:
         """The next version of this record: in ``state`` from ``at``, with ``changes``."""
         history = [*self.state_history, (state, at)]
-        # a plain constructor call: dataclasses.replace costs several times as much
-        return EpochRecord(**{**vars(self), "state": state, "state_history": history, **changes})
+        return self.replaced(state=state, state_history=history, **changes)
 
 
 @dataclass(frozen=True)
@@ -212,13 +239,25 @@ class CloudStore:
         self._records[record.epoch_id] = record
 
     def _load(self) -> None:
+        predecessor = None
         for path in sorted((self.root / "segments").glob("*.seg")):
             record = EpochRecord.from_bytes(path.read_bytes())
             if path != self._segment_path(record.epoch_id):
                 raise EncodingError(f"segment {path.name} holds epoch {record.epoch_id}")
+            if (
+                record.state is not DataState.PURGED
+                and not record.first_epoch
+                and record.prev_crypto_time is None
+                and (predecessor is None or predecessor.crypto_time is None)
+            ):
+                raise EncodingError(
+                    f"epoch {record.epoch_id} has no previous timestamp:"
+                    " its predecessor's segment is missing or purged"
+                )
             self._records[record.epoch_id] = record
             self._ids.append(record.epoch_id)
             self._schedule(record)
+            predecessor = record
         self.last_tick = max(
             (at for r in self._records.values() for _, at in r.state_history[1:]), default=None
         )
@@ -232,8 +271,8 @@ class CloudStore:
         one ``policy.delta`` long, and an epoch may not begin before its
         predecessor ends: the store schedules and serves by the row's
         window, and the verifier judges by the policy's. The previous
-        epoch's timestamp is captured here so bundles can be served even
-        after neighbours are purged.
+        epoch's timestamp is not captured here: the predecessor's record
+        holds it, and purging the predecessor copies it into this record.
         """
         with self._lock:
             check_rows_consistent(sensor_row, meta_row)
@@ -252,18 +291,17 @@ class CloudStore:
                     f"epoch {eid} begins at {meta_row.bt}, inside epoch"
                     f" {tip.epoch_id} which ends at {tip.et}"
                 )
-            first = tip is None
-            prev = None if first else tip.crypto_time
             record = EpochRecord(
                 epoch_id=eid,
-                bt=meta_row.bt,
                 et=meta_row.et,
-                first_epoch=first,
-                prev_crypto_time=prev,
+                first_epoch=tip is None,
+                prev_crypto_time=None,
                 crypto_time=sensor_row.crypto_time,
                 digests=sensor_row.digests,
                 ciphertexts=sensor_row.ciphertexts,
-                meta=meta_row,
+                enc_crypto_time=meta_row.enc_crypto_time,
+                enc_accessible_tag=meta_row.enc_accessible_tag,
+                enc_irrecoverable_tag=meta_row.enc_irrecoverable_tag,
                 deletion_proof=None,
                 state=DataState.ACCESSIBLE,
                 state_history=[(DataState.ACCESSIBLE, meta_row.et)],
@@ -277,11 +315,10 @@ class CloudStore:
 
     def _schedule(self, record: EpochRecord) -> None:
         """Queue the record's next transition, if it has a finite one."""
-        window = window_for_id(record.epoch_id, record.et - record.bt)
         if record.state is DataState.ACCESSIBLE:
-            deadline = deletion_due(window, self.policy)
+            deadline = deletion_due(record.window, self.policy)
         elif record.state is DataState.IRRECOVERABLE:
-            deadline = verification_expiry(window, self.policy)
+            deadline = verification_expiry(record.window, self.policy)
         else:
             return
         if deadline is not NEVER:
@@ -318,7 +355,7 @@ class CloudStore:
 
     def _advance(self, eid: int, now: int, transitions: list[Transition]) -> None:
         record = self._records[eid]
-        window = window_for_id(eid, record.et - record.bt)
+        window = record.window
         if record.state is DataState.ACCESSIBLE:
             if deletion_due(window, self.policy) <= now:
                 if self.lazy_deletion:
@@ -340,14 +377,28 @@ class CloudStore:
     def _expunge_record(self, record: EpochRecord, now: int) -> None:
         proof = expunge_ciphertexts(record.ciphertexts, record.epoch_id, now)
         self._adopt(
-            record.advanced(DataState.IRRECOVERABLE, now, ciphertexts=None, deletion_proof=proof)
+            record.advanced(
+                DataState.IRRECOVERABLE, now,
+                ciphertexts=None, enc_accessible_tag=None, deletion_proof=proof,
+            )
         )
 
     def _purge_record(self, record: EpochRecord, now: int) -> None:
+        """Copy the record's timestamp into its live successor, then write its tombstone."""
+        position = bisect_left(self._ids, record.epoch_id) + 1
+        successor = self._records[self._ids[position]] if position < len(self._ids) else None
+        if (
+            successor is not None
+            and successor.state is not DataState.PURGED
+            and successor.prev_crypto_time is None
+        ):
+            self._adopt(successor.replaced(prev_crypto_time=record.crypto_time))
+        # a purged tip keeps its timestamp: the next ingest chains from it
         self._adopt(
             record.advanced(
-                DataState.PURGED, now, deletion_proof=None, meta=None, digests=(),
-                crypto_time=None, prev_crypto_time=None,
+                DataState.PURGED, now, prev_crypto_time=None, digests=(), deletion_proof=None,
+                crypto_time=record.crypto_time if successor is None else None,
+                enc_crypto_time=None, enc_irrecoverable_tag=None,
             )
         )
 
@@ -362,7 +413,7 @@ class CloudStore:
         position = bisect_right(self._ids, at)
         if position:
             candidate = self._records[self._ids[position - 1]]
-            if candidate.bt <= at < candidate.et:
+            if candidate.epoch_id <= at < candidate.et:
                 return candidate
         raise UnavailableError(f"no epoch recorded containing {at}")
 
@@ -376,9 +427,8 @@ class CloudStore:
             if requester not in self.sp_allowlist:
                 raise NotAuthorizedError("requester is not a designated service provider")
             record = self._resolve_epoch(epoch_id)
-            window = window_for_id(record.epoch_id, record.et - record.bt)
             if record.state is not DataState.ACCESSIBLE or state_at(
-                window, self.policy, now
+                record.window, self.policy, now
             ) is not DataState.ACCESSIBLE:
                 raise DataExpiredError(f"epoch {record.epoch_id} data expired")
             return record.ciphertexts
@@ -387,9 +437,10 @@ class CloudStore:
         """Assemble the attestation bundle for the epoch containing ``at``.
 
         Irrecoverable epochs are served from the stored proof without
-        recomputation. In lazy mode an undeleted-but-due epoch instead
-        fabricates the proof on demand, which is the detectably slow
-        dishonest path.
+        recomputation. The previous timestamp comes from the record, or
+        else from its predecessor's record. In lazy mode an
+        undeleted-but-due epoch instead fabricates the proof on demand,
+        which is the detectably slow dishonest path.
         """
         with self._lock:
             record = self._resolve_epoch(at)
@@ -397,33 +448,36 @@ class CloudStore:
                 raise UnavailableError(
                     f"verification material for epoch {record.epoch_id} was purged"
                 )
-            window = window_for_id(record.epoch_id, record.et - record.bt)
             state = record.state
             ciphertexts = record.ciphertexts
             proof = record.deletion_proof
             if (
                 self.lazy_deletion
                 and record.state is DataState.ACCESSIBLE
-                and deletion_due(window, self.policy) <= now
+                and deletion_due(record.window, self.policy) <= now
             ):
                 # fabricated on demand; nothing was overwritten
                 proof = expunge_ciphertexts(ciphertexts, record.epoch_id, now)
                 state = DataState.IRRECOVERABLE
                 ciphertexts = None
             if state is DataState.IRRECOVERABLE:
-                enc_state_tag = record.meta.enc_irrecoverable_tag
+                enc_state_tag = record.enc_irrecoverable_tag
             else:
-                enc_state_tag = record.meta.enc_accessible_tag
+                enc_state_tag = record.enc_accessible_tag
                 proof = None
+            prev = record.prev_crypto_time
+            if prev is None and not record.first_epoch:
+                predecessor = self._ids[bisect_left(self._ids, record.epoch_id) - 1]
+                prev = self._records[predecessor].crypto_time
             return AttestationBundle(
                 epoch_id=record.epoch_id,
                 state=state,
                 first_epoch=record.first_epoch,
-                prev_crypto_time=record.prev_crypto_time,
+                prev_crypto_time=prev,
                 crypto_time=record.crypto_time,
                 digests=record.digests,
                 ciphertexts=ciphertexts,
-                enc_crypto_time=record.meta.enc_crypto_time,
+                enc_crypto_time=record.enc_crypto_time,
                 enc_state_tag=enc_state_tag,
                 deletion_proof=proof,
                 served_at=now,

@@ -65,7 +65,9 @@ TYPE_BUNDLE = 0x0A
 TYPE_QUERY_RECORD = 0x0B
 TYPE_SEALED_BLOCK = 0x0C
 TYPE_READING_PLAINTEXT = 0x0D
-TYPE_EPOCH_RECORD = 0x0E
+# 0x0E held the epoch record that nested its metadata row and repeated its
+# predecessor's timestamp; it is not reused, so such a segment is refused.
+TYPE_EPOCH_RECORD = 0x0F
 
 
 class EncodingError(ValueError):

@@ -71,13 +71,13 @@ def cell_geometry(ciphertexts) -> tuple[int, int]:
     return len(ciphertexts), 4 + max(map(len, ciphertexts))
 
 
-def pad_cell(epoch_id: int, position: int, cell_size: int) -> bytes:
-    """Deterministic filler cell for 1-based slot ``position``.
+def pad_cells(epoch_id: int, positions: range, cell_size: int) -> list[bytes]:
+    """Deterministic filler cells for the 1-based slots ``positions``, in one expansion batch.
 
     Both the provider's simulation and the cloud's execution must pad
     identically, so padding depends only on public values.
     """
-    return expand(digest(_PAD_LABEL, u64(epoch_id), u64(position)), cell_size)
+    return expand_many([digest(_PAD_LABEL, u64(epoch_id), u64(p)) for p in positions], cell_size)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class CellArray:
         """
         cell_count, cell_size = cell_geometry(ciphertexts)
         if not ciphertexts:
-            cells = tuple(pad_cell(epoch_id, p, cell_size) for p in range(1, cell_count + 1))
+            cells = tuple(pad_cells(epoch_id, range(1, cell_count + 1), cell_size))
         else:
             cells = tuple(
                 (u32(len(ct)) + ct).ljust(cell_size, b"\x00") for ct in ciphertexts
@@ -152,10 +152,10 @@ def _combine_level(pairs: list[tuple[bytes, bytes]], cell_size: int) -> list[byt
 
 def _padded_cells(array: CellArray) -> list[bytes]:
     n = len(array.cells)
-    cells = list(array.cells)
-    for position in range(n + 1, _next_power_of_two(n) + 1):
-        cells.append(pad_cell(array.epoch_id, position, array.cell_size))
-    return cells
+    slots = range(n + 1, _next_power_of_two(n) + 1)
+    if not slots:  # an empty batch would still cost a native call
+        return list(array.cells)
+    return [*array.cells, *pad_cells(array.epoch_id, slots, array.cell_size)]
 
 
 def expunge(

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from expunge.accumulator import setup
+from expunge.attestation import verify_bundle
 from expunge.cloud import AttestationBundle, CloudStore, Transition
 from expunge.control import (
     MetaDataRow,
@@ -344,8 +346,8 @@ class TestPersistence:
             EpochWindow(5, 6), [_reading(5)], tip, keyring, tiny_params
         )
         reloaded.ingest(sensor, meta)
-        record = reloaded.record(5)
-        assert not record.first_epoch and record.prev_crypto_time == tip
+        bundle = reloaded.fetch_bundle(5, now=6)
+        assert not bundle.first_epoch and bundle.prev_crypto_time == tip
 
     def test_purge_leaves_tombstone(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path / "cloud")
@@ -497,6 +499,130 @@ class TestPersistence:
             CloudStore(FIG2_POLICY, root=tmp_path)
 
 
+    def test_segment_of_the_retired_record_type_fails_closed(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        segment = tmp_path / "segments" / f"{1:016d}.seg"
+        blob = bytearray(segment.read_bytes())
+        blob[2] = 0x0E  # the type byte of the record that repeated epoch facts
+        segment.write_bytes(bytes(blob))
+        with pytest.raises(EncodingError, match="type mismatch"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+
+def _verified(store, keyring, params, policy, eid, now):
+    bundle = store.fetch_bundle(eid, now=now)
+    report = verify_bundle(bundle, keyring.shared_key, params, policy, role="sdp")
+    return report.verified and report.state_claimed is store.state_of(eid)
+
+
+class TestTimestampChain:
+    """The previous timestamp is kept once, and every live epoch still verifies."""
+
+    def test_epoch_chained_from_a_purged_tip_verifies(self, keyring, tiny_params):
+        policy = RetentionPolicy(p_del=1, p_ver=2, delta=1)
+        store = CloudStore(policy)
+        ((first, first_meta),) = _chain(keyring, tiny_params, [EpochWindow(0, 1)])
+        store.ingest(first, first_meta)
+        assert store.tick(10) and store.state_of(0) is DataState.PURGED
+        sensor, meta = build_outsource_payload(
+            EpochWindow(10, 11), [_reading(10)], first.crypto_time, keyring, tiny_params
+        )
+        store.ingest(sensor, meta)
+        bundle = store.fetch_bundle(10, now=11)
+        assert not bundle.first_epoch and bundle.prev_crypto_time == first.crypto_time
+        assert _verified(store, keyring, tiny_params, policy, 10, now=11)
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_chain_with_purged_epochs_verifies_in_both_live_states(
+        self, tmp_path, keyring, tiny_params, on_disk
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path if on_disk else None)
+        _ingest_epochs(store, keyring, tiny_params, 5)
+        checked = set()
+        for now in range(5, 9):
+            store.tick(now)
+            if on_disk:
+                store = CloudStore(FIG2_POLICY, root=tmp_path)
+            for eid in store.epoch_ids():
+                state = store.state_of(eid)
+                if state is not DataState.PURGED:
+                    assert _verified(store, keyring, tiny_params, FIG2_POLICY, eid, now)
+                    checked.add((eid, state))
+        # the last tick purged epoch 3 and left 4 and 5 irrecoverable
+        assert [store.state_of(eid) for eid in (1, 2, 3)] == [DataState.PURGED] * 3
+        live = (DataState.ACCESSIBLE, DataState.IRRECOVERABLE)
+        assert set(itertools.product((4, 5), live)) <= checked
+
+    def test_failed_tombstone_write_leaves_the_copy_and_is_retried(
+        self, tmp_path, keyring, tiny_params, monkeypatch
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        store.tick(5)
+        original = store.record(1).crypto_time
+        write_bytes = Path.write_bytes
+        writes = []
+
+        def second_write_fails(path, data):
+            writes.append(path)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", second_write_fails)
+        with pytest.raises(OSError):
+            store.tick(6)
+        monkeypatch.undo()
+        # the successor's copy landed first; the tombstone never did
+        assert [w.name for w in writes] == [f"{2:016d}.seg.tmp", f"{1:016d}.seg.tmp"]
+        assert store.state_of(1) is DataState.IRRECOVERABLE
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert _snapshot(reloaded) == _snapshot(store)
+        for s in (store, reloaded):
+            assert s.record(2).prev_crypto_time == original
+            assert _verified(s, keyring, tiny_params, FIG2_POLICY, 2, now=6)
+        assert [(t.epoch_id, t.to_state) for t in store.tick(6)] == [(1, DataState.PURGED)]
+        assert store.record(1).crypto_time is None
+        assert _verified(store, keyring, tiny_params, FIG2_POLICY, 2, now=6)
+
+    def test_missing_predecessor_segment_fails_closed(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 3)
+        (tmp_path / "segments" / f"{1:016d}.seg").unlink()
+        with pytest.raises(EncodingError, match="epoch 2 has no previous timestamp"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+
+class TestRecordSize:
+    """A record keeps each epoch fact once."""
+
+    def test_deleted_record_repeats_no_fact(self, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 2)
+        store.tick(5)
+        record = store.record(2)
+        assert record.state is DataState.IRRECOVERABLE and not record.first_epoch
+        assert store.state_of(1) is DataState.IRRECOVERABLE
+        assert record.prev_crypto_time is None
+        assert record.enc_accessible_tag is None
+
+    def test_deleted_epochs_at_2048_bits_store_at_most_810_bytes_each(self, keyring):
+        # Each irrecoverable record of two readings is 803 bytes: its
+        # 263-byte timestamp, the 296-byte sealed copy of it, two digests
+        # (72), the sealed irrecoverable tag (65), the deletion proof (60),
+        # the state history (22) and 25 bytes of ids and flags. Repeating
+        # the predecessor's timestamp, the metadata row's header and window,
+        # the window start and the accessible tag made it 1,160.
+        params = setup(modulus_bits=2048, rng=random.Random(2048))
+        store = CloudStore(RetentionPolicy(p_del=1, p_ver=NEVER, delta=1))
+        _ingest_epochs(store, keyring, params, 100, origin=0)
+        store.tick(102)
+        assert {store.state_of(eid) for eid in store.epoch_ids()} == {DataState.IRRECOVERABLE}
+        stored = sum(len(store.record(eid).to_bytes()) for eid in store.epoch_ids())
+        assert stored <= 810 * 100
+
+
 class TestLazyMode:
     def test_lazy_cloud_skips_deletion_but_fabricates_bundles(self, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, lazy_deletion=True)
@@ -522,7 +648,7 @@ class _FullScanStore(CloudStore):
             transitions = []
             for eid in sorted(self._records):
                 record = self._records[eid]
-                window = window_for_id(eid, record.et - record.bt)
+                window = window_for_id(eid, record.et - record.epoch_id)
                 if record.state is DataState.ACCESSIBLE:
                     if deletion_due(window, self.policy) <= now:
                         if self.lazy_deletion:

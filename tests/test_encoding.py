@@ -81,21 +81,24 @@ RECORDS = {
         deletion_proof=PROOF, served_at=12000,
     ),
     "epoch_record_accessible": EpochRecord(
-        epoch_id=3600, bt=3600, et=7200, first_epoch=True, prev_crypto_time=None,
+        epoch_id=3600, et=7200, first_epoch=True, prev_crypto_time=None,
         crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS,
-        meta=META, deletion_proof=None, state=ACC, state_history=[(ACC, 7200)],
+        enc_crypto_time=b"sealed-time", enc_accessible_tag=b"sealed-ah",
+        enc_irrecoverable_tag=b"sealed-irh", deletion_proof=None, state=ACC,
+        state_history=[(ACC, 7200)],
     ),
     "epoch_record_irrecoverable": EpochRecord(
-        epoch_id=7200, bt=7200, et=10800, first_epoch=False, prev_crypto_time=PREV_TIME,
+        epoch_id=7200, et=10800, first_epoch=False, prev_crypto_time=PREV_TIME,
         crypto_time=TIME, digests=(D1, D2), ciphertexts=None,
-        meta=EMPTY_META, deletion_proof=PROOF, state=IRR,
+        enc_crypto_time=b"sealed-time-2", enc_accessible_tag=None,
+        enc_irrecoverable_tag=b"sealed-irh-2", deletion_proof=PROOF, state=IRR,
         state_history=[(ACC, 10800), (IRR, 14400)],
     ),
     "epoch_record_purged": EpochRecord(
-        epoch_id=3600, bt=3600, et=7200, first_epoch=True, prev_crypto_time=None,
-        crypto_time=None, digests=(), ciphertexts=None, meta=None,
-        deletion_proof=None, state=PUR,
-        state_history=[(ACC, 7200), (IRR, 10800), (PUR, 18000)],
+        epoch_id=3600, et=7200, first_epoch=True, prev_crypto_time=None,
+        crypto_time=None, digests=(), ciphertexts=None, enc_crypto_time=None,
+        enc_accessible_tag=None, enc_irrecoverable_tag=None, deletion_proof=None,
+        state=PUR, state_history=[(ACC, 7200), (IRR, 10800), (PUR, 18000)],
     ),
     "query_record": QUERY,
     "sealed_block": BLOCK_1,
@@ -121,24 +124,21 @@ GOLDEN = {
         "c702080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a3000000006"
     ),
     "epoch_record_accessible": (
-        "c7020e0000000000000e100000000000000e100000000000001c2001000001c702050000"
-        "00020b4a0000000800000002000102030405060708090a0b0c0d0e0f0100000002000000"
-        "0663742d6f6e650000000763742d74776f2101c702070000000000000e10000000000000"
-        "0e100000000000001c200000000b7365616c65642d74696d65000000097365616c65642d"
-        "61680000000a7365616c65642d6972680000000001000000000000001c20"
+        "c7020f0000000000000e100000000000001c2001000001c70205000000020b4a00000008"
+        "00000002000102030405060708090a0b0c0d0e0f01000000020000000663742d6f6e6500"
+        "00000763742d74776f21010000000b7365616c65642d74696d6501000000097365616c65"
+        "642d6168010000000a7365616c65642d6972680000000001000000000000001c20"
     ),
     "epoch_record_irrecoverable": (
-        "c7020e0000000000001c200000000000001c200000000000002a30000101c70205000000"
-        "0204d201c70205000000020b4a0000000800000002000102030405060708090a0b0c0d0e"
-        "0f0001c702070000000000001c200000000000001c200000000000002a300000000d7365"
-        "616c65642d74696d652d320000000b7365616c65642d61682d320000000c7365616c6564"
-        "2d6972682d3201c702080000000000000e10000000085a5a5a5a5a5a5a5a000000000000"
-        "2a300000000600000002000000000000002a30010000000000003840"
+        "c7020f0000000000001c200000000000002a30000101c702050000000204d201c7020500"
+        "0000020b4a0000000800000002000102030405060708090a0b0c0d0e0f00010000000d73"
+        "65616c65642d74696d652d3200010000000c7365616c65642d6972682d3201c702080000"
+        "000000000e10000000085a5a5a5a5a5a5a5a0000000000002a3000000006000000020000"
+        "00000000002a30010000000000003840"
     ),
     "epoch_record_purged": (
-        "c7020e0000000000000e100000000000000e100000000000001c20010200000000000000"
-        "00000000000000000003000000000000001c20010000000000002a300200000000000046"
-        "50"
+        "c7020f0000000000000e100000000000001c200102000000000000000000000000000000"
+        "00000003000000000000001c20010000000000002a30020000000000004650"
     ),
     "meta_row": (
         "c702070000000000000e100000000000000e100000000000001c200000000b7365616c65"

@@ -4,7 +4,7 @@ import time
 
 import pytest
 from expunge import engine, hashing
-from expunge.encoding import u32
+from expunge.encoding import u32, u64
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
     CellArray,
@@ -14,7 +14,6 @@ from expunge.engine import (
     expunge,
     expunge_ciphertexts,
     expunge_duration_estimate,
-    pad_cell,
 )
 from expunge.errors import DomainError
 
@@ -38,6 +37,11 @@ def _sha_expand(seed: bytes, length: int) -> bytes:
 
 def _oracle_combine(a: bytes, b: bytes) -> bytes:
     return _sha_expand(hashlib.sha256(a + b).digest(), len(a))
+
+
+def _oracle_pad(epoch_id: int, position: int, size: int) -> bytes:
+    """The filler cell of 1-based slot ``position``, by its definition."""
+    return _sha_expand(hashlib.sha256(b"PAD" + u64(epoch_id) + u64(position)).digest(), size)
 
 
 def _random_cells(rng, n, size):
@@ -164,7 +168,7 @@ class TestExpunge:
     def test_single_cell_padded_to_two(self):
         array = CellArray(epoch_id=5, cell_size=32, cells=(b"\x01" * 32,))
         out, proof = expunge(array)
-        pad = pad_cell(5, 2, 32)
+        pad = _oracle_pad(5, 2, 32)
         expected = combine(b"\x01" * 32, pad)
         assert out.cells == (expected, expected)
 
@@ -189,7 +193,9 @@ class TestExpunge:
     def test_from_ciphertexts_empty_epoch(self):
         array = CellArray.from_ciphertexts([], epoch_id=7)
         assert len(array.cells) == 2
-        assert array.cells[0] == pad_cell(7, 1, array.cell_size)
+        assert array.cells == (
+            _oracle_pad(7, 1, array.cell_size), _oracle_pad(7, 2, array.cell_size)
+        )
         out, proof = expunge(array)
         out2, proof2 = expunge(CellArray.from_ciphertexts([], epoch_id=7))
         assert proof.proof == proof2.proof
@@ -233,7 +239,7 @@ class TestExpunge:
         array = _random_cells(rng, 16, 40)
         assert expunge(array)[1].proof == expunge(array)[1].proof
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [13, 16, 64, 100])
     def test_one_expansion_batch_per_iteration(self, n, monkeypatch):
         kdf = hashing._x963kdf
         if kdf is None:
@@ -249,8 +255,19 @@ class TestExpunge:
         size = hashing.NATIVE_MIN_BLOCKS * hashing.DIGEST_SIZE
         array = _random_cells(random.Random(n), n, size)
         expunge(array)
-        # log2 n batches of n/2 seeds, not n/2 * log2 n single derives
-        assert batches == [n // 2] * (n.bit_length() - 1)
+        padded = 1 << (n - 1).bit_length()
+        # one batch for the N - n pad cells, if any, then log2 N batches
+        # of N/2 seeds, not N/2 * log2 N single derives
+        pads = [padded - n] if padded > n else []
+        assert batches == pads + [padded // 2] * (padded.bit_length() - 1)
+
+    @pytest.mark.parametrize("size", [40, 384])  # both expansion paths
+    @pytest.mark.parametrize("n", [1, 3, 13, 100])
+    def test_batched_pad_cells_are_the_defined_fillers(self, n, size):
+        array = _random_cells(random.Random(n), n, size)
+        padded = engine._padded_cells(array)
+        assert padded[:n] == list(array.cells)
+        assert padded[n:] == [_oracle_pad(42, p, size) for p in range(n + 1, len(padded) + 1)]
 
     def test_proof_round_trip(self):
         proof = DeletionProof(epoch_id=9, proof=b"\x07" * 32, produced_at=77, cell_size=1024)

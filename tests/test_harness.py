@@ -437,6 +437,18 @@ class TestCli:
         assert main(["tick", "--state", str(state), "--now", str(final + 10 * MS_PER_HOUR)]) == 0
         capsys.readouterr()
 
+    def test_audit_refuses_a_block_whose_predecessor_is_missing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        (state / "blocks" / f"{1:06d}.blk").unlink()
+        # chained from the seed instead, block 2 would read as a plain proof mismatch
+        assert main(["audit", "--state", str(state), "--block", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "sealed block 1, the predecessor of block 2, is missing" in err
+
     def test_verify_time_bound_uses_reference_round_trip(self, tmp_path, capsys, monkeypatch):
         # The judged fetch takes 0.3 s and the recompute estimate is pinned
         # at 1 s. Bounded by a reference fetch, tau = max(2 * rtt, 0.1 s)

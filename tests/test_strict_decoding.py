@@ -39,15 +39,15 @@ def _decode(name: str, blob: bytes):
 
 # Offsets after the 3-byte header: a bundle has epoch_id u64, then state,
 # first_epoch and the prev_crypto_time presence byte; an epoch record has
-# three u64s, then first_epoch, state and two presence bytes.
+# two u64s, then first_epoch, state and two presence bytes.
 @pytest.mark.parametrize(
     "name, offset",
     [
         ("bundle_accessible_first", 12),
         ("bundle_accessible_first", 13),
         ("bundle_irrecoverable", 13),
-        ("epoch_record_accessible", 27),
-        ("epoch_record_accessible", 29),
+        ("epoch_record_accessible", 19),
+        ("epoch_record_accessible", 21),
         ("policy_never", 11),
     ],
 )
@@ -57,7 +57,7 @@ def test_flag_byte_must_be_0_or_1(name, offset, value):
         _decode(name, _with_byte(name, offset, value))
 
 
-@pytest.mark.parametrize("name, offset", [("bundle_irrecoverable", 11), ("epoch_record_purged", 28)])
+@pytest.mark.parametrize("name, offset", [("bundle_irrecoverable", 11), ("epoch_record_purged", 20)])
 def test_out_of_range_state_is_encoding_error(name, offset):
     with pytest.raises(EncodingError, match="not a DataState"):
         _decode(name, _with_byte(name, offset, 9))
@@ -69,9 +69,9 @@ def test_unbounded_policy_must_carry_zero_p_ver():
 
 
 def test_empty_digest_list_must_declare_width_0():
-    # Purged record: header, three u64s, two flags, two absent presence bytes.
+    # Purged record: header, two u64s, two flags, two absent presence bytes.
     with pytest.raises(EncodingError, match="width 0"):
-        _decode("epoch_record_purged", _with_byte("epoch_record_purged", 34, 8))
+        _decode("epoch_record_purged", _with_byte("epoch_record_purged", 26, 8))
 
 
 @pytest.mark.parametrize(
