@@ -24,7 +24,7 @@ from expunge import (
     generate_keyring,
     setup,
 )
-from expunge.harness import EpochVerifier
+from expunge.harness import EpochVerifier, LazyCloudStore
 from expunge.wire import CloudService, LoopbackTransport
 
 rng = random.Random(7)
@@ -54,7 +54,7 @@ keyring = generate_keyring([])
 params = setup(modulus_bits=1024)
 
 def build(lazy: bool) -> CloudStore:
-    store = CloudStore(policy, lazy_deletion=lazy)
+    store = (LazyCloudStore if lazy else CloudStore)(policy)
     prev = params.seed
     for k in range(2):
         window = EpochWindow(k * 1000, (k + 1) * 1000)

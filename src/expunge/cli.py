@@ -6,7 +6,8 @@ failure, 2 protocol or usage error, unreadable config or state included.
 A ``run`` persists, each fact once, everything needed to interrogate the
 simulated deployment afterwards: the config (policy included), key material,
 accumulator parameters, cloud segments, sealed query blocks, clock,
-transcript, and reports. ``verify``, ``audit``, and ``tick`` use that state.
+transcript, and reports. ``verify`` and ``tick`` use that state, cloud store
+included; ``audit`` reads only the keys, parameters and sealed blocks.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .encoding import EncodingError, u32
 from .errors import ExpungeError
 from .harness import (
     EpochVerifier,
+    LazyCloudStore,
     ScenarioConfig,
     bench,
     device_pool,
@@ -48,11 +50,13 @@ def _load_state(state_dir: Path):
     keyring = load_keyring(state_dir / "keyring.json")
     params = AccumulatorParams.from_bytes((state_dir / "params.bin").read_bytes())
     meta = json.loads((state_dir / "meta.json").read_text())
-    store = CloudStore(
+    segments = state_dir / "cloud" / "segments"
+    if not segments.is_dir():  # opening the store would create an empty one
+        raise FileNotFoundError(f"no cloud store: {segments} is missing")
+    store = (LazyCloudStore if config.lazy_cloud else CloudStore)(
         config.policy,
         root=state_dir / "cloud",
         sp_allowlist=frozenset({config.sp_id.encode()}),
-        lazy_deletion=config.lazy_cloud,
     )
     return config, keyring, params, meta, store
 
@@ -141,7 +145,8 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     state_dir = Path(args.state)
-    config, keyring, params, _, _ = _load_state(state_dir)
+    keyring = load_keyring(state_dir / "keyring.json")
+    params = AccumulatorParams.from_bytes((state_dir / "params.bin").read_bytes())
     blocks_dir = state_dir / "blocks"
     block_path = blocks_dir / f"{args.block:06d}.blk"
     if not block_path.exists():

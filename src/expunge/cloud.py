@@ -40,9 +40,8 @@ next version is written before the store adopts it, so a failed write
 leaves memory as it was and the transition is retried. A store created
 with ``root=None`` lives purely in memory (benchmarks, quick tests).
 
-``lazy_deletion`` simulates a dishonest cloud for the harness: the
-scheduler skips deletion and the bundle path fabricates proofs on
-demand, which the attestation time bound is designed to catch.
+The store is honest. The dishonest cloud that the time bound is tested
+against is ``harness.LazyCloudStore``, a subclass.
 """
 
 from __future__ import annotations
@@ -204,12 +203,10 @@ class CloudStore:
         policy: RetentionPolicy,
         root: Path | None = None,
         sp_allowlist: frozenset[bytes] = frozenset(),
-        lazy_deletion: bool = False,
     ):
         self.policy = policy
         self.root = Path(root) if root is not None else None
         self.sp_allowlist = frozenset(sp_allowlist)
-        self.lazy_deletion = lazy_deletion
         self.last_tick: int | None = None
         self._records: dict[int, EpochRecord] = {}
         self._ids: list[int] = []  # epoch ids in chain order, ascending
@@ -347,10 +344,7 @@ class CloudStore:
                     for pending in due[position:]:
                         self._schedule(self._records[pending])
                     raise
-                record = self._records[eid]
-                # a lazy cloud never changes a due record, so its entry goes
-                if not (self.lazy_deletion and record.state is DataState.ACCESSIBLE):
-                    self._schedule(record)
+                self._schedule(self._records[eid])
             return transitions
 
     def _advance(self, eid: int, now: int, transitions: list[Transition]) -> None:
@@ -358,8 +352,6 @@ class CloudStore:
         window = record.window
         if record.state is DataState.ACCESSIBLE:
             if deletion_due(window, self.policy) <= now:
-                if self.lazy_deletion:
-                    return  # dishonest cloud: pretend, recompute on demand
                 try:
                     self._expunge_record(record, now)
                 except Exception:
@@ -438,9 +430,7 @@ class CloudStore:
 
         Irrecoverable epochs are served from the stored proof without
         recomputation. The previous timestamp comes from the record, or
-        else from its predecessor's record. In lazy mode an
-        undeleted-but-due epoch instead fabricates the proof on demand,
-        which is the detectably slow dishonest path.
+        else from its predecessor's record.
         """
         with self._lock:
             record = self._resolve_epoch(at)
@@ -448,38 +438,25 @@ class CloudStore:
                 raise UnavailableError(
                     f"verification material for epoch {record.epoch_id} was purged"
                 )
-            state = record.state
-            ciphertexts = record.ciphertexts
-            proof = record.deletion_proof
-            if (
-                self.lazy_deletion
-                and record.state is DataState.ACCESSIBLE
-                and deletion_due(record.window, self.policy) <= now
-            ):
-                # fabricated on demand; nothing was overwritten
-                proof = expunge_ciphertexts(ciphertexts, record.epoch_id, now)
-                state = DataState.IRRECOVERABLE
-                ciphertexts = None
-            if state is DataState.IRRECOVERABLE:
+            if record.state is DataState.IRRECOVERABLE:
                 enc_state_tag = record.enc_irrecoverable_tag
             else:
                 enc_state_tag = record.enc_accessible_tag
-                proof = None
             prev = record.prev_crypto_time
             if prev is None and not record.first_epoch:
                 predecessor = self._ids[bisect_left(self._ids, record.epoch_id) - 1]
                 prev = self._records[predecessor].crypto_time
             return AttestationBundle(
                 epoch_id=record.epoch_id,
-                state=state,
+                state=record.state,
                 first_epoch=record.first_epoch,
                 prev_crypto_time=prev,
                 crypto_time=record.crypto_time,
                 digests=record.digests,
-                ciphertexts=ciphertexts,
+                ciphertexts=record.ciphertexts,
                 enc_crypto_time=record.enc_crypto_time,
                 enc_state_tag=enc_state_tag,
-                deletion_proof=proof,
+                deletion_proof=record.deletion_proof,
                 served_at=now,
             )
 

@@ -20,10 +20,10 @@ replay identically; wall time is measured only where a benchmark or the
 deletion time bound needs it. Wall-clock values and the verdicts that
 rest on them (response time, the time bound, its verdict and the overall
 ``verified``) go to the run's measurements, not
-its transcript, so a transcript replays byte for byte. Fault-injection
-flags turn the cloud lazy (skips deletion, fabricates proofs on demand)
-or make the service provider tamper with a sealed query block, so tests
-can demonstrate that exactly the right check catches each behaviour.
+its transcript, so a transcript replays byte for byte. Fault injection
+runs the cloud as ``LazyCloudStore`` (skips deletion, fabricates proofs
+on demand) or makes the service provider tamper with a sealed query
+block, so tests can show that exactly the right check catches each.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .attestation import (
     recompute_estimate_for_bundle,
     verify_bundle,
 )
-from .cloud import CloudStore
+from .cloud import AttestationBundle, CloudStore, EpochRecord
 from .control import (
     accessible_tag,
     build_outsource_payload,
@@ -58,11 +58,12 @@ from .core import (
     SensorReading,
     deletion_due,
     epoch_of,
+    state_at,
 )
 from .crypto import KeyRing, generate_keyring, save_keyring
-from .engine import CellArray, expunge
+from .engine import CellArray, expunge, expunge_ciphertexts
 from .errors import DataExpiredError, DomainError, UnavailableError, WireError
-from .querylog import AuditReport, QueryLogger, SealedBlock, audit_block, make_query_record
+from .querylog import AuditReport, QueryLogger, audit_block, make_query_record
 from .wire import CloudService, LoopbackTransport, SocketTransport, SpService, serve
 
 MS_PER_HOUR = 3_600_000
@@ -420,6 +421,31 @@ def _outsource_epochs(
         yield window, epoch_readings, sensor_row, meta_row
 
 
+class LazyCloudStore(CloudStore):
+    """A dishonest cloud that never deletes and fabricates each proof on request.
+
+    A tick changes no record. A due epoch is served irrecoverable, with a
+    proof that is correct but late, which the deletion time bound catches.
+    """
+
+    def _schedule(self, record: EpochRecord) -> None:
+        pass
+
+    def fetch_bundle(self, at: int, now: int) -> AttestationBundle:
+        bundle = super().fetch_bundle(at, now)
+        record = self.record(bundle.epoch_id)
+        if bundle.state is DataState.ACCESSIBLE and deletion_due(record.window, self.policy) <= now:
+            # nothing was overwritten: the proof is computed now, from the kept ciphertexts
+            return replace(
+                bundle,
+                state=DataState.IRRECOVERABLE,
+                ciphertexts=None,
+                enc_state_tag=record.enc_irrecoverable_tag,
+                deletion_proof=expunge_ciphertexts(record.ciphertexts, record.epoch_id, now),
+            )
+        return bundle
+
+
 class _Run:
     """State of one scenario run, advanced phase by phase."""
 
@@ -435,17 +461,11 @@ class _Run:
         self.params = setup(config.modulus_bits)
         self.sp_id = config.sp_id.encode()
 
-        self.state_dir = self.blocks_dir = None
-        if state_dir is not None:
-            self.state_dir = Path(state_dir)
-            self.blocks_dir = self.state_dir / "blocks"
-            self.blocks_dir.mkdir(parents=True, exist_ok=True)
-
-        self.store = CloudStore(
+        self.state_dir = Path(state_dir) if state_dir is not None else None
+        self.store = (LazyCloudStore if config.lazy_cloud else CloudStore)(
             self.policy,
             root=(self.state_dir / "cloud") if self.state_dir is not None else None,
             sp_allowlist=frozenset({self.sp_id}),
-            lazy_deletion=config.lazy_cloud,
         )
         self.logger = QueryLogger(
             capacity=config.block_capacity,
@@ -454,7 +474,6 @@ class _Run:
             sdp_public=self.keyring.sdp_box_public,
             registry=self.registry,
             start_time=config.origin_ms,
-            sink=self.sink_block,
         )
         handlers = (CloudService(self.store).handle, SpService(self.logger).handle)
         self.servers = [serve(h) for h in handlers] if config.transport == "socket" else []
@@ -485,10 +504,6 @@ class _Run:
 
     def emit(self, actor: str, event: str, **fields) -> None:
         self.transcript.append({"t": self.clock.now, "actor": actor, "event": event, **fields})
-
-    def sink_block(self, block: SealedBlock) -> None:
-        if self.blocks_dir is not None:
-            (self.blocks_dir / f"{block.block_id:06d}.blk").write_bytes(block.to_bytes())
 
     def epochs_in(self, state: DataState) -> list[int]:
         return [eid for eid in self.store.epoch_ids() if self.store.state_of(eid) is state]
@@ -559,13 +574,11 @@ class _Run:
         if k % self.config.verify_every_epochs == 0:
             self.verify(window.id, "user", self.rng.choice(self.devices), DataState.ACCESSIBLE)
             self.verify(window.id, "sdp", None, DataState.ACCESSIBLE)
-            deleted = self.epochs_in(DataState.IRRECOVERABLE)
-            if self.config.lazy_cloud and not deleted:
-                # the lazy cloud reports nothing deleted; probe an epoch
-                # whose deadline has passed anyway
-                deleted = [
-                    w.id for w in self.arrived if deletion_due(w, self.policy) <= self.clock.now
-                ]
+            # judged by the policy, not by what the cloud reports deleted
+            deleted = [
+                w.id for w in self.arrived
+                if state_at(w, self.policy, self.clock.now) is DataState.IRRECOVERABLE
+            ]
             if deleted:
                 self.verify(
                     deleted[-1], "user", self.rng.choice(self.devices), DataState.IRRECOVERABLE
@@ -605,7 +618,6 @@ class _Run:
         block = blocks[victim]
         if block.encrypted_records:
             blocks[victim] = replace(block, encrypted_records=block.encrypted_records[1:])
-            self.sink_block(blocks[victim])
             self.emit("sp", "tamper_injected", block_id=block.block_id)
 
     def audit(self) -> None:
@@ -635,6 +647,10 @@ class _Run:
         self.config.save(state_dir / "config.json")
         save_keyring(self.keyring, state_dir / "keyring.json")
         (state_dir / "params.bin").write_bytes(self.params.to_bytes())
+        blocks_dir = state_dir / "blocks"
+        blocks_dir.mkdir(exist_ok=True)
+        for block in self.logger.sealed_blocks:
+            (blocks_dir / f"{block.block_id:06d}.blk").write_bytes(block.to_bytes())
         (state_dir / "meta.json").write_text(json.dumps({"clock": self.clock.now}))
         (state_dir / "transcript.json").write_text(json.dumps(self.transcript, indent=1))
         (state_dir / "report.json").write_text(json.dumps(self.report.to_dict(), indent=1))

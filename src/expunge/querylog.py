@@ -19,7 +19,6 @@ namespace; there is no hardware attestation in this harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -200,8 +199,7 @@ class QueryLogger:
     no gap that suppression could hide in. A block's records share one
     key agreement, and each still opens alone; an empty block makes none.
     Block ids come from a counter, not from ``sealed_blocks``, which the
-    service provider holds. Sealed blocks go to ``sink`` (typically a
-    file writer owned by the service provider).
+    service provider holds and persists as it sees fit.
     """
 
     def __init__(
@@ -212,7 +210,6 @@ class QueryLogger:
         sdp_public: X25519PublicKey,
         registry: dict[bytes, Ed25519PublicKey],
         start_time: int = 0,
-        sink: Callable[[SealedBlock], None] | None = None,
     ):
         if capacity < 1:
             raise DomainError("block capacity must be at least 1")
@@ -223,7 +220,6 @@ class QueryLogger:
         self.params = params
         self.sdp_public = sdp_public
         self.registry = registry
-        self.sink = sink
         self.sealed_blocks: list[SealedBlock] = []
         self.security_events: list[dict] = []
         self._chain_tip: AccumulatorValue | int = params.seed
@@ -246,8 +242,6 @@ class QueryLogger:
         )
         self.sealed_blocks.append(sealed)
         self._chain_tip = proof
-        if self.sink is not None:
-            self.sink(sealed)
         self._block_id += 1
         self._created_at = now
         self._records = []

@@ -27,7 +27,7 @@ from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.crypto import generate_keyring, hybrid_encrypt, symmetric_decrypt, symmetric_encrypt
 from expunge.engine import expunge_duration_estimate, expunge, CellArray
 from expunge.errors import IntegrityError
-from expunge.harness import MS_PER_HOUR, ScenarioConfig, bench
+from expunge.harness import MS_PER_HOUR, LazyCloudStore, ScenarioConfig, bench
 from expunge.querylog import QueryLogger, audit_block, make_query_record
 from expunge.wire import CloudService, LoopbackTransport
 
@@ -425,7 +425,7 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
 
     # --- lazy cloud flagged by the time bound -------------------------------
     def build_store(lazy: bool) -> CloudStore:
-        s = CloudStore(policy, lazy_deletion=lazy)
+        s = (LazyCloudStore if lazy else CloudStore)(policy)
         prev = params.seed
         for k in range(2):
             w = EpochWindow(k * 1000, (k + 1) * 1000)

@@ -40,6 +40,7 @@ from expunge.errors import (
     NotAuthorizedError,
     UnavailableError,
 )
+from expunge.harness import LazyCloudStore
 
 SP = b"sp-main"
 FIG2_POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1)
@@ -625,7 +626,7 @@ class TestRecordSize:
 
 class TestLazyMode:
     def test_lazy_cloud_skips_deletion_but_fabricates_bundles(self, keyring, tiny_params):
-        store = CloudStore(FIG2_POLICY, lazy_deletion=True)
+        store = LazyCloudStore(FIG2_POLICY)
         shadows = _ingest_epochs(store, keyring, tiny_params, 1)
         assert store.tick(4) == []  # pretends nothing is due
         assert store.state_of(1) is DataState.ACCESSIBLE
@@ -635,6 +636,15 @@ class TestLazyMode:
         assert bundle.deletion_proof.proof == irrecoverable_tag(shadows[1], 1)
         # and the data was never actually overwritten
         assert store.record(1).ciphertexts == shadows[1]
+
+    def test_lazy_ticks_change_no_record(self, keyring, tiny_params):
+        # epochs 1-3 fall due for deletion at 4-6 and for purging at 6-8
+        store = LazyCloudStore(FIG2_POLICY)
+        _ingest_epochs(store, keyring, tiny_params, 3)
+        before = _snapshot(store)
+        for now in (3, 4, 5, 7, 8, 20):
+            assert store.tick(now) == []
+            assert _snapshot(store) == before
 
 
 class _FullScanStore(CloudStore):
@@ -651,8 +661,6 @@ class _FullScanStore(CloudStore):
                 window = window_for_id(eid, record.et - record.epoch_id)
                 if record.state is DataState.ACCESSIBLE:
                     if deletion_due(window, self.policy) <= now:
-                        if self.lazy_deletion:
-                            continue
                         try:
                             self._expunge_record(record, now)
                         except Exception:
@@ -709,7 +717,6 @@ def _snapshot(store):
 _SCHEDULES = dict(
     count=st.integers(1, _ORACLE_EPOCHS),
     policy=_policies(),
-    lazy=st.booleans(),
     times=_tick_times(),
 )
 
@@ -718,14 +725,12 @@ class TestDeadlineSchedule:
     """The deadline heap against the full scan it replaced."""
 
     @given(**_SCHEDULES)
-    @example(count=_ORACLE_EPOCHS, policy=FIG2_POLICY, lazy=False, times=[0, 20])
-    @example(
-        count=2, policy=RetentionPolicy(p_del=0, p_ver=1, delta=1), lazy=False, times=[3, 3, 4]
-    )
+    @example(count=_ORACLE_EPOCHS, policy=FIG2_POLICY, times=[0, 20])
+    @example(count=2, policy=RetentionPolicy(p_del=0, p_ver=1, delta=1), times=[3, 3, 4])
     @settings(max_examples=100, deadline=None)
-    def test_heap_matches_full_scan(self, oracle_rows, count, policy, lazy, times):
-        heap = CloudStore(policy, lazy_deletion=lazy)
-        scan = _FullScanStore(policy, lazy_deletion=lazy)
+    def test_heap_matches_full_scan(self, oracle_rows, count, policy, times):
+        heap = CloudStore(policy)
+        scan = _FullScanStore(policy)
         for now in times:
             _arrive(heap, oracle_rows, count, now)
             _arrive(scan, oracle_rows, count, now)
@@ -777,7 +782,7 @@ class TestDeadlineSchedule:
             (2, DataState.PURGED),
         ]
 
-    @given(reload_at=st.integers(0, 14), **_SCHEDULES)
+    @given(reload_at=st.integers(0, 14), lazy=st.booleans(), **_SCHEDULES)
     @settings(
         max_examples=50,
         deadline=None,
@@ -787,11 +792,12 @@ class TestDeadlineSchedule:
         self, tmp_path, oracle_rows, reload_at, count, policy, lazy, times
     ):
         root = Path(tempfile.mkdtemp(dir=tmp_path))
-        memory = CloudStore(policy, lazy_deletion=lazy)
-        disk = CloudStore(policy, root=root, lazy_deletion=lazy)
+        store_class = LazyCloudStore if lazy else CloudStore
+        memory = store_class(policy)
+        disk = store_class(policy, root=root)
         for position, now in enumerate(times):
             if position == reload_at:
-                disk = CloudStore(policy, root=root, lazy_deletion=lazy)
+                disk = store_class(policy, root=root)
             _arrive(memory, oracle_rows, count, now)
             _arrive(disk, oracle_rows, count, now)
             assert disk.tick(now) == memory.tick(now)

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -8,14 +9,22 @@ import pytest
 
 from expunge import attestation, cloud, harness
 from expunge.cli import main
-from expunge.cloud import CloudStore
+from expunge.cloud import CloudStore, EpochRecord
 from expunge.control import build_outsource_payload
-from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
+from expunge.core import (
+    NEVER,
+    DataState,
+    EpochWindow,
+    RetentionPolicy,
+    SensorReading,
+    deletion_due,
+)
 from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
 from expunge.harness import (
     MS_PER_HOUR,
     EpochVerifier,
+    LazyCloudStore,
     ScenarioConfig,
     VirtualClock,
     bench,
@@ -178,8 +187,8 @@ class TestWire:
 
 def _verifier_store(keyring, params, store_p_del, *, lazy=False, tick=3000):
     """Three 1 s epochs (0, 1000, 2000) in a store ticked to ``tick``."""
-    store = CloudStore(
-        RetentionPolicy(p_del=store_p_del, p_ver=4, delta=1000), lazy_deletion=lazy
+    store = (LazyCloudStore if lazy else CloudStore)(
+        RetentionPolicy(p_del=store_p_del, p_ver=4, delta=1000)
     )
     prev = params.seed
     for k, count in enumerate((1, 40, 1)):
@@ -201,7 +210,7 @@ class TestEpochVerifier:
     def fetches(self, monkeypatch):
         """Record each ``(at, now)`` the cloud serves, and each proof it computes."""
         seen = {"fetch": [], "expunge": []}
-        fetch_bundle, expunge_ciphertexts = CloudStore.fetch_bundle, cloud.expunge_ciphertexts
+        fetch_bundle, expunge_ciphertexts = CloudStore.fetch_bundle, harness.expunge_ciphertexts
 
         def recording_fetch(store, at, now):
             seen["fetch"].append((at, now))
@@ -212,7 +221,9 @@ class TestEpochVerifier:
             return expunge_ciphertexts(ciphertexts, epoch_id, now)
 
         monkeypatch.setattr(CloudStore, "fetch_bundle", recording_fetch)
+        # the honest store's deletions and the lazy store's fabrications
         monkeypatch.setattr(cloud, "expunge_ciphertexts", recording_expunge)
+        monkeypatch.setattr(harness, "expunge_ciphertexts", recording_expunge)
         return seen
 
     @staticmethod
@@ -242,13 +253,13 @@ class TestEpochVerifier:
 
     def test_lazy_cloud_slow_to_compute_proof_flagged(self, keyring, tiny_params, monkeypatch):
         store = _verifier_store(keyring, tiny_params, 0, lazy=True)
-        expunge_ciphertexts = cloud.expunge_ciphertexts
+        expunge_ciphertexts = harness.expunge_ciphertexts
 
         def slow_expunge(*args):
             time.sleep(0.2)
             return expunge_ciphertexts(*args)
 
-        monkeypatch.setattr(cloud, "expunge_ciphertexts", slow_expunge)
+        monkeypatch.setattr(harness, "expunge_ciphertexts", slow_expunge)
         monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 0.1)
         report = self.verify(store, keyring, tiny_params, 0, 0, 3000)
         assert report.state_claimed is DataState.IRRECOVERABLE
@@ -449,6 +460,40 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "sealed block 1, the predecessor of block 2, is missing" in err
 
+    def test_audit_reads_no_cloud_segment(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        segment = next((state / "cloud" / "segments").glob("*.seg"))
+        segment.write_bytes(segment.read_bytes()[:40])
+        assert main(["audit", "--state", str(state), "--block", "1"]) == 0
+        assert '"ok": true' in capsys.readouterr().out
+
+    def test_lazy_run_verified_from_saved_state(self, tmp_path, capsys):
+        config = ScenarioConfig(**{**FAST, "lazy_cloud": True})
+        cfg = tmp_path / "cfg.json"
+        config.save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = max(
+            int(eid) for eid in summary["states"]
+            if deletion_due(EpochWindow(int(eid), int(eid) + config.delta_ms), config.policy)
+            <= summary["final_clock"]
+        )
+        main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"])
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        # the wall-clock verdict is left out: only the claim and its proof are stable
+        assert report["state_claimed"] == "IRRECOVERABLE"
+        assert report["deletion_proof_match"] is True
+        segment = state / "cloud" / "segments" / f"{target:016d}.seg"
+        record = EpochRecord.from_bytes(segment.read_bytes())
+        assert record.state is DataState.ACCESSIBLE and record.ciphertexts
+
     def test_verify_time_bound_uses_reference_round_trip(self, tmp_path, capsys, monkeypatch):
         # The judged fetch takes 0.3 s and the recompute estimate is pinned
         # at 1 s. Bounded by a reference fetch, tau = max(2 * rtt, 0.1 s)
@@ -545,6 +590,17 @@ class TestCli:
         segment = next((state / "cloud" / "segments").glob("*.seg"))
         segment.write_bytes(segment.read_bytes()[:40])
         self.assert_input_error(capsys, ["verify", "--state", str(state), "--time", "0"])
+
+    @pytest.mark.parametrize("command", [["tick", "--now", "0"], ["verify", "--time", "0"]])
+    def test_state_dir_without_a_cloud_store_is_input_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**{**FAST, "arrival_epochs": 2, "p_del": 1, "p_ver": 1}).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        capsys.readouterr()
+        shutil.rmtree(state / "cloud")
+        self.assert_input_error(capsys, [command[0], "--state", str(state), *command[1:]])
+        assert not (state / "cloud").exists()
 
     @pytest.mark.parametrize(
         "doc",
