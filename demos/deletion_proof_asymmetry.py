@@ -16,6 +16,7 @@ from expunge import (
     CellArray,
     CloudStore,
     DataState,
+    EpochVerifier,
     RetentionPolicy,
     EpochWindow,
     SensorReading,
@@ -24,7 +25,7 @@ from expunge import (
     generate_keyring,
     setup,
 )
-from expunge.harness import EpochVerifier, LazyCloudStore
+from expunge.harness import LazyCloudStore
 from expunge.wire import CloudService, LoopbackTransport
 
 rng = random.Random(7)

@@ -12,8 +12,8 @@ auditable blocks.
 
 from .accumulator import AccumulatorParams, AccumulatorValue, setup, step, verify_step
 from .attestation import (
+    EpochVerifier,
     VerificationReport,
-    calibrate_time_bound,
     verify_bundle,
     verify_completeness,
     verify_membership,

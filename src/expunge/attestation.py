@@ -24,11 +24,19 @@ evidence the cloud computed it on demand instead of having deleted the
 data on schedule. The bound is meaningless for tiny epochs whose
 recompute time approaches transport time, so it reports not-applicable
 below a calibrated floor.
+
+``verify_bundle`` is the pure check of one bundle, given whatever timing
+its caller measured. ``EpochVerifier`` is the one place that measures:
+it fetches the bundle, times a reference fetch, estimates the honest
+recompute time, derives the bound and whether it applies, and returns a
+report that carries every input of that verdict. Those inputs and the
+verdicts resting on them are wall-clock values, named by
+``WALL_CLOCK_FIELDS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import eq
 
@@ -36,13 +44,26 @@ from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
 from .control import accessible_tag, reading_digests, sentinel_digest, timestamp_exponent
 from .core import DataState, RetentionPolicy, state_at, window_for_id
-from .crypto import symmetric_decrypt
+from .crypto import KeyRing, symmetric_decrypt
 from .engine import cell_geometry, expunge_duration_estimate
-from .errors import DomainError
+from .errors import DomainError, UnavailableError
+from .wire import CloudService
 
 #: Below this multiple of the round trip, the recompute estimate is too
 #: small for the time bound to separate honest from lazy clouds.
 TIME_BOUND_FLOOR_ROUND_TRIPS = 4.0
+
+#: Report fields that are wall-clock values or verdicts resting on them;
+#: they differ from run to run and host to host.
+WALL_CLOCK_FIELDS = (
+    "reference_round_trip",
+    "recompute_estimate",
+    "time_bound",
+    "response_time",
+    "time_bound_ok",
+    "time_bound_applies",
+    "verified",
+)
 
 
 @dataclass(frozen=True)
@@ -62,6 +83,15 @@ class VerificationReport:
     response_time: float | None
     time_bound: float | None
     time_bound_ok: bool | None
+    reference_round_trip: float | None = None
+    recompute_estimate: float | None = None
+
+    @property
+    def time_bound_applies(self) -> bool | None:
+        """Whether the bound judged the response; ``None`` when no bound was set."""
+        if self.time_bound is None:
+            return None
+        return self.time_bound_ok is not None
 
     @property
     def state_ok(self) -> bool:
@@ -87,9 +117,12 @@ class VerificationReport:
             "policy_ok": self.policy_ok,
             "state_ok": self.state_ok,
             "deletion_proof_match": self.deletion_proof_match,
-            "response_time": self.response_time,
+            "reference_round_trip": self.reference_round_trip,
+            "recompute_estimate": self.recompute_estimate,
             "time_bound": self.time_bound,
+            "response_time": self.response_time,
             "time_bound_ok": self.time_bound_ok,
+            "time_bound_applies": self.time_bound_applies,
             "verified": self.verified,
         }
 
@@ -210,3 +243,62 @@ def recompute_estimate_for_bundle(bundle: AttestationBundle) -> float:
     if bundle.digests == (sentinel_digest(bundle.epoch_id),):
         cell_count = cell_geometry(())[0]
     return expunge_duration_estimate(cell_count, proof.cell_size)
+
+
+@dataclass(frozen=True)
+class EpochVerifier:
+    """One verifier's per-epoch step: fetch a bundle, bound the fetch, verify.
+
+    Stateless. An irrecoverable fetch is judged against the round trip of
+    one reference fetch that no proof computation can inflate, chosen
+    from the verifier's own clock and the public policy alone. With
+    ``p_del >= 1`` that is the newest closed epoch, ``now - delta``,
+    which the policy still holds accessible; it counts only if it comes
+    back accessible. Otherwise, or when no such epoch was stored, it is
+    the judged epoch as of its own begin, before its deletion was due:
+    an honest cloud serves the stored proof, a lazy one the ciphertexts
+    it kept, and neither computes a proof. The reference is used as
+    measured, unscaled by bundle size (an irrecoverable bundle is smaller
+    but pays the same fixed costs).
+    """
+
+    transport: object
+    keyring: KeyRing
+    params: AccumulatorParams
+    policy: RetentionPolicy
+
+    def reference_seconds(self, epoch_id: int, now: int) -> float:
+        """Round trip of the reference fetch for judging ``epoch_id`` at ``now``."""
+        delta = self.policy.delta
+        if self.policy.p_del >= 1 and now >= delta:
+            try:
+                bundle, elapsed = CloudService.fetch_bundle_via(self.transport, now - delta, now)
+            except UnavailableError:
+                pass
+            else:
+                if bundle.state is DataState.ACCESSIBLE:
+                    return elapsed
+        return CloudService.fetch_bundle_via(self.transport, epoch_id, epoch_id)[1]
+
+    def verify(
+        self, at: int, now: int, role: str, device_id: bytes | None = None
+    ) -> VerificationReport:
+        bundle, elapsed = CloudService.fetch_bundle_via(self.transport, at, now)
+        rtt = estimate = time_bound = None
+        applicable = True
+        if bundle.state is not DataState.ACCESSIBLE:
+            estimate = recompute_estimate_for_bundle(bundle)
+            rtt = self.reference_seconds(bundle.epoch_id, now)
+            time_bound, applicable = calibrate_time_bound(rtt, estimate)
+        report = verify_bundle(
+            bundle,
+            self.keyring.shared_key,
+            self.params,
+            self.policy,
+            role=role,
+            device_id=device_id,
+            response_time=elapsed,
+            time_bound=time_bound,
+            time_bound_applicable=applicable,
+        )
+        return replace(report, reference_round_trip=rtt, recompute_estimate=estimate)

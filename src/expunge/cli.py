@@ -18,12 +18,12 @@ import sys
 from pathlib import Path
 
 from .accumulator import AccumulatorParams
+from .attestation import TIME_BOUND_FLOOR_ROUND_TRIPS, EpochVerifier
 from .cloud import CloudStore
 from .crypto import load_keyring
 from .encoding import EncodingError, u32
 from .errors import ExpungeError
 from .harness import (
-    EpochVerifier,
     LazyCloudStore,
     ScenarioConfig,
     bench,
@@ -133,8 +133,13 @@ def cmd_verify(args) -> int:
     if report.membership_positions is not None:
         n = len(report.membership_positions)
         checks.insert(0, f"membership {'present at ' + str(n) + ' position(s)' if n else 'absent'}")
-    if report.time_bound_ok is not None:
+    if report.time_bound_applies:
         checks.append(f"time bound {'ok' if report.time_bound_ok else 'EXCEEDED'}")
+    elif report.time_bound_applies is False:
+        checks.append(
+            f"time bound not applicable (estimate {report.recompute_estimate * 1e3:.2f} ms"
+            f" < {TIME_BOUND_FLOOR_ROUND_TRIPS:g} x rtt {report.reference_round_trip * 1e3:.2f} ms)"
+        )
     verdict = "VERIFIED" if report.verified else "NOT VERIFIED"
     print(
         f"epoch {report.epoch_id} ({report.state_claimed.name.lower()} claimed): "

@@ -12,7 +12,7 @@ import time
 
 from conftest import ACCEPTANCE_NOTES
 from expunge.accumulator import setup, step
-from expunge.attestation import calibrate_time_bound, verify_bundle
+from expunge.attestation import EpochVerifier, verify_bundle
 from expunge.cloud import CloudStore
 from expunge.control import (
     MetaDataRow,
@@ -25,7 +25,7 @@ from expunge.control import (
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.crypto import generate_keyring, hybrid_encrypt, symmetric_decrypt, symmetric_encrypt
-from expunge.engine import expunge_duration_estimate, expunge, CellArray
+from expunge.engine import expunge, CellArray
 from expunge.errors import IntegrityError
 from expunge.harness import MS_PER_HOUR, LazyCloudStore, ScenarioConfig, bench
 from expunge.querylog import QueryLogger, audit_block, make_query_record
@@ -427,7 +427,8 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
     def build_store(lazy: bool) -> CloudStore:
         s = (LazyCloudStore if lazy else CloudStore)(policy)
         prev = params.seed
-        for k in range(2):
+        # epoch 2000, still accessible at 3000, is the verifier's reference fetch
+        for k in range(3):
             w = EpochWindow(k * 1000, (k + 1) * 1000)
             readings = [
                 SensorReading(
@@ -446,23 +447,12 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
         return s
 
     def run_trials(s: CloudStore, trials: int) -> list[bool]:
-        t = LoopbackTransport(CloudService(s).handle)
+        verifier = EpochVerifier(LoopbackTransport(CloudService(s).handle), keyring, params, policy)
         flagged = []
         for _ in range(trials):
-            ref_bundle, ref_elapsed = CloudService.fetch_bundle_via(t, 1000, 2900)
-            assert ref_bundle.state is DataState.ACCESSIBLE
-            target, response = CloudService.fetch_bundle_via(t, 0, 3000)
-            assert target.state is DataState.IRRECOVERABLE
-            rtt = ref_elapsed  # unscaled, as EpochVerifier bounds an irrecoverable fetch
-            estimate = expunge_duration_estimate(
-                len(target.digests), target.deletion_proof.cell_size
-            )
-            tau, applicable = calibrate_time_bound(rtt, estimate)
-            assert applicable, "trial epochs must be large enough for the bound"
-            report = verify_bundle(
-                target, keyring.shared_key, params, policy,
-                time_bound=tau, response_time=response,
-            )
+            report = verifier.verify(0, 3000, "sdp")
+            assert report.state_claimed is DataState.IRRECOVERABLE
+            assert report.time_bound_applies, "trial epochs must be large enough for the bound"
             assert report.completeness_ok and report.tag_match  # no unrelated failure
             flagged.append(report.time_bound_ok is False)
         return flagged
@@ -490,14 +480,20 @@ def test_criterion_9_benchmark_trends():
     )
     exp1 = bench(config, 1)
     control = exp1.values("control_per_epoch")
-    assert len(control) == 3 and control[0] < control[1] < control[2]
+    assert len(control) == 3 and control[0] < control[1] < control[2], (
+        f"control_per_epoch {control}"
+    )
     tags_per_day = exp1.values("tags_per_day")
-    assert len(tags_per_day) == 3 and tags_per_day[0] < tags_per_day[1] < tags_per_day[2]
+    assert len(tags_per_day) == 3 and tags_per_day[0] < tags_per_day[1] < tags_per_day[2], (
+        f"tags_per_day {tags_per_day}"
+    )
 
     exp4 = bench(config, 4)
     expunge_times = exp4.values("expunge_per_epoch")
     assert len(expunge_times) == 3
-    assert expunge_times[0] < expunge_times[1] < expunge_times[2]
+    assert expunge_times[0] < expunge_times[1] < expunge_times[2], (
+        f"expunge_per_epoch {expunge_times}"
+    )
     _note(
         "test_criterion_9_benchmark_trends",
         "control, per-day tags, and expunge all rise with epoch duration",

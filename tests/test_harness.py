@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from expunge import attestation, cloud, harness
+from expunge.attestation import EpochVerifier
 from expunge.cli import main
 from expunge.cloud import CloudStore, EpochRecord
 from expunge.control import build_outsource_payload
@@ -23,7 +24,6 @@ from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
 from expunge.harness import (
     MS_PER_HOUR,
-    EpochVerifier,
     LazyCloudStore,
     ScenarioConfig,
     VirtualClock,
@@ -522,7 +522,8 @@ class TestCli:
 
     def test_verify_json_states_the_inputs_of_the_time_bound(self, tmp_path, capsys, monkeypatch):
         # The JSON report must explain an EXCEEDED on its own: it carries
-        # the judged response time and the bound it was held to.
+        # the judged response time, the bound it was held to and the
+        # inputs that set the bound, so tau is recomputed from it alone.
         cfg = tmp_path / "cfg.json"
         ScenarioConfig(**FAST).save(cfg)
         state = tmp_path / "state"
@@ -545,6 +546,40 @@ class TestCli:
         report = json.loads(out[: out.rindex("}") + 1])
         assert report["time_bound_ok"] is False
         assert report["response_time"] >= 0.3 > report["time_bound"] > 0
+        rtt, estimate = report["reference_round_trip"], report["recompute_estimate"]
+        assert report["time_bound"] == max(2 * rtt, estimate / 10)
+        assert report["time_bound_applies"] == (estimate >= 4 * rtt)
+
+        accessible = next(int(e) for e, s in summary["states"].items() if s == "ACCESSIBLE")
+        main(["verify", "--state", str(state), "--time", str(accessible), "--role", "sdp"])
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        for key in ("reference_round_trip", "recompute_estimate", "time_bound_applies"):
+            assert report[key] is None
+
+    def test_verify_summary_says_when_the_time_bound_does_not_apply(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = next(int(e) for e, s in summary["states"].items() if s == "IRRECOVERABLE")
+
+        monkeypatch.setattr(attestation, "expunge_duration_estimate", lambda *args: 1e-9)
+        code = main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"])
+        out = capsys.readouterr().out
+        report = json.loads(out[: out.rindex("}") + 1])
+        assert report["time_bound_applies"] is False and report["time_bound_ok"] is None
+        summary_line = out.splitlines()[-1]
+        assert re.search(
+            r"\): VERIFIED - .*time bound not applicable "
+            r"\(estimate 0\.00 ms < 4 x rtt \d+\.\d\d ms\)$",
+            summary_line,
+        ), summary_line
+        assert code == 0
 
     def test_verify_purged_epoch_is_protocol_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
