@@ -29,7 +29,10 @@ from .control import (
     encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,
+    open_seal,
     reading_digest,
+    seal,
+    timestamp_anchor,
 )
 from .core import (
     NEVER,

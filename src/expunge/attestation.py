@@ -11,9 +11,10 @@ epoch's bundle it can establish three independent facts:
 * completeness: that the received digest list is exactly the one that
   produced the epoch's chained timestamp, by replaying the accumulator
   step from the previous timestamp (or the seed). The cleartext
-  timestamp is additionally matched against the provider-sealed copy
-  riding in the bundle: without that anchor a dishonest cloud could
-  serve a pruned digest list with a self-consistent forged chain;
+  timestamp's digest is additionally matched against the
+  provider-sealed anchor riding in the bundle: without that anchor a
+  dishonest cloud could serve a pruned digest list with a
+  self-consistent forged chain;
 * state: that the data is in the policy-mandated state: the hash of
   the received ciphertexts must open the sealed accessible tag, or the
   deletion proof must open the sealed irrecoverable tag.
@@ -42,9 +43,19 @@ from operator import eq
 
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .cloud import AttestationBundle
-from .control import accessible_tag, reading_digests, sentinel_digest, timestamp_exponent
+from .control import (
+    SEALED_ACCESSIBLE,
+    SEALED_IRRECOVERABLE,
+    SEALED_TIME,
+    accessible_tag,
+    open_seal,
+    reading_digests,
+    sentinel_digest,
+    timestamp_anchor,
+    timestamp_exponent,
+)
 from .core import DataState, RetentionPolicy, state_at, window_for_id
-from .crypto import KeyRing, symmetric_decrypt
+from .crypto import KeyRing
 from .engine import cell_geometry, expunge_duration_estimate
 from .errors import DomainError, UnavailableError
 from .wire import CloudService
@@ -182,22 +193,25 @@ def verify_bundle(
 ) -> VerificationReport:
     """Run every check the role is entitled to and report each outcome.
 
-    Tag decryption failures raise IntegrityError: an unopenable tag is
-    tampering evidence, not a mere mismatch.
+    Seal opening failures raise IntegrityError: a sealed value served
+    under another field, epoch or key is tampering evidence, not a mere
+    mismatch.
     """
     membership = None
     if role == "user" and device_id is not None:
         membership = tuple(verify_membership(device_id, bundle))
 
     completeness_ok, alpha = verify_completeness(bundle, params)
-    # anchor the cleartext timestamp to the provider-sealed copy
-    sealed_ct = symmetric_decrypt(shared_key, bundle.enc_crypto_time)
-    completeness_ok = completeness_ok and sealed_ct == bundle.crypto_time.to_bytes()
+    # anchor the cleartext timestamp to the provider-sealed digest of it
+    sealed_anchor = open_seal(shared_key, SEALED_TIME, bundle.epoch_id, bundle.enc_crypto_time)
+    completeness_ok = completeness_ok and sealed_anchor == timestamp_anchor(bundle.crypto_time)
 
     window = window_for_id(bundle.epoch_id, policy.delta)
     policy_ok = state_at(window, policy, bundle.served_at) is bundle.state
 
-    expected_tag = symmetric_decrypt(shared_key, bundle.enc_state_tag)
+    # the seal names its field, so a tag opens only for the state it attests
+    label = SEALED_ACCESSIBLE if bundle.state is DataState.ACCESSIBLE else SEALED_IRRECOVERABLE
+    expected_tag = open_seal(shared_key, label, bundle.epoch_id, bundle.enc_state_tag)
     user_hash = None
     proof_match = None
     time_bound_ok = None

@@ -11,7 +11,8 @@ tombstone so "purged" remains distinguishable from "never existed".
 
 A record keeps each epoch fact once. The metadata row's three sealed
 values are fields of the record; the accessible tag goes with the
-ciphertexts at deletion, since no deleted epoch serves it. The previous
+ciphertexts at deletion, since no deleted epoch serves it. Each record
+names its predecessor's epoch id (none for the first epoch). The previous
 epoch's timestamp is the predecessor record's own ``crypto_time``, so a
 bundle takes it from there; a record holds a copy in ``prev_crypto_time``
 only once its predecessor is purged. A purge writes that copy into the
@@ -33,9 +34,12 @@ segment, so a process crash leaves the old or the new record, never half
 of one (files are not fsynced, so a power loss can still lose recent
 writes). A reload reads the segments in name order, ignores leftover
 temporary files, takes the last tick from the newest recorded
-transition, and fails closed on a segment that does not decode or is not
-named after its epoch, and on a live epoch whose previous timestamp is
-in neither its own record nor its predecessor's. A record's
+transition, and fails closed on a segment that does not decode, is not
+named after its epoch, or does not follow the segment before it (a
+record whose named predecessor is not the previous segment shows that
+a segment is missing, since tombstones keep every segment), and on a
+live epoch whose previous timestamp is in neither its own record nor
+its purged predecessor's. A record's
 next version is written before the store adopts it, so a failed write
 leaves memory as it was and the transition is retried. A store created
 with ``root=None`` lives purely in memory (benchmarks, quick tests).
@@ -97,6 +101,10 @@ _STATE = enum(DataState)
 _ACC_VALUE = nested(AccumulatorValue)
 
 
+def _epoch_name(epoch_id: int | None) -> str:
+    return "no epoch" if epoch_id is None else f"epoch {epoch_id}"
+
+
 @dataclass(frozen=True)
 class AttestationBundle(Record):
     """Everything a verifier needs for one epoch, and nothing more."""
@@ -141,7 +149,7 @@ class EpochRecord(Record):
         encoding.TYPE_EPOCH_RECORD,
         ("epoch_id", U64),
         ("et", U64),
-        ("first_epoch", FLAG),
+        ("prev_epoch_id", optional(U64)),
         ("state", _STATE),
         ("prev_crypto_time", optional(_ACC_VALUE)),
         ("crypto_time", optional(_ACC_VALUE)),
@@ -156,7 +164,7 @@ class EpochRecord(Record):
 
     epoch_id: int
     et: int
-    first_epoch: bool
+    prev_epoch_id: int | None
     prev_crypto_time: AccumulatorValue | None
     crypto_time: AccumulatorValue | None
     digests: tuple[bytes, ...]
@@ -171,6 +179,10 @@ class EpochRecord(Record):
     @property
     def window(self) -> EpochWindow:
         return EpochWindow(self.epoch_id, self.et)
+
+    @property
+    def first_epoch(self) -> bool:
+        return self.prev_epoch_id is None
 
     def replaced(self, **changes) -> EpochRecord:
         """This record with ``changes``, in the same state."""
@@ -241,15 +253,21 @@ class CloudStore:
             record = EpochRecord.from_bytes(path.read_bytes())
             if path != self._segment_path(record.epoch_id):
                 raise EncodingError(f"segment {path.name} holds epoch {record.epoch_id}")
+            found = None if predecessor is None else predecessor.epoch_id
+            if record.prev_epoch_id != found:
+                raise EncodingError(
+                    f"epoch {record.epoch_id} follows {_epoch_name(record.prev_epoch_id)},"
+                    f" but the segment before it holds {_epoch_name(found)}: a segment is missing"
+                )
             if (
                 record.state is not DataState.PURGED
                 and not record.first_epoch
                 and record.prev_crypto_time is None
-                and (predecessor is None or predecessor.crypto_time is None)
+                and predecessor.crypto_time is None
             ):
                 raise EncodingError(
                     f"epoch {record.epoch_id} has no previous timestamp:"
-                    " its predecessor's segment is missing or purged"
+                    f" epoch {found} is purged and the record kept no copy"
                 )
             self._records[record.epoch_id] = record
             self._ids.append(record.epoch_id)
@@ -291,7 +309,7 @@ class CloudStore:
             record = EpochRecord(
                 epoch_id=eid,
                 et=meta_row.et,
-                first_epoch=tip is None,
+                prev_epoch_id=None if tip is None else tip.epoch_id,
                 prev_crypto_time=None,
                 crypto_time=sensor_row.crypto_time,
                 digests=sensor_row.digests,
@@ -444,8 +462,7 @@ class CloudStore:
                 enc_state_tag = record.enc_accessible_tag
             prev = record.prev_crypto_time
             if prev is None and not record.first_epoch:
-                predecessor = self._ids[bisect_left(self._ids, record.epoch_id) - 1]
-                prev = self._records[predecessor].crypto_time
+                prev = self._records[record.prev_epoch_id].crypto_time
             return AttestationBundle(
                 epoch_id=record.epoch_id,
                 state=record.state,

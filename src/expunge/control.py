@@ -4,10 +4,11 @@ For each epoch the provider turns its readings into two outsourceable
 rows. The sensor row carries, in arrival order, one position-salted
 digest per reading, the chained cryptographic timestamp, and one
 non-deterministic ciphertext per reading. The metadata row carries the
-epoch bounds plus the timestamp and both verifiable tags sealed under
-the shared key: the accessible tag commits to the ciphertexts exactly as
-stored, and the irrecoverable tag commits to what those ciphertexts must
-become after the deletion transform runs.
+epoch bounds plus three digests sealed under the shared key: the
+timestamp's anchor commits to the timestamp the sensor row carries, the
+accessible tag commits to the ciphertexts exactly as stored, and the
+irrecoverable tag commits to what those ciphertexts must become after
+the deletion transform runs.
 
 Epochs with no readings still produce a row built around a sentinel
 digest so the timestamp chain never skips a link.
@@ -31,6 +32,7 @@ from .crypto import (
     hybrid_decrypt,
     hybrid_encrypt,
     hybrid_encrypt_many,
+    symmetric_decrypt,
     symmetric_encrypt,
 )
 from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
@@ -39,6 +41,11 @@ from .errors import DomainError, EpochMismatchError, InconsistentRowsError
 from .hashing import digest, digests_after
 
 _SENTINEL_LABEL = b"EMPTY"
+
+#: Field labels of the three sealed metadata values; see :func:`seal`.
+SEALED_TIME = b"SEALED-TIME"
+SEALED_ACCESSIBLE = b"SEALED-ACCESSIBLE"
+SEALED_IRRECOVERABLE = b"SEALED-IRRECOVERABLE"
 
 #: ``u64`` position counter; positions ``1..count`` are always in range.
 _POSITION = struct.Struct(">Q")
@@ -106,6 +113,31 @@ def epoch_timestamp(
 ) -> AccumulatorValue:
     """Chain the epoch onto the previous timestamp (or the seed)."""
     return step(prev, timestamp_exponent(digests), params)
+
+
+def timestamp_anchor(crypto_time: AccumulatorValue) -> bytes:
+    """Digest of the timestamp's canonical record: what the provider seals.
+
+    A cloud without the shared key cannot seal another anchor, and to
+    pass off another timestamp under this one it would need a collision.
+    """
+    return digest(crypto_time.to_bytes())
+
+
+def seal(key: bytes, label: bytes, epoch_id: int, value: bytes) -> bytes:
+    """Seal one metadata value under the shared key, bound to its field and epoch.
+
+    The field label and the epoch id are AES-GCM associated data, so a
+    seal opens only as the field and epoch it was made for. All three
+    sealed values are 32-byte digests; without the binding a cloud could
+    serve one field's seal as another's and pick bytes that hash to it.
+    """
+    return symmetric_encrypt(key, value, label + u64(epoch_id))
+
+
+def open_seal(key: bytes, label: bytes, epoch_id: int, blob: bytes) -> bytes:
+    """Open a :func:`seal`; any other field, epoch or key raises IntegrityError."""
+    return symmetric_decrypt(key, blob, label + u64(epoch_id))
 
 
 def encrypt_reading(
@@ -194,7 +226,12 @@ class SensorDataRow(Record):
 
 @dataclass(frozen=True)
 class MetaDataRow(Record):
-    """Outsourced per-epoch metadata; all fields beyond the bounds sealed."""
+    """Outsourced per-epoch metadata; all fields beyond the bounds sealed.
+
+    ``enc_crypto_time`` seals the timestamp's :func:`timestamp_anchor`,
+    not the timestamp itself. Each value is bound by :func:`seal` to its
+    field and to ``epoch_id``.
+    """
 
     LAYOUT = Layout(
         encoding.TYPE_META_ROW,
@@ -241,6 +278,7 @@ def build_outsource_payload(
     ah = accessible_tag(ciphertexts)
     irh = irrecoverable_tag(ciphertexts, window.id)
 
+    key = keyring.shared_key
     sensor_row = SensorDataRow(
         epoch_id=window.id,
         digests=digests,
@@ -251,9 +289,9 @@ def build_outsource_payload(
         epoch_id=window.id,
         bt=window.bt,
         et=window.et,
-        enc_crypto_time=symmetric_encrypt(keyring.shared_key, crypto_time.to_bytes()),
-        enc_accessible_tag=symmetric_encrypt(keyring.shared_key, ah),
-        enc_irrecoverable_tag=symmetric_encrypt(keyring.shared_key, irh),
+        enc_crypto_time=seal(key, SEALED_TIME, window.id, timestamp_anchor(crypto_time)),
+        enc_accessible_tag=seal(key, SEALED_ACCESSIBLE, window.id, ah),
+        enc_irrecoverable_tag=seal(key, SEALED_IRRECOVERABLE, window.id, irh),
     )
     return sensor_row, meta_row
 

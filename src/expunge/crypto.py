@@ -132,16 +132,17 @@ def hybrid_decrypt(envelope: bytes, recipient: X25519PrivateKey) -> bytes:
     return hybrid_decrypt_many((envelope,), recipient)[0]
 
 
-def symmetric_encrypt(key: bytes, plaintext: bytes) -> bytes:
+def symmetric_encrypt(key: bytes, plaintext: bytes, associated_data: bytes | None = None) -> bytes:
+    """AES-GCM under a fresh nonce; ``associated_data`` is authenticated, not stored."""
     nonce = os.urandom(NONCE_BYTES)
-    return nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+    return nonce + AESGCM(key).encrypt(nonce, plaintext, associated_data)
 
 
-def symmetric_decrypt(key: bytes, blob: bytes) -> bytes:
+def symmetric_decrypt(key: bytes, blob: bytes, associated_data: bytes | None = None) -> bytes:
     if len(blob) < NONCE_BYTES + TAG_BYTES:
         raise IntegrityError("ciphertext too short")
     try:
-        return AESGCM(key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], None)
+        return AESGCM(key).decrypt(blob[:NONCE_BYTES], blob[NONCE_BYTES:], associated_data)
     except InvalidTag as exc:
         raise IntegrityError("tag authentication failed") from exc
 

@@ -66,8 +66,10 @@ TYPE_QUERY_RECORD = 0x0B
 TYPE_SEALED_BLOCK = 0x0C
 TYPE_READING_PLAINTEXT = 0x0D
 # 0x0E held the epoch record that nested its metadata row and repeated its
-# predecessor's timestamp; it is not reused, so such a segment is refused.
-TYPE_EPOCH_RECORD = 0x0F
+# predecessor's timestamp; 0x0F held the one that flagged the first epoch
+# instead of naming its predecessor and sealed a full copy of its timestamp.
+# Neither is reused, so such a segment is refused.
+TYPE_EPOCH_RECORD = 0x10
 
 
 class EncodingError(ValueError):

@@ -5,12 +5,13 @@ chained into the current block by hash and, when the block seals,
 bound into a chained accumulator proof. The service provider stores only
 encrypted sealed blocks, so it cannot read logged queries, and the next
 audit notices a changed, dropped, added or reordered record (the
-recomputed block proof differs) or a missing block between two kept ones
-(the proof chain breaks). The audit does not notice a dropped or
-re-derived *newest* block: the accumulator step and the SDP's box key are
-public, so the service provider can recompute a tail's proofs over
-records of its choosing, and nothing vouches for the chain's tip.
-ROADMAP item 4 (the truncation attack) closes that gap.
+recomputed block proof differs), a record whose signature does not
+verify, or a missing block between two kept ones (the proof chain
+breaks). The audit does not notice a dropped or re-derived *newest*
+block: the accumulator step and the SDP's box key are public, so the
+service provider can recompute a tail's proofs over signed records of
+its choosing, and nothing vouches for the chain's tip. ROADMAP item 5
+(the truncation attack) closes that gap.
 
 The "enclave" here is an in-process trusted component with its own key
 namespace; there is no hardware attestation in this harness.
@@ -127,7 +128,12 @@ class AuditReport:
 
     @property
     def ok(self) -> bool:
-        return self.decrypt_ok and self.proof_match
+        """Records open, the proof matches and every signature verifies.
+
+        :meth:`QueryLogger.log` admits only signed records, so a stored
+        record with a bad signature was put there after logging.
+        """
+        return self.decrypt_ok and self.proof_match and not self.invalid_signature_positions
 
     @property
     def impersonation_suspected(self) -> bool:
@@ -147,7 +153,8 @@ def audit_block(
     hash chain and the accumulator step, and compares against the proof
     the block was stored with. Any tampering with record content, order,
     count, or with the block's position in the chain shows up as a proof
-    mismatch; signature failures point at impersonated users.
+    mismatch. A signature failure fails the audit too, even under a
+    matching proof, and points at an impersonated user.
     """
     try:
         records = [

@@ -15,16 +15,22 @@ from expunge.accumulator import setup, step
 from expunge.attestation import EpochVerifier, verify_bundle
 from expunge.cloud import CloudStore
 from expunge.control import (
+    SEALED_ACCESSIBLE,
+    SEALED_IRRECOVERABLE,
+    SEALED_TIME,
     MetaDataRow,
     SensorDataRow,
     accessible_tag,
     build_outsource_payload,
     epoch_timestamp,
     irrecoverable_tag,
+    open_seal,
     reading_digest,
+    seal,
+    timestamp_anchor,
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
-from expunge.crypto import generate_keyring, hybrid_encrypt, symmetric_decrypt, symmetric_encrypt
+from expunge.crypto import generate_keyring, hybrid_encrypt
 from expunge.engine import expunge, CellArray
 from expunge.errors import IntegrityError
 from expunge.harness import MS_PER_HOUR, LazyCloudStore, ScenarioConfig, bench
@@ -115,8 +121,8 @@ def test_criterion_3_tag_proof_equality(keyring, small_params):
     for eid, cts in shadows.items():
         record = store.record(eid)
         assert record.state is DataState.IRRECOVERABLE
-        sealed_irh = symmetric_decrypt(
-            keyring.shared_key, metas[eid].enc_irrecoverable_tag
+        sealed_irh = open_seal(
+            keyring.shared_key, SEALED_IRRECOVERABLE, eid, metas[eid].enc_irrecoverable_tag
         )
         assert record.deletion_proof.proof == sealed_irh
         assert record.deletion_proof.proof == irrecoverable_tag(cts, eid)
@@ -399,13 +405,14 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
     sensor = SensorDataRow(
         epoch_id=window.id, digests=digests, crypto_time=crypto_time, ciphertexts=cts
     )
+    key = keyring.shared_key
     meta = MetaDataRow(
         epoch_id=window.id,
         bt=window.bt,
         et=window.et,
-        enc_crypto_time=symmetric_encrypt(keyring.shared_key, crypto_time.to_bytes()),
-        enc_accessible_tag=symmetric_encrypt(keyring.shared_key, accessible_tag(cts)),
-        enc_irrecoverable_tag=symmetric_encrypt(keyring.shared_key, irh),
+        enc_crypto_time=seal(key, SEALED_TIME, window.id, timestamp_anchor(crypto_time)),
+        enc_accessible_tag=seal(key, SEALED_ACCESSIBLE, window.id, accessible_tag(cts)),
+        enc_irrecoverable_tag=seal(key, SEALED_IRRECOVERABLE, window.id, irh),
     )
     store = CloudStore(policy)
     store.ingest(sensor, meta)

@@ -12,8 +12,16 @@ from expunge.attestation import (
     verify_completeness,
     verify_membership,
 )
+from expunge.accumulator import step
 from expunge.cloud import CloudStore
-from expunge.control import build_outsource_payload, reading_digest, sentinel_digest
+from expunge.control import (
+    accessible_tag,
+    build_outsource_payload,
+    epoch_timestamp,
+    reading_digest,
+    sentinel_digest,
+    timestamp_anchor,
+)
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.errors import DomainError, IntegrityError
 
@@ -131,6 +139,72 @@ class TestCompleteness:
             ok, _ = verify_completeness(mutated, small_params)
             detected += not ok
         assert detected == trials
+
+
+class TestTimestampAnchor:
+    """The sealed digest of the timestamp binds the chain the cloud serves."""
+
+    def _completeness(self, bundle, keyring, small_params):
+        report = verify_bundle(bundle, keyring.shared_key, small_params, POLICY, role="sdp")
+        return report.completeness_ok
+
+    def test_consistent_forged_chain_under_the_old_anchor_fails(
+        self, deployment, keyring, small_params
+    ):
+        # a cloud prunes a digest and forges a predecessor and a timestamp
+        # that replay: only the sealed anchor, left as it was, disagrees
+        bundle = deployment.fetch_bundle(2000, now=3000)
+        assert self._completeness(bundle, keyring, small_params)
+        digests = bundle.digests[1:]
+        prev = step(small_params.seed, reading_digest(b"forged", 1000, 1), small_params)
+        forged = dataclasses.replace(
+            bundle,
+            digests=digests,
+            prev_crypto_time=prev,
+            crypto_time=epoch_timestamp(prev, digests, small_params),
+        )
+        assert verify_completeness(forged, small_params) == (True, forged.crypto_time)
+        assert not self._completeness(forged, keyring, small_params)
+
+    def test_another_epochs_sealed_anchor_fails(self, deployment, keyring, small_params):
+        # each seal is bound to its epoch: another epoch's does not open
+        bundle = deployment.fetch_bundle(2000, now=3000)
+        other = deployment.fetch_bundle(1000, now=3000)
+        assert self._completeness(bundle, keyring, small_params)
+        swapped = dataclasses.replace(bundle, enc_crypto_time=other.enc_crypto_time)
+        assert verify_completeness(swapped, small_params)[0]
+        with pytest.raises(IntegrityError):
+            self._completeness(swapped, keyring, small_params)
+
+    def test_sealed_anchor_served_as_the_accessible_tag_fails(
+        self, deployment, keyring, small_params
+    ):
+        # the anchor and the accessible tag are both sealed 32-byte digests:
+        # served as the tag, the anchor would match a "ciphertext" that is
+        # the cleartext timestamp record, but it does not open as a tag
+        bundle = deployment.fetch_bundle(2000, now=3000)
+        fake = (bundle.crypto_time.to_bytes(),)
+        assert accessible_tag(fake) == timestamp_anchor(bundle.crypto_time)
+        swapped = dataclasses.replace(
+            bundle, enc_state_tag=bundle.enc_crypto_time, ciphertexts=fake
+        )
+        with pytest.raises(IntegrityError):
+            verify_bundle(swapped, keyring.shared_key, small_params, POLICY)
+
+    def test_sealed_anchor_served_as_the_irrecoverable_tag_fails(
+        self, deployment, keyring, small_params
+    ):
+        bundle = deployment.fetch_bundle(0, now=3000)
+        assert bundle.state is DataState.IRRECOVERABLE
+        swapped = dataclasses.replace(
+            bundle,
+            enc_state_tag=bundle.enc_crypto_time,
+            deletion_proof=dataclasses.replace(
+                bundle.deletion_proof, proof=timestamp_anchor(bundle.crypto_time)
+            ),
+        )
+        with pytest.raises(IntegrityError):
+            verify_bundle(swapped, keyring.shared_key, small_params, POLICY, role="sdp")
 
 
 class TestAccessiblePath:

@@ -12,11 +12,13 @@ from expunge.accumulator import setup
 from expunge.attestation import verify_bundle
 from expunge.cloud import AttestationBundle, CloudStore, Transition
 from expunge.control import (
+    SEALED_ACCESSIBLE,
     MetaDataRow,
     SensorDataRow,
     build_outsource_payload,
     epoch_timestamp,
     irrecoverable_tag,
+    open_seal,
     reading_digest,
 )
 from expunge.core import (
@@ -29,7 +31,6 @@ from expunge.core import (
     verification_expiry,
     window_for_id,
 )
-from expunge.crypto import symmetric_decrypt
 from expunge.encoding import EncodingError
 from expunge.engine import cell_geometry
 from expunge.errors import (
@@ -229,7 +230,9 @@ class TestServingPaths:
         assert bundle.state is DataState.ACCESSIBLE
         assert bundle.deletion_proof is None
         assert bundle.ciphertexts is not None
-        ah = symmetric_decrypt(keyring.shared_key, bundle.enc_state_tag)
+        ah = open_seal(
+            keyring.shared_key, SEALED_ACCESSIBLE, bundle.epoch_id, bundle.enc_state_tag
+        )
         assert len(ah) == 32
 
     def test_bundle_irrecoverable_serves_stored_proof(self, keyring, tiny_params):
@@ -500,6 +503,18 @@ class TestPersistence:
             CloudStore(FIG2_POLICY, root=tmp_path)
 
 
+    def test_segment_that_sealed_a_full_timestamp_copy_fails_closed(
+        self, tmp_path, keyring, tiny_params
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 1)
+        segment = tmp_path / "segments" / f"{1:016d}.seg"
+        blob = bytearray(segment.read_bytes())
+        blob[2] = 0x0F  # the record that flagged the first epoch and sealed its timestamp
+        segment.write_bytes(bytes(blob))
+        with pytest.raises(EncodingError, match="expected 0x10, got 0x0f"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
     def test_segment_of_the_retired_record_type_fails_closed(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path)
         _ingest_epochs(store, keyring, tiny_params, 1)
@@ -591,8 +606,40 @@ class TestTimestampChain:
         store = CloudStore(FIG2_POLICY, root=tmp_path)
         _ingest_epochs(store, keyring, tiny_params, 3)
         (tmp_path / "segments" / f"{1:016d}.seg").unlink()
+        with pytest.raises(EncodingError, match="epoch 2 follows epoch 1, but the segment before"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+    @pytest.mark.parametrize("purged", [False, True])
+    def test_missing_middle_segment_fails_closed(self, tmp_path, keyring, tiny_params, purged):
+        # a purged epoch keeps its tombstone segment, so a gap is never honest
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 3)
+        if purged:
+            store.tick(7)
+            assert store.state_of(2) is DataState.PURGED
+        (tmp_path / "segments" / f"{2:016d}.seg").unlink()
+        with pytest.raises(EncodingError, match="epoch 3 follows epoch 2, but .* holds epoch 1"):
+            CloudStore(FIG2_POLICY, root=tmp_path)
+
+    def test_live_epoch_without_a_previous_timestamp_fails_closed(
+        self, tmp_path, keyring, tiny_params
+    ):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 3)
+        store.tick(6)  # epoch 1 purged: epoch 2 holds the only copy of its timestamp
+        assert store.state_of(1) is DataState.PURGED and store.state_of(2) is not DataState.PURGED
+        stripped = store.record(2).replaced(prev_crypto_time=None)
+        (tmp_path / "segments" / f"{2:016d}.seg").write_bytes(stripped.to_bytes())
         with pytest.raises(EncodingError, match="epoch 2 has no previous timestamp"):
             CloudStore(FIG2_POLICY, root=tmp_path)
+
+    def test_records_name_their_predecessor(self, tmp_path, keyring, tiny_params):
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        _ingest_epochs(store, keyring, tiny_params, 3)
+        store.tick(9)  # every epoch purged: the chain still runs through the tombstones
+        reloaded = CloudStore(FIG2_POLICY, root=tmp_path)
+        assert [reloaded.record(eid).prev_epoch_id for eid in (1, 2, 3)] == [None, 1, 2]
+        assert [reloaded.record(eid).first_epoch for eid in (1, 2, 3)] == [True, False, False]
 
 
 class TestRecordSize:
@@ -603,25 +650,28 @@ class TestRecordSize:
         _ingest_epochs(store, keyring, tiny_params, 2)
         store.tick(5)
         record = store.record(2)
-        assert record.state is DataState.IRRECOVERABLE and not record.first_epoch
+        assert record.state is DataState.IRRECOVERABLE and record.prev_epoch_id == 1
         assert store.state_of(1) is DataState.IRRECOVERABLE
         assert record.prev_crypto_time is None
         assert record.enc_accessible_tag is None
 
-    def test_deleted_epochs_at_2048_bits_store_at_most_810_bytes_each(self, keyring):
-        # Each irrecoverable record of two readings is 803 bytes: its
-        # 263-byte timestamp, the 296-byte sealed copy of it, two digests
-        # (72), the sealed irrecoverable tag (65), the deletion proof (60),
-        # the state history (22) and 25 bytes of ids and flags. Repeating
-        # the predecessor's timestamp, the metadata row's header and window,
-        # the window start and the accessible tag made it 1,160.
+    def test_deleted_epochs_at_2048_bits_store_at_most_585_bytes_each(self, keyring):
+        # Each irrecoverable record of two readings after the first is 580
+        # bytes: its 263-byte timestamp, the sealed 32-byte anchor of it
+        # (65), two digests (72), the sealed irrecoverable tag (65), the
+        # deletion proof (60), the state history (22) and 33 bytes of ids
+        # and flags, the predecessor's epoch id included (the first record
+        # names none and is 572). Sealing a full copy of the timestamp
+        # (296) made it 803; repeating the predecessor's timestamp, the
+        # metadata row's header and window, the window start and the
+        # accessible tag besides made it 1,160.
         params = setup(modulus_bits=2048, rng=random.Random(2048))
         store = CloudStore(RetentionPolicy(p_del=1, p_ver=NEVER, delta=1))
         _ingest_epochs(store, keyring, params, 100, origin=0)
         store.tick(102)
         assert {store.state_of(eid) for eid in store.epoch_ids()} == {DataState.IRRECOVERABLE}
         stored = sum(len(store.record(eid).to_bytes()) for eid in store.epoch_ids())
-        assert stored <= 810 * 100
+        assert stored <= 585 * 100
 
 
 class TestLazyMode:

@@ -4,6 +4,9 @@ import random
 import pytest
 
 from expunge.control import (
+    SEALED_ACCESSIBLE,
+    SEALED_IRRECOVERABLE,
+    SEALED_TIME,
     MetaDataRow,
     SensorDataRow,
     accessible_tag,
@@ -15,9 +18,12 @@ from expunge.control import (
     encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,
+    open_seal,
     reading_digest,
     reading_digests,
+    seal,
     sentinel_digest,
+    timestamp_anchor,
     timestamp_exponent,
 )
 from expunge.core import EpochWindow, SensorReading
@@ -25,7 +31,6 @@ from expunge.crypto import (
     EPHEMERAL_PUBLIC_BYTES,
     HYBRID_OVERHEAD_BYTES,
     NONCE_BYTES,
-    symmetric_decrypt,
 )
 from expunge.encoding import u64, vbytes
 from expunge.engine import CellArray, expunge
@@ -206,12 +211,34 @@ class TestOutsourcePayload:
         sensor, meta = build_outsource_payload(
             WINDOW, readings, tiny_params.seed, keyring, tiny_params
         )
-        ah = symmetric_decrypt(keyring.shared_key, meta.enc_accessible_tag)
+        key = keyring.shared_key
+        ah = open_seal(key, SEALED_ACCESSIBLE, WINDOW.id, meta.enc_accessible_tag)
         assert ah == accessible_tag(sensor.ciphertexts)
-        irh = symmetric_decrypt(keyring.shared_key, meta.enc_irrecoverable_tag)
+        irh = open_seal(key, SEALED_IRRECOVERABLE, WINDOW.id, meta.enc_irrecoverable_tag)
         assert irh == irrecoverable_tag(sensor.ciphertexts, WINDOW.id)
-        ct_bytes = symmetric_decrypt(keyring.shared_key, meta.enc_crypto_time)
-        assert ct_bytes == sensor.crypto_time.to_bytes()
+        anchor = open_seal(key, SEALED_TIME, WINDOW.id, meta.enc_crypto_time)
+        assert anchor == timestamp_anchor(sensor.crypto_time)
+
+    def test_seal_opens_only_as_its_field_and_epoch(self, keyring):
+        # all three sealed values are 32-byte digests: the field label and
+        # the epoch id keep one seal from passing as another
+        key = keyring.shared_key
+        blob = seal(key, SEALED_TIME, WINDOW.id, bytes(32))
+        assert open_seal(key, SEALED_TIME, WINDOW.id, blob) == bytes(32)
+        for label, epoch_id in (
+            (SEALED_ACCESSIBLE, WINDOW.id),
+            (SEALED_IRRECOVERABLE, WINDOW.id),
+            (SEALED_TIME, WINDOW.id + 1),
+        ):
+            with pytest.raises(IntegrityError):
+                open_seal(key, label, epoch_id, blob)
+
+    def test_timestamp_anchor_is_sha256_of_the_canonical_record(self, tiny_params):
+        # the sealed field holds a 32-byte digest, as the two tags do, and
+        # not a second copy of the timestamp
+        value = epoch_timestamp(tiny_params.seed, (sentinel_digest(WINDOW.id),), tiny_params)
+        anchor = timestamp_anchor(value)
+        assert anchor == hashlib.sha256(value.to_bytes()).digest() and len(anchor) == 32
 
     def test_two_epoch_two_reading_chain_structure(self, keyring, tiny_params):
         # two epochs of two readings: the second timestamp is the first

@@ -2,8 +2,9 @@
 
 The hex strings below pin the layout bit for bit: provider, cloud and
 verifiers hash, seal and ship exactly these bytes, so any change to them
-is a protocol change and needs a version bump, not a silent edit. Every
-value is built by hand from fixed inputs; nothing here is random.
+is a protocol change and needs a version bump or a new record type, not a
+silent edit. Every value is built by hand from fixed inputs; nothing here
+is random.
 """
 
 from unittest import mock
@@ -81,21 +82,21 @@ RECORDS = {
         deletion_proof=PROOF, served_at=12000,
     ),
     "epoch_record_accessible": EpochRecord(
-        epoch_id=3600, et=7200, first_epoch=True, prev_crypto_time=None,
+        epoch_id=3600, et=7200, prev_epoch_id=None, prev_crypto_time=None,
         crypto_time=TIME, digests=(D1, D2), ciphertexts=CIPHERTEXTS,
         enc_crypto_time=b"sealed-time", enc_accessible_tag=b"sealed-ah",
         enc_irrecoverable_tag=b"sealed-irh", deletion_proof=None, state=ACC,
         state_history=[(ACC, 7200)],
     ),
     "epoch_record_irrecoverable": EpochRecord(
-        epoch_id=7200, et=10800, first_epoch=False, prev_crypto_time=PREV_TIME,
+        epoch_id=7200, et=10800, prev_epoch_id=3600, prev_crypto_time=PREV_TIME,
         crypto_time=TIME, digests=(D1, D2), ciphertexts=None,
         enc_crypto_time=b"sealed-time-2", enc_accessible_tag=None,
         enc_irrecoverable_tag=b"sealed-irh-2", deletion_proof=PROOF, state=IRR,
         state_history=[(ACC, 10800), (IRR, 14400)],
     ),
     "epoch_record_purged": EpochRecord(
-        epoch_id=3600, et=7200, first_epoch=True, prev_crypto_time=None,
+        epoch_id=3600, et=7200, prev_epoch_id=None, prev_crypto_time=None,
         crypto_time=None, digests=(), ciphertexts=None, enc_crypto_time=None,
         enc_accessible_tag=None, enc_irrecoverable_tag=None, deletion_proof=None,
         state=PUR, state_history=[(ACC, 7200), (IRR, 10800), (PUR, 18000)],
@@ -124,20 +125,20 @@ GOLDEN = {
         "c702080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a3000000006"
     ),
     "epoch_record_accessible": (
-        "c7020f0000000000000e100000000000001c2001000001c70205000000020b4a00000008"
+        "c702100000000000000e100000000000001c2000000001c70205000000020b4a00000008"
         "00000002000102030405060708090a0b0c0d0e0f01000000020000000663742d6f6e6500"
         "00000763742d74776f21010000000b7365616c65642d74696d6501000000097365616c65"
         "642d6168010000000a7365616c65642d6972680000000001000000000000001c20"
     ),
     "epoch_record_irrecoverable": (
-        "c7020f0000000000001c200000000000002a30000101c702050000000204d201c7020500"
-        "0000020b4a0000000800000002000102030405060708090a0b0c0d0e0f00010000000d73"
-        "65616c65642d74696d652d3200010000000c7365616c65642d6972682d3201c702080000"
-        "000000000e10000000085a5a5a5a5a5a5a5a0000000000002a3000000006000000020000"
-        "00000000002a30010000000000003840"
+        "c702100000000000001c200000000000002a30010000000000000e100101c70205000000"
+        "0204d201c70205000000020b4a0000000800000002000102030405060708090a0b0c0d0e"
+        "0f00010000000d7365616c65642d74696d652d3200010000000c7365616c65642d697268"
+        "2d3201c702080000000000000e10000000085a5a5a5a5a5a5a5a0000000000002a300000"
+        "000600000002000000000000002a30010000000000003840"
     ),
     "epoch_record_purged": (
-        "c7020f0000000000000e100000000000001c200102000000000000000000000000000000"
+        "c702100000000000000e100000000000001c200002000000000000000000000000000000"
         "00000003000000000000001c20010000000000002a30020000000000004650"
     ),
     "meta_row": (

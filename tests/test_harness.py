@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from expunge import attestation, cloud, harness
+from expunge.accumulator import AccumulatorParams
 from expunge.attestation import EpochVerifier
 from expunge.cli import main
 from expunge.cloud import CloudStore, EpochRecord
@@ -20,6 +21,7 @@ from expunge.core import (
     SensorReading,
     deletion_due,
 )
+from expunge.crypto import load_keyring
 from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
 from expunge.harness import (
@@ -33,7 +35,9 @@ from expunge.harness import (
     hourly_rate,
     run_scenario,
 )
+from expunge.querylog import make_query_record
 from expunge.wire import CloudService, LoopbackTransport, SocketTransport, serve
+from test_querylog import _resealed, _with_flipped_signature
 
 # Six arrival epochs with no drain leaves a mix of all three states:
 # epochs 0-1 purged, 2-3 irrecoverable, 4-5 still accessible.
@@ -460,6 +464,24 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "sealed block 1, the predecessor of block 2, is missing" in err
 
+    def test_audit_fails_a_resealed_block_with_a_flipped_signature(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        keyring = load_keyring(state / "keyring.json")
+        params = AccumulatorParams.from_bytes((state / "params.bin").read_bytes())
+        user, key = next(iter(keyring.user_signing_keys.items()))
+        records = [make_query_record(b"q-%d" % i, 10 + i, user, key) for i in range(3)]
+        records[1] = _with_flipped_signature(records[1])
+        resealed = _resealed(keyring, params, records)
+        (state / "blocks" / f"{1:06d}.blk").write_bytes(resealed.to_bytes())
+        assert main(["audit", "--state", str(state), "--block", "1"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["proof_match"] and report["invalid_signature_positions"] == [2]
+        assert not report["ok"]
+
     def test_audit_reads_no_cloud_segment(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         ScenarioConfig(**FAST).save(cfg)
@@ -601,6 +623,7 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        return err
 
     def test_unknown_config_field_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -625,6 +648,35 @@ class TestCli:
         segment = next((state / "cloud" / "segments").glob("*.seg"))
         segment.write_bytes(segment.read_bytes()[:40])
         self.assert_input_error(capsys, ["verify", "--state", str(state), "--time", "0"])
+
+    @pytest.mark.parametrize("command", ["verify", "tick"])
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("remove the middle segment", "a segment is missing"),
+            ("write the retired type 0x0F", "expected 0x10, got 0x0f"),
+        ],
+    )
+    def test_damaged_cloud_store_is_input_error(self, tmp_path, capsys, command, damage, message):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        summary = json.loads((state / "summary.json").read_text())
+        capsys.readouterr()
+        segments = sorted((state / "cloud" / "segments").glob("*.seg"))
+        middle = segments[len(segments) // 2]
+        if damage == "remove the middle segment":
+            middle.unlink()
+        else:
+            middle.write_bytes(middle.read_bytes()[:2] + b"\x0f" + middle.read_bytes()[3:])
+        after = segments[len(segments) // 2 + 1].stem.lstrip("0")
+        argv = {
+            "verify": ["verify", "--time", after, "--role", "sdp"],
+            "tick": ["tick", "--now", str(summary["final_clock"])],
+        }[command]
+        err = self.assert_input_error(capsys, [argv[0], "--state", str(state), *argv[1:]])
+        assert message in err
 
     @pytest.mark.parametrize("command", [["tick", "--now", "0"], ["verify", "--time", "0"]])
     def test_state_dir_without_a_cloud_store_is_input_error(self, tmp_path, capsys, command):

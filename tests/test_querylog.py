@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from expunge.accumulator import exponent_from_bytes
+from expunge.accumulator import exponent_from_bytes, step
 from expunge.crypto import (
     EPHEMERAL_PUBLIC_BYTES,
     NONCE_BYTES,
     generate_keyring,
     hybrid_encrypt,
+    hybrid_encrypt_many,
 )
 from expunge.encoding import vbytes
 from expunge.errors import DomainError, SignatureRejected, UnavailableError, WireError
@@ -70,6 +71,23 @@ def _fold(params, records):
     for record in records:
         link = chain_digest(record, link)
     return link
+
+
+def _resealed(ring, params, records):
+    """Block 1 as the service provider can forge it, from public keys and steps alone."""
+    return SealedBlock(
+        block_id=1, created_at=0, sealed_at=1000,
+        block_proof=step(params.seed, _fold(params, records), params),
+        encrypted_records=hybrid_encrypt_many(
+            [record.to_bytes() for record in records], ring.sdp_box_public
+        ),
+    )
+
+
+def _with_flipped_signature(record):
+    return dataclasses.replace(
+        record, signature=bytes([record.signature[0] ^ 1]) + record.signature[1:]
+    )
 
 
 def _raised(base, link, params) -> int:
@@ -173,6 +191,23 @@ class TestAudit:
             sealed, small_params.seed, ring.sdp_box_private, small_params, registry
         )
         assert report.ok and not report.impersonation_suspected
+
+    def test_resealed_record_with_a_flipped_signature_fails_the_audit(
+        self, ring, registry, small_params
+    ):
+        # the proof of a re-sealed block matches, so only the signature can
+        # tell: the logger admits signed records alone
+        records = [_record(ring, 0), _record(ring, 1), _record(ring, 2)]
+        honest = _resealed(ring, small_params, records)
+        assert audit_block(honest, small_params.seed, ring.sdp_box_private, small_params, registry).ok
+        records[1] = _with_flipped_signature(records[1])
+        report = audit_block(
+            _resealed(ring, small_params, records),
+            small_params.seed, ring.sdp_box_private, small_params, registry,
+        )
+        assert report.decrypt_ok and report.proof_match
+        assert report.invalid_signature_positions == (2,) and report.impersonation_suspected
+        assert not report.ok
 
     def test_record_deletion_campaign_fully_detected(self, ring, registry, small_params):
         rng = random.Random(31)

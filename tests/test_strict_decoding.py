@@ -39,7 +39,8 @@ def _decode(name: str, blob: bytes):
 
 # Offsets after the 3-byte header: a bundle has epoch_id u64, then state,
 # first_epoch and the prev_crypto_time presence byte; an epoch record has
-# two u64s, then first_epoch, state and two presence bytes.
+# two u64s, then the prev_epoch_id presence byte (absent in these vectors),
+# state and two presence bytes.
 @pytest.mark.parametrize(
     "name, offset",
     [
@@ -69,7 +70,8 @@ def test_unbounded_policy_must_carry_zero_p_ver():
 
 
 def test_empty_digest_list_must_declare_width_0():
-    # Purged record: header, two u64s, two flags, two absent presence bytes.
+    # Purged first record: header, two u64s, the absent prev_epoch_id, state,
+    # two absent presence bytes.
     with pytest.raises(EncodingError, match="width 0"):
         _decode("epoch_record_purged", _with_byte("epoch_record_purged", 26, 8))
 
