@@ -10,7 +10,7 @@ activity at the service provider is chained into tamper-evident,
 auditable blocks.
 """
 
-from .accumulator import AccumulatorParams, AccumulatorValue, setup, step, verify_step
+from .accumulator import AccumulatorParams, AccumulatorValue, setup, step
 from .attestation import (
     EpochVerifier,
     VerificationReport,
@@ -26,7 +26,6 @@ from .control import (
     batch_epoch,
     build_outsource_payload,
     encrypt_epoch,
-    encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,
     open_seal,
@@ -40,7 +39,6 @@ from .core import (
     EpochWindow,
     RetentionPolicy,
     SensorReading,
-    canonical_bytes,
     deletion_due,
     epoch_of,
     state_at,

@@ -244,15 +244,3 @@ def step(
         raise DomainError("degenerate accumulator step (base shares both factors)")
     return AccumulatorValue(result)
 
-
-def verify_step(
-    prev: AccumulatorValue | int,
-    exponent_bytes: bytes,
-    claimed: AccumulatorValue,
-    params: AccumulatorParams,
-) -> bool:
-    """True iff replaying the step from ``prev`` lands on ``claimed``."""
-    try:
-        return step(prev, exponent_bytes, params) == claimed
-    except (DomainError, ValueError, TypeError):
-        return False

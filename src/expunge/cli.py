@@ -21,7 +21,8 @@ from .accumulator import AccumulatorParams
 from .attestation import TIME_BOUND_FLOOR_ROUND_TRIPS, EpochVerifier
 from .cloud import CloudStore
 from .crypto import load_keyring
-from .encoding import EncodingError, u32
+from .core import SensorReading
+from .encoding import EncodingError, Layout, nested, seq
 from .errors import ExpungeError
 from .harness import (
     LazyCloudStore,
@@ -37,6 +38,9 @@ from .wire import CloudService, LoopbackTransport
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_PROTOCOL_ERROR = 2
+
+#: ``generate --out``: a count, then each reading's canonical record.
+READINGS_LAYOUT = Layout(None, ("readings", seq(nested(SensorReading))))
 
 
 def _load_config(path: str | None) -> ScenarioConfig:
@@ -62,12 +66,9 @@ def _load_state(state_dir: Path):
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    readings = generate_readings(config)
+    readings = generate_readings(_load_config(args.config))
     if args.out:
-        blob = b"".join([u32(len(readings))] + [r.to_bytes() for r in readings])
+        blob = READINGS_LAYOUT.pack(readings)
         Path(args.out).write_bytes(blob)
         print(f"wrote {len(readings)} readings ({len(blob)} bytes) to {args.out}")
     else:
@@ -78,11 +79,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    if args.transport:
-        config.transport = args.transport
     state_dir = Path(args.state) if args.state else None
-    result = run_scenario(config, state_dir)
+    result = run_scenario(_load_config(args.config), state_dir)
     summary = result.summary
     print(
         f"scenario complete: {summary['readings']} readings over "
@@ -155,8 +153,7 @@ def cmd_audit(args) -> int:
     blocks_dir = state_dir / "blocks"
     block_path = blocks_dir / f"{args.block:06d}.blk"
     if not block_path.exists():
-        print(f"no sealed block {args.block}", file=sys.stderr)
-        return EXIT_PROTOCOL_ERROR
+        raise FileNotFoundError(f"no sealed block {args.block}")
     sealed = SealedBlock.from_bytes(block_path.read_bytes())
     prev = params.seed
     if args.block > 1:
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate synthetic readings")
     p.add_argument("--config", help="scenario config JSON")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write canonical readings to this file")
     p.add_argument("--head", type=int, default=5, help="readings to preview")
     p.set_defaults(func=cmd_generate)
@@ -216,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a full scenario")
     p.add_argument("--config", help="scenario config JSON")
     p.add_argument("--state", help="directory to persist run state")
-    p.add_argument("--transport", choices=["loopback", "socket"])
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="run one desk-scale experiment")

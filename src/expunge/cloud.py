@@ -18,8 +18,9 @@ bundle takes it from there; a record holds a copy in ``prev_crypto_time``
 only once its predecessor is purged. A purge writes that copy into the
 successor before the tombstone drops the original, so a crash between
 the two writes leaves two copies and never none. A purged tip (the
-newest stored epoch) keeps its ``crypto_time``: the next ingest chains
-from it and its successor's bundles read it there.
+newest stored epoch) keeps its ``crypto_time`` until its successor is
+purged: the next ingest chains from it and its successor's bundles read
+it there.
 
 Each epoch waits in a deadline heap keyed by its next transition time
 (deletion, then verification expiry when that is finite), so a tick
@@ -411,6 +412,10 @@ class CloudStore:
                 enc_crypto_time=None, enc_irrecoverable_tag=None,
             )
         )
+        # a predecessor purged as the tip kept its timestamp for this record alone
+        pred = self._records.get(record.prev_epoch_id)
+        if pred is not None and pred.state is DataState.PURGED and pred.crypto_time is not None:
+            self._adopt(pred.replaced(crypto_time=None))
 
     # -- serving paths -------------------------------------------------------
 

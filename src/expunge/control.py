@@ -30,7 +30,6 @@ from .core import EpochWindow, SensorReading
 from .crypto import (
     KeyRing,
     hybrid_decrypt,
-    hybrid_encrypt,
     hybrid_encrypt_many,
     symmetric_decrypt,
     symmetric_encrypt,
@@ -140,21 +139,6 @@ def open_seal(key: bytes, label: bytes, epoch_id: int, blob: bytes) -> bytes:
     return symmetric_decrypt(key, blob, label + u64(epoch_id))
 
 
-def encrypt_reading(
-    reading: SensorReading, epoch_id: int, enclave_public: X25519PublicKey
-) -> bytes:
-    """Non-deterministic encryption of the reading plus its epoch id.
-
-    The epoch id rides inside the plaintext so a ciphertext cannot be
-    transplanted into another epoch's row without detection by the
-    enclave.
-    """
-    plaintext = _READING_PLAINTEXT.pack(
-        reading.device_id, reading.time, reading.payload, epoch_id
-    )
-    return hybrid_encrypt(plaintext, enclave_public)
-
-
 def decrypt_reading(
     envelope: bytes, enclave_private: X25519PrivateKey
 ) -> tuple[SensorReading, int]:
@@ -167,10 +151,11 @@ def decrypt_reading(
 def encrypt_epoch(
     readings: list[SensorReading], epoch_id: int, enclave_public: X25519PublicKey
 ) -> tuple[bytes, ...]:
-    """:func:`encrypt_reading` for each reading, under one key agreement.
+    """Encrypt each reading with its epoch id, under one key agreement.
 
-    Each envelope opens alone with :func:`decrypt_reading`; the batch
-    only shares the ephemeral key, so an empty epoch makes no agreement.
+    The epoch id rides inside the plaintext, so the enclave detects a
+    ciphertext moved into another epoch's row. Each envelope opens alone
+    with :func:`decrypt_reading`; an empty epoch makes no agreement.
     """
     pack = _READING_PLAINTEXT.pack
     return hybrid_encrypt_many(

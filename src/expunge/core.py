@@ -158,10 +158,3 @@ def state_at(epoch: EpochWindow, policy: RetentionPolicy, now: int) -> DataState
         return DataState.IRRECOVERABLE
     return DataState.PURGED
 
-
-def canonical_bytes(value) -> bytes:
-    """Canonical encoding of any domain value that defines one."""
-    to_bytes = getattr(value, "to_bytes", None)
-    if to_bytes is None or isinstance(value, (int, bytes)):
-        raise DomainError(f"no canonical encoding for {type(value).__name__}")
-    return to_bytes()

@@ -26,12 +26,14 @@ can show that exactly the right check catches each.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import time
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .accumulator import AccumulatorParams, setup
@@ -643,18 +645,40 @@ BENCH_DAY_PASSES = 3
 
 
 def _flat_rate_epoch(
-    config: ScenarioConfig, delta_ms: int, rng: random.Random
+    config: ScenarioConfig, window: EpochWindow, rng: random.Random
 ) -> list[SensorReading]:
-    """One epoch of readings at the configured day rate, flat profile."""
-    count = max(1, round(config.day_rate_per_hour * delta_ms / MS_PER_HOUR))
+    """One epoch of readings inside ``window`` at the configured day rate, flat profile."""
+    count = max(1, round(config.day_rate_per_hour * window.delta / MS_PER_HOUR))
     devices = device_pool(config)
-    times = sorted(rng.randrange(0, delta_ms) for _ in range(count))
+    times = sorted(rng.randrange(window.bt, window.et) for _ in range(count))
     return [
         SensorReading(
             device_id=rng.choice(devices), time=t, payload=_payload(rng, config)
         )
         for t in times
     ]
+
+
+def _fastest(jobs: list) -> list[float]:
+    """Each job's fastest time in seconds over ``BENCH_DAY_PASSES`` interleaved passes.
+
+    Noise on a shared host only adds time, so the minimum is kept. As in
+    ``timeit``, the cyclic garbage collector is off while a job runs, so
+    a collection of garbage made elsewhere in the process is not timed.
+    """
+    best = [math.inf] * len(jobs)
+    for _ in range(BENCH_DAY_PASSES):
+        for i, job in enumerate(jobs):
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                job()
+                best[i] = min(best[i], time.perf_counter() - start)
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+    return best
 
 
 def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
@@ -674,52 +698,35 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     keyring = generate_keyring([])
     params = setup(config.modulus_bits)
 
+    if experiment in (1, 4):
+        windows = [epoch_of(0, delta_ms) for delta_ms in BENCH_DELTAS_MS]
+        epochs = [(window, _flat_rate_epoch(config, window, rng)) for window in windows]
+
     if experiment == 1:
-        epochs = [
-            (delta_ms, epoch_of(0, delta_ms), _flat_rate_epoch(config, delta_ms, rng))
-            for delta_ms in BENCH_DELTAS_MS
-        ]
-        control_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
-        for _ in range(BENCH_DAY_PASSES):
-            for delta_ms, window, readings in epochs:
-                start = time.perf_counter()
-                build_outsource_payload(window, readings, params.seed, keyring, params)
-                control_best[delta_ms] = min(control_best[delta_ms], time.perf_counter() - start)
-        for delta_ms, _, readings in epochs:
-            report.add(
-                "control_per_epoch", control_best[delta_ms], "s",
-                delta_ms=delta_ms, readings=len(readings),
-            )
-        days = {delta_ms: [] for delta_ms in BENCH_DELTAS_MS}
-        for delta_ms, day in days.items():
-            for k in range(MS_PER_DAY // delta_ms):
-                window = epoch_of(k * delta_ms, delta_ms)
-                readings = [
-                    SensorReading(r.device_id, r.time + window.bt, r.payload)
-                    for r in _flat_rate_epoch(config, delta_ms, rng)
-                ]
-                day.append((window, readings))
-        # Interleaved passes over the same days; noise on a shared host only
-        # adds time, so each duration keeps its fastest pass.
-        encrypt_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
-        tag_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
-        for _ in range(BENCH_DAY_PASSES):
-            for delta_ms, day in days.items():
-                encrypt_total = 0.0
-                tag_total = 0.0
-                for window, readings in day:
-                    start = time.perf_counter()
-                    cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
-                    encrypt_total += time.perf_counter() - start
-                    start = time.perf_counter()
-                    accessible_tag(cts)
-                    irrecoverable_tag(cts, window.id)
-                    tag_total += time.perf_counter() - start
-                encrypt_best[delta_ms] = min(encrypt_best[delta_ms], encrypt_total)
-                tag_best[delta_ms] = min(tag_best[delta_ms], tag_total)
+        seconds = _fastest([
+            partial(build_outsource_payload, window, readings, params.seed, keyring, params)
+            for window, readings in epochs
+        ])
+        for (w, readings), best in zip(epochs, seconds):
+            report.add("control_per_epoch", best, "s", delta_ms=w.delta, readings=len(readings))
+
+        def encrypt(day):
+            return [encrypt_epoch(r, w.id, keyring.enclave_public) for w, r in day]
+
+        def tag(day, sealed):
+            for (w, _), cts in zip(day, sealed):
+                accessible_tag(cts)
+                irrecoverable_tag(cts, w.id)
+
+        jobs = []
         for delta_ms in BENCH_DELTAS_MS:
-            report.add("encrypt_per_day", encrypt_best[delta_ms], "s", delta_ms=delta_ms)
-            report.add("tags_per_day", tag_best[delta_ms], "s", delta_ms=delta_ms)
+            windows = [epoch_of(t, delta_ms) for t in range(0, MS_PER_DAY, delta_ms)]
+            day = [(window, _flat_rate_epoch(config, window, rng)) for window in windows]
+            jobs += [partial(encrypt, day), partial(tag, day, encrypt(day))]
+        seconds = _fastest(jobs)
+        for delta_ms, encrypt_s, tags_s in zip(BENCH_DELTAS_MS, seconds[::2], seconds[1::2]):
+            report.add("encrypt_per_day", encrypt_s, "s", delta_ms=delta_ms)
+            report.add("tags_per_day", tags_s, "s", delta_ms=delta_ms)
 
     elif experiment == 2:
         readings = generate_readings(config)
@@ -760,29 +767,16 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
         report.add("verify_year_projected", day_seconds * 365, "s")
 
     elif experiment == 4:
-        epochs = []
-        for delta_ms in BENCH_DELTAS_MS:
-            window = epoch_of(0, delta_ms)
-            readings = _flat_rate_epoch(config, delta_ms, rng)
-            cts = encrypt_epoch(readings, window.id, keyring.enclave_public)
-            epochs.append((delta_ms, window.id, cts))
-        expunge_best = dict.fromkeys(BENCH_DELTAS_MS, math.inf)
-        for _ in range(BENCH_DAY_PASSES):
-            for delta_ms, epoch_id, cts in epochs:
-                array = CellArray.from_ciphertexts(cts, epoch_id)  # the transform overwrites it
-                start = time.perf_counter()
-                expunge(array)
-                expunge_best[delta_ms] = min(expunge_best[delta_ms], time.perf_counter() - start)
-        for delta_ms, _, cts in epochs:
-            report.add(
-                "expunge_per_epoch", expunge_best[delta_ms], "s",
-                delta_ms=delta_ms, cells=len(cts),
-            )
+        sealed = [encrypt_epoch(r, window.id, keyring.enclave_public) for window, r in epochs]
+        arrays = [CellArray.from_ciphertexts(cts, w.id) for (w, _), cts in zip(epochs, sealed)]
+        seconds = _fastest([partial(expunge, array) for array in arrays])
+        for (window, _), cts, best in zip(epochs, sealed, seconds):
+            report.add("expunge_per_epoch", best, "s", delta_ms=window.delta, cells=len(cts))
 
     elif experiment == 5:
         for delta_ms in (MS_PER_HOUR, MS_PER_DAY):
             window = epoch_of(0, delta_ms)
-            readings = _flat_rate_epoch(config, delta_ms, rng)
+            readings = _flat_rate_epoch(config, window, rng)
             store = CloudStore(replace(config.policy, delta=delta_ms))
             sensor_row, meta_row = build_outsource_payload(
                 window, readings, params.seed, keyring, params

@@ -549,6 +549,26 @@ class TestTimestampChain:
         assert not bundle.first_epoch and bundle.prev_crypto_time == first.crypto_time
         assert _verified(store, keyring, tiny_params, policy, 10, now=11)
 
+    def test_purged_tip_drops_its_timestamp_once_its_successor_is_purged(
+        self, tmp_path, keyring, tiny_params
+    ):
+        # epoch 0 is purged as the tip; epochs 100 and 110 chain after it
+        policy = RetentionPolicy(p_del=1, p_ver=2, delta=10)
+        store = CloudStore(policy, root=tmp_path)
+        windows = [EpochWindow(0, 10), EpochWindow(100, 110), EpochWindow(110, 120)]
+        rows = _chain(keyring, tiny_params, windows)
+        store.ingest(*rows[0])
+        store.tick(50)
+        assert store.record(0).crypto_time == rows[0][0].crypto_time
+        store.ingest(*rows[1])
+        store.tick(130)
+        assert store.state_of(100) is DataState.PURGED
+        reloaded = CloudStore(policy, root=tmp_path)
+        for s in (store, reloaded):
+            assert s.record(0).crypto_time is None and s.record(100).crypto_time is not None
+        reloaded.ingest(*rows[2])
+        assert _verified(reloaded, keyring, tiny_params, policy, 110, now=120)
+
     @pytest.mark.parametrize("on_disk", [False, True])
     def test_chain_with_purged_epochs_verifies_in_both_live_states(
         self, tmp_path, keyring, tiny_params, on_disk

@@ -15,7 +15,6 @@ from expunge.control import (
     check_rows_consistent,
     decrypt_reading,
     encrypt_epoch,
-    encrypt_reading,
     epoch_timestamp,
     irrecoverable_tag,
     open_seal,
@@ -126,23 +125,23 @@ class TestEpochTimestamp:
 class TestEncryptReading:
     def test_nondeterministic_and_round_trip(self, keyring):
         r = _reading(1100)
-        one = encrypt_reading(r, WINDOW.id, keyring.enclave_public)
-        two = encrypt_reading(r, WINDOW.id, keyring.enclave_public)
+        one = encrypt_epoch([r], WINDOW.id, keyring.enclave_public)[0]
+        two = encrypt_epoch([r], WINDOW.id, keyring.enclave_public)[0]
         assert one != two
         assert decrypt_reading(one, keyring.enclave_private) == (r, WINDOW.id)
         assert decrypt_reading(two, keyring.enclave_private) == (r, WINDOW.id)
 
     def test_epoch_id_bound_into_plaintext(self, keyring):
         r = _reading(1100)
-        blob = encrypt_reading(r, 1000, keyring.enclave_public)
+        blob = encrypt_epoch([r], 1000, keyring.enclave_public)[0]
         _, epoch_id = decrypt_reading(blob, keyring.enclave_private)
         assert epoch_id == 1000
 
     def test_ciphertext_overhead_constant(self, keyring):
         r_small = _reading(1100, payload=b"")
         r_big = _reading(1100, payload=b"x" * 1000)
-        small = encrypt_reading(r_small, WINDOW.id, keyring.enclave_public)
-        big = encrypt_reading(r_big, WINDOW.id, keyring.enclave_public)
+        small = encrypt_epoch([r_small], WINDOW.id, keyring.enclave_public)[0]
+        big = encrypt_epoch([r_big], WINDOW.id, keyring.enclave_public)[0]
         # plaintext grows by exactly the payload delta; envelope overhead fixed
         assert len(big) - len(small) == 1000
         plaintext_len = len(r_small.to_bytes()) + 8  # reading fields + epoch id
@@ -151,7 +150,7 @@ class TestEncryptReading:
     def test_epoch_batch_matches_single_envelopes(self, keyring):
         readings = [_reading(1100), _reading(1200, payload=b""), _reading(1300, payload=b"x" * 99)]
         batch = encrypt_epoch(readings, WINDOW.id, keyring.enclave_public)
-        singles = [encrypt_reading(r, WINDOW.id, keyring.enclave_public) for r in readings]
+        singles = [encrypt_epoch([r], WINDOW.id, keyring.enclave_public)[0] for r in readings]
         assert [len(blob) for blob in batch] == [len(blob) for blob in singles]
         assert [decrypt_reading(blob, keyring.enclave_private) for blob in batch] == [
             (r, WINDOW.id) for r in readings

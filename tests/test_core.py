@@ -11,7 +11,6 @@ from expunge.core import (
     EpochWindow,
     RetentionPolicy,
     SensorReading,
-    canonical_bytes,
     deletion_due,
     epoch_of,
     state_at,
@@ -196,9 +195,3 @@ class TestWindowAndPolicyCodecs:
 
     def test_window_for_id(self):
         assert window_for_id(7000, 500) == EpochWindow(7000, 7500)
-
-    def test_canonical_bytes_dispatch(self):
-        w = EpochWindow(0, 10)
-        assert canonical_bytes(w) == w.to_bytes()
-        with pytest.raises(DomainError):
-            canonical_bytes(42)

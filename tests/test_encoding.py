@@ -14,7 +14,7 @@ import pytest
 from expunge import control
 from expunge.accumulator import AccumulatorParams, AccumulatorValue
 from expunge.cloud import AttestationBundle, CloudStore, EpochRecord, Transition
-from expunge.control import MetaDataRow, SensorDataRow, decrypt_reading, encrypt_reading
+from expunge.control import MetaDataRow, SensorDataRow, decrypt_reading, encrypt_epoch
 from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.engine import DeletionProof
 from expunge.errors import NotAuthorizedError, UnavailableError
@@ -219,6 +219,10 @@ def _identity(data, _key):
     return data
 
 
+def _identity_many(plaintexts, _key):
+    return tuple(plaintexts)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_golden_vector(name):
     value = RECORDS[name]
@@ -231,10 +235,10 @@ def test_record_golden_vector(name):
 
 def test_reading_plaintext_golden_vector():
     # With the envelope stubbed out, encrypt/decrypt expose the plaintext layout.
-    with mock.patch.object(control, "hybrid_encrypt", _identity), mock.patch.object(
+    with mock.patch.object(control, "hybrid_encrypt_many", _identity_many), mock.patch.object(
         control, "hybrid_decrypt", _identity
     ):
-        blob = encrypt_reading(READING, 3600, None)
+        (blob,) = encrypt_epoch([READING], 3600, None)
         assert blob.hex() == GOLDEN["reading_plaintext"]
         assert decrypt_reading(blob, None) == (READING, 3600)
 

@@ -10,7 +10,7 @@ import pytest
 from expunge import attestation, cloud, harness
 from expunge.accumulator import AccumulatorParams
 from expunge.attestation import EpochVerifier
-from expunge.cli import main
+from expunge.cli import READINGS_LAYOUT, main
 from expunge.cloud import CloudStore, EpochRecord
 from expunge.control import build_outsource_payload
 from expunge.core import (
@@ -410,10 +410,11 @@ class TestBenchmarks:
 class TestCli:
     def test_generate_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        ScenarioConfig(**FAST).save(cfg)
+        config = ScenarioConfig(**FAST)
+        config.save(cfg)
         out = tmp_path / "readings.bin"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert out.exists()
+        assert READINGS_LAYOUT.unpack(out.read_bytes()) == [generate_readings(config)]
         assert "wrote" in capsys.readouterr().out
 
     def test_run_verify_audit_tick_flow(self, tmp_path, capsys):
@@ -677,6 +678,15 @@ class TestCli:
         }[command]
         err = self.assert_input_error(capsys, [argv[0], "--state", str(state), *argv[1:]])
         assert message in err
+
+    def test_missing_block_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**{**FAST, "arrival_epochs": 2, "p_del": 1, "p_ver": 1}).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])  # a verdict does not matter here
+        capsys.readouterr()
+        err = self.assert_input_error(capsys, ["audit", "--state", str(state), "--block", "99"])
+        assert err == "error: no sealed block 99\n"
 
     @pytest.mark.parametrize("command", [["tick", "--now", "0"], ["verify", "--time", "0"]])
     def test_state_dir_without_a_cloud_store_is_input_error(self, tmp_path, capsys, command):

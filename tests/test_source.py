@@ -1,7 +1,10 @@
 """Source hygiene and the benchmark's contract with the package.
 
 No module of the package imports a name it never uses; the package's
-``__init__`` is exempt, since it imports names to re-export them.
+``__init__`` is exempt, since it imports names to re-export them. Every
+public function and class of a module has a caller in the package, a
+demo or the benchmark, so no second copy of a job lives on for tests
+alone; the two copies that tests compare against are the exception.
 
 The benchmark under ``perfbench/`` is read, never edited, by these
 tests: every name it takes from ``expunge`` must exist, and every call
@@ -20,6 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "expunge"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+#: Second copies of a job that tests use as the reference for the one the package runs.
+REFERENCE_COPIES = ["control.decrypt_reading", "engine.combine"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,6 +53,45 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.stem)
 def test_every_imported_name_is_used(module):
     assert unused_imports(module.read_text()) == []
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name, attribute and imported name in ``source``; docstrings do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def unreferenced(source: str, used: set[str]) -> list[str]:
+    """Public top-level functions and classes of ``source`` that are not in ``used``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    ]
+
+
+def test_unreferenced_name_is_found():
+    source = (
+        '"""Lonely is named here, in a docstring."""\n'
+        "def used():\n    pass\nclass Lonely:\n    pass\ndef _own():\n    pass\n"
+    )
+    used = referenced_names(source) | referenced_names("from m import used\n'Lonely'\n")
+    assert unreferenced(source, used) == ["Lonely"]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    used = set().union(*(referenced_names(p.read_text()) for p in [*MODULES, *DEMOS, *PERFBENCH]))
+    found = [f"{m.stem}.{name}" for m in MODULES for name in unreferenced(m.read_text(), used)]
+    assert [name for name in found if name not in REFERENCE_COPIES] == []
 
 
 def _resolve(path: str):

@@ -14,12 +14,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_encoding import GOLDEN, META, QUERY, RECORDS, SENSOR_ROW, _identity
+from test_encoding import GOLDEN, META, QUERY, RECORDS, SENSOR_ROW, _identity, _identity_many
 
 import expunge
 from expunge import control, wire
 from expunge.cloud import AttestationBundle
-from expunge.control import decrypt_reading, encrypt_reading
+from expunge.control import decrypt_reading, encrypt_epoch
 from expunge.encoding import EncodingError, u32, vbytes
 from expunge.errors import ExpungeError, WireError
 from expunge.wire import CloudService, MessageType, SpService, raise_for_error
@@ -98,7 +98,7 @@ def _codecs() -> dict:
     codecs = {name: (type(v).from_bytes, type(v).to_bytes) for name, v in RECORDS.items()}
     codecs["reading_plaintext"] = (
         lambda blob: decrypt_reading(blob, None),
-        lambda value: encrypt_reading(*value, None),
+        lambda value: encrypt_epoch([value[0]], value[1], None)[0],
     )
     codecs["wire_fetch_bundle_response"] = (AttestationBundle.from_bytes, AttestationBundle.to_bytes)
     layouts = {
@@ -161,7 +161,7 @@ def test_mutated_vectors_fail_cleanly_or_round_trip(name, data):
         blob[index] = value
     cut = data.draw(st.one_of(st.just(len(blob)), st.integers(0, len(blob))))
     blob = bytes(blob[:cut])
-    with mock.patch.object(control, "hybrid_encrypt", _identity), mock.patch.object(
+    with mock.patch.object(control, "hybrid_encrypt_many", _identity_many), mock.patch.object(
         control, "hybrid_decrypt", _identity
     ):
         try:
