@@ -164,11 +164,6 @@ class AccumulatorParams(Record):
         if math.gcd(self.seed, self.modulus) != 1:
             raise DomainError("seed must be coprime with the modulus")
 
-    @classmethod
-    def insecure(cls, p: int, q: int, seed: int) -> "AccumulatorParams":
-        """Hand-chosen tiny parameters for deterministic tests only."""
-        return cls(modulus=p * q, seed=seed, modulus_bits=(p * q).bit_length())
-
 
 @dataclass(frozen=True)
 class AccumulatorValue(Record):

@@ -41,18 +41,18 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from operator import eq
 
-from .accumulator import AccumulatorParams, AccumulatorValue, step
+from .accumulator import AccumulatorParams, AccumulatorValue
 from .cloud import AttestationBundle
 from .control import (
     SEALED_ACCESSIBLE,
     SEALED_IRRECOVERABLE,
     SEALED_TIME,
     accessible_tag,
+    epoch_timestamp,
     open_seal,
     reading_digests,
     sentinel_digest,
     timestamp_anchor,
-    timestamp_exponent,
 )
 from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import KeyRing
@@ -86,10 +86,8 @@ class VerificationReport:
     state_claimed: DataState
     membership_positions: tuple[int, ...] | None
     completeness_ok: bool
-    recomputed_alpha: AccumulatorValue | None
     tag_match: bool
     policy_ok: bool
-    recomputed_user_hash: bytes | None
     deletion_proof_match: bool | None
     response_time: float | None
     time_bound: float | None
@@ -159,10 +157,10 @@ def verify_completeness(
     and lands the replay on a different group element.
     """
     base = params.seed if bundle.first_epoch else bundle.prev_crypto_time
-    if base is None or not bundle.digests:
+    if base is None:
         return False, None
-    try:
-        alpha = step(base, timestamp_exponent(bundle.digests), params)
+    try:  # an empty digest list, or a base out of range for the modulus
+        alpha = epoch_timestamp(base, bundle.digests, params)
     except DomainError:
         return False, None
     return alpha == bundle.crypto_time, alpha
@@ -201,7 +199,7 @@ def verify_bundle(
     if role == "user" and device_id is not None:
         membership = tuple(verify_membership(device_id, bundle))
 
-    completeness_ok, alpha = verify_completeness(bundle, params)
+    completeness_ok, _ = verify_completeness(bundle, params)
     # anchor the cleartext timestamp to the provider-sealed digest of it
     sealed_anchor = open_seal(shared_key, SEALED_TIME, bundle.epoch_id, bundle.enc_crypto_time)
     completeness_ok = completeness_ok and sealed_anchor == timestamp_anchor(bundle.crypto_time)
@@ -212,12 +210,10 @@ def verify_bundle(
     # the seal names its field, so a tag opens only for the state it attests
     label = SEALED_ACCESSIBLE if bundle.state is DataState.ACCESSIBLE else SEALED_IRRECOVERABLE
     expected_tag = open_seal(shared_key, label, bundle.epoch_id, bundle.enc_state_tag)
-    user_hash = None
     proof_match = None
     time_bound_ok = None
     if bundle.state is DataState.ACCESSIBLE:
-        user_hash = accessible_tag(bundle.ciphertexts or ())
-        tag_match = user_hash == expected_tag
+        tag_match = accessible_tag(bundle.ciphertexts or ()) == expected_tag
     else:
         if bundle.deletion_proof is None:
             raise DomainError("irrecoverable bundle carries no deletion proof")
@@ -232,10 +228,8 @@ def verify_bundle(
         state_claimed=bundle.state,
         membership_positions=membership,
         completeness_ok=completeness_ok,
-        recomputed_alpha=alpha,
         tag_match=tag_match,
         policy_ok=policy_ok,
-        recomputed_user_hash=user_hash,
         deletion_proof_match=proof_match,
         response_time=response_time,
         time_bound=time_bound,

@@ -19,19 +19,11 @@ from pathlib import Path
 
 from .accumulator import AccumulatorParams
 from .attestation import TIME_BOUND_FLOOR_ROUND_TRIPS, EpochVerifier
-from .cloud import CloudStore
 from .crypto import load_keyring
 from .core import SensorReading
 from .encoding import EncodingError, Layout, nested, seq
 from .errors import ExpungeError
-from .harness import (
-    LazyCloudStore,
-    ScenarioConfig,
-    bench,
-    device_pool,
-    generate_readings,
-    run_scenario,
-)
+from .harness import ScenarioConfig, bench, device_pool, generate_readings, run_scenario
 from .querylog import SealedBlock, audit_block
 from .wire import CloudService, LoopbackTransport
 
@@ -57,12 +49,7 @@ def _load_state(state_dir: Path):
     segments = state_dir / "cloud" / "segments"
     if not segments.is_dir():  # opening the store would create an empty one
         raise FileNotFoundError(f"no cloud store: {segments} is missing")
-    store = (LazyCloudStore if config.lazy_cloud else CloudStore)(
-        config.policy,
-        root=state_dir / "cloud",
-        sp_allowlist=frozenset({config.sp_id.encode()}),
-    )
-    return config, keyring, params, meta, store
+    return config, keyring, params, meta, config.open_store(state_dir / "cloud")
 
 
 def cmd_generate(args) -> int:
@@ -155,6 +142,7 @@ def cmd_audit(args) -> int:
     if not block_path.exists():
         raise FileNotFoundError(f"no sealed block {args.block}")
     sealed = SealedBlock.from_bytes(block_path.read_bytes())
+    saved = [(args.block, sealed)]
     prev = params.seed
     if args.block > 1:
         # chaining from the seed instead would pass a dropped block off as a proof mismatch
@@ -165,7 +153,13 @@ def cmd_audit(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_VERIFICATION_FAILED
-        prev = SealedBlock.from_bytes(prev_path.read_bytes()).block_proof
+        prev_block = SealedBlock.from_bytes(prev_path.read_bytes())
+        saved.append((args.block - 1, prev_block))
+        prev = prev_block.block_proof
+    for block_id, block in saved:
+        if block.block_id != block_id:  # a renamed or copied file would stand in for it
+            print(f"the file of sealed block {block_id} holds block {block.block_id}", file=sys.stderr)
+            return EXIT_VERIFICATION_FAILED
     registry = keyring.user_public_keys()
     report = audit_block(sealed, prev, keyring.sdp_box_private, params, registry)
     print(

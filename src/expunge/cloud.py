@@ -420,9 +420,6 @@ class CloudStore:
     # -- serving paths -------------------------------------------------------
 
     def _resolve_epoch(self, at: int) -> EpochRecord:
-        record = self._records.get(at)
-        if record is not None:
-            return record
         # windows are disjoint and ordered, so only the last epoch that
         # begins at or before ``at`` can contain it
         position = bisect_right(self._ids, at)

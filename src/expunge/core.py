@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 
 from . import encoding
-from .encoding import U64, U64_OR_INF, VBYTES, Layout, Record
+from .encoding import U64, VBYTES, Layout, Record
 from .errors import DomainError
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -62,10 +62,8 @@ class SensorReading(Record):
 
 
 @dataclass(frozen=True)
-class EpochWindow(Record):
+class EpochWindow:
     """Half-open time window [bt, et); its id is its begin time."""
-
-    LAYOUT = Layout(encoding.TYPE_WINDOW, ("bt", U64), ("et", U64))
 
     bt: int
     et: int
@@ -87,7 +85,7 @@ class EpochWindow(Record):
 
 
 @dataclass(frozen=True)
-class RetentionPolicy(Record):
+class RetentionPolicy:
     """Retention pair: epochs until deletion, epochs until purge of proofs.
 
     ``p_ver`` may be :data:`NEVER` (infinity), in which case verification
@@ -95,10 +93,6 @@ class RetentionPolicy(Record):
     the window in which deletion could be verified would close before
     deletion happens.
     """
-
-    LAYOUT = Layout(
-        encoding.TYPE_POLICY, ("p_del", U64), ("p_ver", U64_OR_INF), ("delta", U64)
-    )
 
     p_del: int
     p_ver: int | float
@@ -114,10 +108,6 @@ class RetentionPolicy(Record):
                 raise DomainError("p_ver must be a positive integer or NEVER")
             if self.p_ver < self.p_del:
                 raise DomainError("p_ver must be at least p_del")
-
-    @property
-    def verification_unbounded(self) -> bool:
-        return self.p_ver is NEVER
 
 
 def epoch_of(t: int, delta: int, origin: int = 0) -> EpochWindow:
@@ -145,7 +135,7 @@ def deletion_due(epoch: EpochWindow, policy: RetentionPolicy) -> int:
 
 def verification_expiry(epoch: EpochWindow, policy: RetentionPolicy) -> int | float:
     """Instant after which deletion proofs may be purged; NEVER if unbounded."""
-    if policy.verification_unbounded:
+    if policy.p_ver is NEVER:
         return NEVER
     return epoch.et + policy.p_ver * policy.delta
 

@@ -44,7 +44,6 @@ declared count never sizes an allocation.
 
 from __future__ import annotations
 
-import math
 import struct
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, NamedTuple
@@ -53,8 +52,9 @@ MAGIC = 0xC7
 VERSION = 2
 
 TYPE_READING = 0x01
-TYPE_WINDOW = 0x02
-TYPE_POLICY = 0x03
+# 0x02 and 0x03 held the epoch window and the retention policy, which no
+# role hashes, signs, stores or sends (the policy travels as config); they
+# are not reused.
 TYPE_ACC_PARAMS = 0x04
 TYPE_ACC_VALUE = 0x05
 TYPE_SENSOR_ROW = 0x06
@@ -298,21 +298,6 @@ def _vbytes_list_parts(items) -> list[bytes]:
 
 #: A ``u32`` count, then each element as ``vbytes``.
 VBYTES_LIST = Kind(_vbytes_list_parts, Reader.take_vbytes_list)
-
-
-def _take_u64_or_inf(r: Reader) -> int | float:
-    unbounded = r.take_flag()
-    value = r.take_u64()
-    if unbounded and value:
-        raise EncodingError("an unbounded value must encode as 0")
-    return math.inf if unbounded else value
-
-
-#: ``u64`` that may be ``math.inf``: an unbounded flag, then the value (0 when unbounded).
-U64_OR_INF = Kind(
-    lambda value: [b"\x01", u64(0)] if value == math.inf else [b"\x00", u64(value)],
-    _take_u64_or_inf,
-)
 
 
 # -- layouts -------------------------------------------------------------------

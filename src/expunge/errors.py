@@ -37,10 +37,6 @@ class IntegrityError(ExpungeError):
     """Authenticated decryption failed; distinct from a value mismatch."""
 
 
-class SealedBlockError(ExpungeError):
-    """A peer reports a write to a sealed query block; this package never raises it."""
-
-
 class SignatureRejected(ExpungeError):
     """A query record carried an invalid user signature."""
 

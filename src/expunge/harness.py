@@ -132,6 +132,12 @@ class ScenarioConfig:
     def block_time_limit(self) -> int:
         return self.block_time_limit_ms or self.delta_ms
 
+    def open_store(self, root: Path | None) -> CloudStore:
+        """The cloud this config runs, lazy or honest, kept under ``root`` (None: in memory)."""
+        return (LazyCloudStore if self.lazy_cloud else CloudStore)(
+            self.policy, root=root, sp_allowlist=frozenset({self.sp_id.encode()})
+        )
+
     def to_dict(self) -> dict:
         doc = {
             k: v for k, v in self.__dict__.items() if not k.startswith("_")
@@ -146,10 +152,6 @@ class ScenarioConfig:
         if not isinstance(doc, dict):
             raise DomainError("config must be a JSON object")
         doc = dict(doc)
-        # configs saved while the hash was a field still name it
-        hash_name = doc.pop("hash_name", "sha256")
-        if hash_name != "sha256":
-            raise DomainError(f"config field hash_name cannot be {hash_name!r}: the hash is sha256")
         defaults = {f.name: f.default for f in fields(cls)}
         unknown = sorted(set(doc) - set(defaults))
         if unknown:
@@ -399,10 +401,8 @@ class _Run:
         self.sp_id = config.sp_id.encode()
 
         self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.store = (LazyCloudStore if config.lazy_cloud else CloudStore)(
-            self.policy,
-            root=(self.state_dir / "cloud") if self.state_dir is not None else None,
-            sp_allowlist=frozenset({self.sp_id}),
+        self.store = config.open_store(
+            self.state_dir / "cloud" if self.state_dir is not None else None
         )
         self.logger = QueryLogger(
             capacity=config.block_capacity,
@@ -562,7 +562,7 @@ class _Run:
             try:
                 fetched, prev = SpService.audit_fetch_via(self.sp, sealed.block_id)
             except (UnavailableError, WireError):  # refused, or another block came back
-                audit = AuditReport(sealed.block_id, False, False, (), None)
+                audit = AuditReport(sealed.block_id, False, False, ())
             else:
                 audit = audit_block(
                     fetched,

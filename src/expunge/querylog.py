@@ -124,7 +124,6 @@ class AuditReport:
     decrypt_ok: bool
     proof_match: bool
     invalid_signature_positions: tuple[int, ...]
-    recomputed_proof: AccumulatorValue | None
 
     @property
     def ok(self) -> bool:
@@ -167,7 +166,6 @@ def audit_block(
             decrypt_ok=False,
             proof_match=False,
             invalid_signature_positions=(),
-            recomputed_proof=None,
         )
 
     bad_signatures = [
@@ -189,7 +187,6 @@ def audit_block(
         decrypt_ok=True,
         proof_match=recomputed == sealed.block_proof,
         invalid_signature_positions=tuple(bad_signatures),
-        recomputed_proof=recomputed,
     )
 
 

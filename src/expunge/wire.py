@@ -41,7 +41,6 @@ from .errors import (
     ExpungeError,
     InconsistentRowsError,
     NotAuthorizedError,
-    SealedBlockError,
     SignatureRejected,
     UnavailableError,
     WireError,
@@ -73,7 +72,7 @@ class ErrorCode(IntEnum):
     EXPIRED = 5
     UNAVAILABLE = 6
     REJECTED = 7
-    SEALED = 8
+    # 8 named a write to a sealed query block, which nothing raised; it is not reused.
 
 
 _CODE_ERRORS = {
@@ -83,7 +82,6 @@ _CODE_ERRORS = {
     ErrorCode.EXPIRED: DataExpiredError,
     ErrorCode.UNAVAILABLE: UnavailableError,
     ErrorCode.REJECTED: SignatureRejected,
-    ErrorCode.SEALED: SealedBlockError,
     ErrorCode.PROTOCOL: WireError,
 }
 
@@ -348,11 +346,9 @@ class SpService:
             return error_payload(exc)
 
     def _sealed(self, block_id: int) -> SealedBlock:
-        """The sealed block with this id: at its 1-based position until one is gone."""
-        blocks = self.logger.sealed_blocks  # in id order
-        i = block_id - 1
-        if not (0 <= i < len(blocks) and blocks[i].block_id == block_id):
-            i = bisect.bisect_left(blocks, block_id, key=lambda block: block.block_id)
+        """The sealed block with this id, found by bisecting the blocks in id order."""
+        blocks = self.logger.sealed_blocks
+        i = bisect.bisect_left(blocks, block_id, key=lambda block: block.block_id)
         if i < len(blocks) and blocks[i].block_id == block_id:
             return blocks[i]
         raise UnavailableError(f"no sealed block {block_id}")

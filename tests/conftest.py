@@ -51,7 +51,8 @@ TINY_P, TINY_Q, TINY_SEED = 61, 53, 2
 
 @pytest.fixture(scope="session")
 def tiny_params() -> AccumulatorParams:
-    return AccumulatorParams.insecure(p=TINY_P, q=TINY_Q, seed=TINY_SEED)
+    modulus = TINY_P * TINY_Q
+    return AccumulatorParams(modulus=modulus, seed=TINY_SEED, modulus_bits=modulus.bit_length())
 
 
 @pytest.fixture(scope="session")

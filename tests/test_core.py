@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -18,6 +19,7 @@ from expunge.core import (
     window_for_id,
 )
 from expunge.errors import DomainError
+from expunge.harness import ScenarioConfig
 
 FIG2_POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1)
 
@@ -174,10 +176,17 @@ class TestSensorReading:
         assert len(seen) == count
 
 
+def _through_config(policy: RetentionPolicy) -> RetentionPolicy:
+    """The policy as a run reads it back: from the scenario config's JSON."""
+    config = ScenarioConfig(p_del=policy.p_del, p_ver=policy.p_ver, delta_ms=policy.delta)
+    return ScenarioConfig.from_dict(json.loads(json.dumps(config.to_dict()))).policy
+
+
 class TestWindowAndPolicyCodecs:
     def test_window_round_trip(self):
+        # a window comes back from its id and from any instant inside it
         w = EpochWindow(5000, 6000)
-        assert EpochWindow.from_bytes(w.to_bytes()) == w
+        assert window_for_id(w.id, w.delta) == epoch_of(5999, 1000) == w
         assert w.delta == 1000
 
     def test_window_rejects_inverted(self):
@@ -186,12 +195,11 @@ class TestWindowAndPolicyCodecs:
 
     def test_policy_round_trip(self):
         p = RetentionPolicy(p_del=2, p_ver=4, delta=3600)
-        assert RetentionPolicy.from_bytes(p.to_bytes()) == p
+        assert _through_config(p) == p
 
     def test_policy_round_trip_unbounded(self):
-        p = RetentionPolicy(p_del=2, p_ver=NEVER, delta=3600)
-        q = RetentionPolicy.from_bytes(p.to_bytes())
-        assert q.verification_unbounded and q.p_del == 2
+        q = _through_config(RetentionPolicy(p_del=2, p_ver=NEVER, delta=3600))
+        assert q.p_ver is NEVER and q.p_del == 2
 
     def test_window_for_id(self):
         assert window_for_id(7000, 500) == EpochWindow(7000, 7500)

@@ -15,7 +15,7 @@ from expunge import control
 from expunge.accumulator import AccumulatorParams, AccumulatorValue
 from expunge.cloud import AttestationBundle, CloudStore, EpochRecord, Transition
 from expunge.control import MetaDataRow, SensorDataRow, decrypt_reading, encrypt_epoch
-from expunge.core import NEVER, DataState, EpochWindow, RetentionPolicy, SensorReading
+from expunge.core import DataState, RetentionPolicy, SensorReading
 from expunge.engine import DeletionProof
 from expunge.errors import NotAuthorizedError, UnavailableError
 from expunge.querylog import QueryRecord, SealedBlock
@@ -60,10 +60,7 @@ QUERY = QueryRecord(query=b"SELECT occupancy", time=4000, user_id=b"user-01", si
 
 RECORDS = {
     "reading": READING,
-    "window": EpochWindow(bt=3600, et=7200),
-    "policy_bounded": RetentionPolicy(p_del=2, p_ver=4, delta=3600),
-    "policy_never": RetentionPolicy(p_del=2, p_ver=NEVER, delta=3600),
-    "acc_params": AccumulatorParams.insecure(p=61, q=53, seed=2),
+    "acc_params": AccumulatorParams(modulus=61 * 53, seed=2, modulus_bits=12),
     "acc_value": TIME,
     "sensor_row": SENSOR_ROW,
     "sensor_row_empty_epoch": EMPTY_ROW,
@@ -145,8 +142,6 @@ GOLDEN = {
         "c702070000000000000e100000000000000e100000000000001c200000000b7365616c65"
         "642d74696d65000000097365616c65642d61680000000a7365616c65642d697268"
     ),
-    "policy_bounded": "c7020300000000000000020000000000000000040000000000000e10",
-    "policy_never": "c7020300000000000000020100000000000000000000000000000e10",
     "query_record": (
         "c7020b0000001053454c454354206f63637570616e63790000000000000fa00000000775"
         "7365722d303100000003736967"
@@ -174,7 +169,6 @@ GOLDEN = {
         "c702060000000000001c2000000008000000011011121314151617c702050000000204d2"
         "00000000"
     ),
-    "window": "c702020000000000000e100000000000001c20",
     "wire_audit_fetch_first_request": "0000000000000001",
     "wire_audit_fetch_first_response": (
         "0000003cc7020c000000000000000100000000000000000000000000000e10c702050000"

@@ -5,6 +5,10 @@ No module of the package imports a name it never uses; the package's
 public function and class of a module has a caller in the package, a
 demo or the benchmark, so no second copy of a job lives on for tests
 alone; the two copies that tests compare against are the exception.
+Every field of a dataclass that is not a record is read as an attribute
+in the package, a demo or the benchmark, and every error class but the
+base is raised in the package, so no role carries a field that nothing
+reads or declares an error that nothing raises.
 
 The benchmark under ``perfbench/`` is read, never edited, by these
 tests: every name it takes from ``expunge`` must exist, and every call
@@ -92,6 +96,95 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     used = set().union(*(referenced_names(p.read_text()) for p in [*MODULES, *DEMOS, *PERFBENCH]))
     found = [f"{m.stem}.{name}" for m in MODULES for name in unreferenced(m.read_text(), used)]
     assert [name for name in found if name not in REFERENCE_COPIES] == []
+
+
+def attributes_read(source: str) -> set[str]:
+    """Every attribute that ``source`` reads; a store or a constructor keyword is no read."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """``(class, field)`` for each field of a top-level dataclass in ``source`` that is
+    not a ``Record``, whose layout reads every field by name."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        if any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases):
+            continue
+        found += [
+            (node.name, stmt.target.id)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+            and not ast.unparse(stmt.annotation).startswith("ClassVar")
+        ]
+    return found
+
+
+def test_unread_field_is_found():
+    source = (
+        "@dataclass(frozen=True)\nclass Report:\n"
+        "    TAG: ClassVar[int] = 0\n    ok: bool\n    spare: int = 0\n    kept: int = 1\n"
+        "@dataclass\nclass Row(Record):\n    unread: int\n"
+        "class Plain:\n    hidden: int\n"
+        "def use(r):\n    Report(ok=True, spare=1)\n    r.kept = 2\n    return r.ok\n"
+    )
+    read = attributes_read(source)
+    assert [f for f in dataclass_fields(source) if f[1] not in read] == [
+        ("Report", "spare"),
+        ("Report", "kept"),
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    read = set().union(*(attributes_read(p.read_text()) for p in [*MODULES, *DEMOS, *PERFBENCH]))
+    unread = [
+        f"{m.stem}.{cls}.{name}"
+        for m in MODULES
+        for cls, name in dataclass_fields(m.read_text())
+        if name not in read
+    ]
+    assert unread == []
+
+
+def raised_names(source: str) -> set[str]:
+    """Names that ``source`` raises, as ``raise X`` or ``raise X(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def class_names(source: str) -> list[str]:
+    """Top-level classes of ``source``, in order."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+
+
+def test_unraised_error_is_found():
+    errors = "class BaseError(Exception):\n    pass\nclass Raised(BaseError):\n    pass\n"
+    errors += "class Bare(BaseError):\n    pass\nclass Never(BaseError):\n    pass\n"
+    user = "def f(x):\n    if x:\n        raise errors.Raised('no')\n    raise Bare\n"
+    unraised = [name for name in class_names(errors) if name not in raised_names(user)]
+    assert unraised == ["BaseError", "Never"]
+
+
+def test_every_error_is_raised_in_the_package():
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    declared = class_names((PACKAGE / "errors.py").read_text())
+    assert [name for name in declared if name != "ExpungeError" and name not in raised] == []
 
 
 def _resolve(path: str):

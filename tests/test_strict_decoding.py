@@ -49,7 +49,6 @@ def _decode(name: str, blob: bytes):
         ("bundle_irrecoverable", 13),
         ("epoch_record_accessible", 19),
         ("epoch_record_accessible", 21),
-        ("policy_never", 11),
     ],
 )
 @pytest.mark.parametrize("value", [2, 9, 0xFF])
@@ -62,11 +61,6 @@ def test_flag_byte_must_be_0_or_1(name, offset, value):
 def test_out_of_range_state_is_encoding_error(name, offset):
     with pytest.raises(EncodingError, match="not a DataState"):
         _decode(name, _with_byte(name, offset, 9))
-
-
-def test_unbounded_policy_must_carry_zero_p_ver():
-    with pytest.raises(EncodingError, match="unbounded"):
-        _decode("policy_never", _with_byte("policy_never", 19, 1))
 
 
 def test_empty_digest_list_must_declare_width_0():
