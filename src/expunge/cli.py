@@ -6,8 +6,10 @@ failure, 2 protocol or usage error, unreadable config or state included.
 A ``run`` persists, each fact once, everything needed to interrogate the
 simulated deployment afterwards: the config (policy included), key material,
 accumulator parameters, cloud segments, sealed query blocks, clock,
-transcript, and reports. ``verify`` and ``tick`` use that state, cloud store
-included; ``audit`` reads only the keys, parameters and sealed blocks.
+transcript, measurements and summary, all through ``harness.StateDir``.
+``verify`` uses that state, cloud store included; ``tick`` reads only the
+config, clock and cloud store, and ``audit`` only the keys, parameters and
+sealed blocks.
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ import json
 import sys
 from pathlib import Path
 
-from .accumulator import AccumulatorParams
 from .attestation import TIME_BOUND_FLOOR_ROUND_TRIPS, EpochVerifier
-from .crypto import load_keyring
 from .core import SensorReading
 from .encoding import EncodingError, Layout, nested, seq
 from .errors import ExpungeError
-from .harness import ScenarioConfig, bench, device_pool, generate_readings, run_scenario
-from .querylog import SealedBlock, audit_block
+from .harness import ScenarioConfig, StateDir, bench, device_pool, generate_readings, run_scenario
+from .querylog import audit_block
 from .wire import CloudService, LoopbackTransport
 
 EXIT_OK = 0
@@ -39,17 +39,6 @@ def _load_config(path: str | None) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
     return ScenarioConfig.load(Path(path))
-
-
-def _load_state(state_dir: Path):
-    config = ScenarioConfig.load(state_dir / "config.json")
-    keyring = load_keyring(state_dir / "keyring.json")
-    params = AccumulatorParams.from_bytes((state_dir / "params.bin").read_bytes())
-    meta = json.loads((state_dir / "meta.json").read_text())
-    segments = state_dir / "cloud" / "segments"
-    if not segments.is_dir():  # opening the store would create an empty one
-        raise FileNotFoundError(f"no cloud store: {segments} is missing")
-    return config, keyring, params, meta, config.open_store(state_dir / "cloud")
 
 
 def cmd_generate(args) -> int:
@@ -95,15 +84,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    state_dir = Path(args.state)
-    config, keyring, params, meta, store = _load_state(state_dir)
+    state = StateDir(args.state)
+    config = state.config()
     verifier = EpochVerifier(
-        LoopbackTransport(CloudService(store).handle),
-        keyring,
-        params,
+        LoopbackTransport(CloudService(state.store(config)).handle),
+        state.keyring(),
+        state.params(),
         config.policy,
     )
-    now = args.now if args.now is not None else meta["clock"]
+    now = args.now if args.now is not None else state.clock()
 
     device = None
     if args.role == "user":
@@ -134,26 +123,23 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    state_dir = Path(args.state)
-    keyring = load_keyring(state_dir / "keyring.json")
-    params = AccumulatorParams.from_bytes((state_dir / "params.bin").read_bytes())
-    blocks_dir = state_dir / "blocks"
-    block_path = blocks_dir / f"{args.block:06d}.blk"
-    if not block_path.exists():
+    state = StateDir(args.state)
+    keyring = state.keyring()
+    params = state.params()
+    sealed = state.block(args.block)
+    if sealed is None:
         raise FileNotFoundError(f"no sealed block {args.block}")
-    sealed = SealedBlock.from_bytes(block_path.read_bytes())
     saved = [(args.block, sealed)]
     prev = params.seed
     if args.block > 1:
         # chaining from the seed instead would pass a dropped block off as a proof mismatch
-        prev_path = blocks_dir / f"{args.block - 1:06d}.blk"
-        if not prev_path.exists():
+        prev_block = state.block(args.block - 1)
+        if prev_block is None:
             print(
                 f"sealed block {args.block - 1}, the predecessor of block {args.block}, is missing",
                 file=sys.stderr,
             )
             return EXIT_VERIFICATION_FAILED
-        prev_block = SealedBlock.from_bytes(prev_path.read_bytes())
         saved.append((args.block - 1, prev_block))
         prev = prev_block.block_proof
     for block_id, block in saved:
@@ -178,15 +164,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_tick(args) -> int:
-    state_dir = Path(args.state)
-    _, _, _, meta, store = _load_state(state_dir)
-    transitions = store.tick(args.now)
+    state = StateDir(args.state)
+    clock = state.clock()  # read first: a damaged meta.json leaves the store untouched
+    transitions = state.store(state.config()).tick(args.now)
     for t in transitions:
         print(f"epoch {t.epoch_id}: {t.from_state.name} -> {t.to_state.name} at {t.at}")
     if not transitions:
         print("no transitions due")
-    meta["clock"] = max(meta["clock"], args.now)
-    (state_dir / "meta.json").write_text(json.dumps(meta))
+    state.save_clock(max(clock, args.now))
     return EXIT_OK
 
 

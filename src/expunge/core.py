@@ -1,6 +1,6 @@
 """Domain types, epoch arithmetic, and the retention state machine.
 
-Time is integer milliseconds from a configured origin; there is no
+Time is integer milliseconds from an origin at 0; there is no
 wall-clock or calendar handling here. Epochs tile the timeline without
 gaps as half-open windows ``[bt, et)``: an instant on a boundary belongs
 to the later epoch, so every reading has exactly one epoch.
@@ -110,7 +110,7 @@ class RetentionPolicy:
                 raise DomainError("p_ver must be at least p_del")
 
 
-def epoch_of(t: int, delta: int, origin: int = 0) -> EpochWindow:
+def epoch_of(t: int, delta: int) -> EpochWindow:
     """Map an instant to the unique epoch containing it.
 
     Boundary instants belong to the later epoch: ``epoch_of(et) != epoch
@@ -118,9 +118,9 @@ def epoch_of(t: int, delta: int, origin: int = 0) -> EpochWindow:
     """
     if delta <= 0:
         raise DomainError("epoch duration must be positive")
-    if t < origin:
-        raise DomainError(f"time {t} precedes the configured origin {origin}")
-    bt = origin + ((t - origin) // delta) * delta
+    if t < 0:
+        raise DomainError(f"time {t} precedes the origin 0")
+    bt = (t // delta) * delta
     return EpochWindow(bt=bt, et=bt + delta)
 
 

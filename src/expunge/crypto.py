@@ -20,11 +20,8 @@ Users sign query records with Ed25519.
 
 from __future__ import annotations
 
-import base64
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -39,12 +36,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.hashes import SHA256
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-from cryptography.hazmat.primitives.serialization import (
-    Encoding,
-    NoEncryption,
-    PrivateFormat,
-    PublicFormat,
-)
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from .errors import DomainError, IntegrityError
 
@@ -193,43 +185,4 @@ def generate_keyring(user_ids: list[bytes] | None = None) -> KeyRing:
         sdp_box_private=X25519PrivateKey.generate(),
         shared_key=os.urandom(SYMMETRIC_KEY_BYTES),
         user_signing_keys={uid: Ed25519PrivateKey.generate() for uid in user_ids or []},
-    )
-
-
-def _raw_private(key) -> bytes:
-    return key.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
-
-
-def save_keyring(keyring: KeyRing, path: Path) -> None:
-    """Persist a keyring for the simulation harness (plaintext JSON).
-
-    This exists so CLI runs can be resumed; it is harness plumbing, not a
-    key-management scheme.
-    """
-    doc = {
-        "enclave_private": base64.b64encode(_raw_private(keyring.enclave_private)).decode(),
-        "sdp_box_private": base64.b64encode(_raw_private(keyring.sdp_box_private)).decode(),
-        "shared_key": base64.b64encode(keyring.shared_key).decode(),
-        "user_signing_keys": {
-            uid.hex(): base64.b64encode(_raw_private(key)).decode()
-            for uid, key in keyring.user_signing_keys.items()
-        },
-    }
-    path.write_text(json.dumps(doc, indent=2))
-
-
-def load_keyring(path: Path) -> KeyRing:
-    doc = json.loads(path.read_text())
-    return KeyRing(
-        enclave_private=X25519PrivateKey.from_private_bytes(
-            base64.b64decode(doc["enclave_private"])
-        ),
-        sdp_box_private=X25519PrivateKey.from_private_bytes(
-            base64.b64decode(doc["sdp_box_private"])
-        ),
-        shared_key=base64.b64decode(doc["shared_key"]),
-        user_signing_keys={
-            bytes.fromhex(uid): Ed25519PrivateKey.from_private_bytes(base64.b64decode(raw))
-            for uid, raw in doc["user_signing_keys"].items()
-        },
     )

@@ -15,10 +15,12 @@ the same step the CLI's ``verify`` takes.
 
 Protocol logic runs entirely on the virtual clock so state timelines
 replay identically; wall time is measured only where a benchmark or the
-deletion time bound needs it. The report fields that are wall-clock
-values or verdicts resting on them (``attestation.WALL_CLOCK_FIELDS``)
-go to the run's measurements, not its transcript, so a transcript
-replays byte for byte. Fault injection runs the cloud as
+deletion time bound needs it. A run keeps its wall-clock values in one
+record, its measurements: each epoch's control-phase and SP-fetch
+seconds, and the report fields of each verification that are wall-clock
+values or verdicts resting on them (``attestation.WALL_CLOCK_FIELDS``),
+so a transcript replays byte for byte. ``StateDir`` alone knows the
+files of a saved run. Fault injection runs the cloud as
 ``LazyCloudStore`` (skips deletion, fabricates proofs on demand) or
 makes the service provider tamper with a sealed query block, so tests
 can show that exactly the right check catches each.
@@ -26,6 +28,7 @@ can show that exactly the right check catches each.
 
 from __future__ import annotations
 
+import base64
 import gc
 import json
 import math
@@ -35,6 +38,9 @@ from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
+
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from .accumulator import AccumulatorParams, setup
 from .attestation import WALL_CLOCK_FIELDS, EpochVerifier
@@ -55,10 +61,10 @@ from .core import (
     epoch_of,
     state_at,
 )
-from .crypto import KeyRing, generate_keyring, save_keyring
+from .crypto import SYMMETRIC_KEY_BYTES, KeyRing, generate_keyring
 from .engine import CellArray, expunge, expunge_ciphertexts
 from .errors import DataExpiredError, DomainError, UnavailableError, WireError
-from .querylog import AuditReport, QueryLogger, audit_block, make_query_record
+from .querylog import AuditReport, QueryLogger, SealedBlock, audit_block, make_query_record
 from .wire import CloudService, LoopbackTransport, SocketTransport, SpService, serve
 
 MS_PER_HOUR = 3_600_000
@@ -76,7 +82,6 @@ class ScenarioConfig:
     delta_ms: int = MS_PER_HOUR
     p_del: int = 2
     p_ver: int | float = 4
-    origin_ms: int = 0
     arrival_epochs: int = 8
     drain_epochs: int | None = None
     device_count: int = 20
@@ -90,7 +95,6 @@ class ScenarioConfig:
     seed: int = 7
     queries_per_epoch: int = 2
     block_capacity: int = 4
-    block_time_limit_ms: int = 0  # 0: use the epoch duration
     verify_every_epochs: int = 2
     sp_id: str = "sp-main"
     lazy_cloud: bool = False
@@ -127,10 +131,6 @@ class ScenarioConfig:
     @property
     def policy(self) -> RetentionPolicy:
         return RetentionPolicy(p_del=self.p_del, p_ver=self.p_ver, delta=self.delta_ms)
-
-    @property
-    def block_time_limit(self) -> int:
-        return self.block_time_limit_ms or self.delta_ms
 
     def open_store(self, root: Path | None) -> CloudStore:
         """The cloud this config runs, lazy or honest, kept under ``root`` (None: in memory)."""
@@ -173,22 +173,6 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path: Path) -> "ScenarioConfig":
         return cls.from_dict(json.loads(path.read_text()))
-
-
-class VirtualClock:
-    """Monotone simulated clock owned by the orchestrator."""
-
-    def __init__(self, start: int = 0):
-        self._now = start
-
-    @property
-    def now(self) -> int:
-        return self._now
-
-    def advance_to(self, t: int) -> None:
-        if t < self._now:
-            raise DomainError(f"clock cannot move backwards ({self._now} -> {t})")
-        self._now = t
 
 
 # -- synthetic readings -------------------------------------------------------
@@ -240,17 +224,14 @@ def generate_readings(config: ScenarioConfig) -> list[SensorReading]:
     """
     rng = random.Random(config.seed)
     devices = device_pool(config)
-    begin = config.origin_ms
-    end = begin + config.arrival_epochs * config.delta_ms
+    end = config.arrival_epochs * config.delta_ms
     readings: list[SensorReading] = []
-    hour_start = begin - (begin % MS_PER_HOUR)
-    while hour_start < end:
-        window_start = max(begin, hour_start)
+    for hour_start in range(0, end, MS_PER_HOUR):
         window_end = min(end, hour_start + MS_PER_HOUR)
         rate = hourly_rate(config, (hour_start // MS_PER_HOUR) % 24)
-        lam = rate * (window_end - window_start) / MS_PER_HOUR
+        lam = rate * (window_end - hour_start) / MS_PER_HOUR
         count = _poisson(rng, lam)
-        times = sorted(rng.randrange(window_start, window_end) for _ in range(count))
+        times = sorted(rng.randrange(hour_start, window_end) for _ in range(count))
         for t in times:
             readings.append(
                 SensorReading(
@@ -259,7 +240,6 @@ def generate_readings(config: ScenarioConfig) -> list[SensorReading]:
                     payload=_payload(rng, config),
                 )
             )
-        hour_start += MS_PER_HOUR
     return readings
 
 
@@ -305,17 +285,6 @@ class BenchmarkReport:
         }
 
 
-def _run_metadata(config: ScenarioConfig) -> dict:
-    import platform
-
-    return {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "modulus_bits": config.modulus_bits,
-        "seed": config.seed,
-    }
-
-
 # -- scenario ------------------------------------------------------------------
 
 
@@ -323,10 +292,8 @@ def _run_metadata(config: ScenarioConfig) -> dict:
 class ScenarioResult:
     config: ScenarioConfig
     transcript: list[dict]
-    report: BenchmarkReport
     summary: dict
-    state_dir: Path | None
-    measurements: list[dict]  # one per verification: its wall-clock verdicts
+    measurements: list[dict]  # wall-clock values: control, sp_fetch and verify entries
 
     def events(self, kind: str) -> list[dict]:
         return [e for e in self.transcript if e["event"] == kind]
@@ -345,13 +312,11 @@ def _outsource_epochs(
     """
     by_epoch: dict[int, list[SensorReading]] = {}
     for reading in readings:
-        window = epoch_of(reading.time, config.delta_ms, config.origin_ms)
+        window = epoch_of(reading.time, config.delta_ms)
         by_epoch.setdefault(window.id, []).append(reading)
     prev = params.seed
     for k in range(config.arrival_epochs):
-        window = epoch_of(
-            config.origin_ms + k * config.delta_ms, config.delta_ms, config.origin_ms
-        )
+        window = epoch_of(k * config.delta_ms, config.delta_ms)
         epoch_readings = by_epoch.get(window.id, [])
         sensor_row, meta_row = build_outsource_payload(
             window, epoch_readings, prev, keyring, params
@@ -385,6 +350,100 @@ class LazyCloudStore(CloudStore):
         return bundle
 
 
+class StateDir:
+    """The files of one saved run, named here and nowhere else.
+
+    ``run --state`` writes them all, the cloud store writing its own
+    segments under ``cloud/``; ``verify``, ``tick`` and ``audit`` read
+    them back. A file read here is input from outside the program: one
+    that does not hold what a run saves there raises ``DomainError``,
+    and a missing one ``OSError``.
+    """
+
+    def __init__(self, root: Path):
+        self.root = Path(root)
+        self.cloud = self.root / "cloud"
+
+    def _block_path(self, block_id: int) -> Path:
+        return self.root / "blocks" / f"{block_id:06d}.blk"
+
+    def save(self, run: _Run, summary: dict) -> None:
+        """Write every file of ``run`` but the cloud segments."""
+        run.config.save(self.root / "config.json")
+        self.save_keyring(run.keyring)
+        (self.root / "params.bin").write_bytes(run.params.to_bytes())
+        (self.root / "blocks").mkdir(exist_ok=True)
+        for block in run.logger.sealed_blocks:
+            self._block_path(block.block_id).write_bytes(block.to_bytes())
+        self.save_clock(run.now)
+        (self.root / "transcript.json").write_text(json.dumps(run.transcript, indent=1))
+        (self.root / "measurements.json").write_text(json.dumps(run.measurements, indent=1))
+        (self.root / "summary.json").write_text(json.dumps(summary, indent=1))
+
+    def save_keyring(self, keyring: KeyRing) -> None:
+        """Plaintext JSON, so that a run can be resumed; not a key-management scheme."""
+
+        def b64(raw: bytes) -> str:
+            return base64.b64encode(raw).decode()
+
+        doc = {
+            "enclave_private": b64(keyring.enclave_private.private_bytes_raw()),
+            "sdp_box_private": b64(keyring.sdp_box_private.private_bytes_raw()),
+            "shared_key": b64(keyring.shared_key),
+            "user_signing_keys": {
+                uid.hex(): b64(key.private_bytes_raw())
+                for uid, key in keyring.user_signing_keys.items()
+            },
+        }
+        (self.root / "keyring.json").write_text(json.dumps(doc, indent=2))
+
+    def keyring(self) -> KeyRing:
+        doc = json.loads((self.root / "keyring.json").read_text())
+        b64 = partial(base64.b64decode, validate=True)
+        try:
+            keyring = KeyRing(
+                enclave_private=X25519PrivateKey.from_private_bytes(b64(doc["enclave_private"])),
+                sdp_box_private=X25519PrivateKey.from_private_bytes(b64(doc["sdp_box_private"])),
+                shared_key=b64(doc["shared_key"]),
+                user_signing_keys={
+                    bytes.fromhex(uid): Ed25519PrivateKey.from_private_bytes(b64(raw))
+                    for uid, raw in doc["user_signing_keys"].items()
+                },
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DomainError(f"keyring.json holds no keyring: {exc!r}") from exc
+        if len(keyring.shared_key) != SYMMETRIC_KEY_BYTES:
+            raise DomainError(f"keyring.json: shared_key is not {SYMMETRIC_KEY_BYTES} bytes")
+        return keyring
+
+    def config(self) -> ScenarioConfig:
+        return ScenarioConfig.load(self.root / "config.json")
+
+    def params(self) -> AccumulatorParams:
+        return AccumulatorParams.from_bytes((self.root / "params.bin").read_bytes())
+
+    def clock(self) -> int:
+        """The virtual clock at the end of the run, or at the last ``tick``."""
+        meta = json.loads((self.root / "meta.json").read_text())
+        if not isinstance(meta, dict) or type(meta.get("clock")) is not int:
+            raise DomainError("meta.json holds no integer clock")
+        return meta["clock"]
+
+    def save_clock(self, now: int) -> None:
+        (self.root / "meta.json").write_text(json.dumps({"clock": now}))
+
+    def store(self, config: ScenarioConfig) -> CloudStore:
+        """The saved cloud store; opening a missing one would create an empty one."""
+        if not (self.cloud / "segments").is_dir():
+            raise FileNotFoundError(f"no cloud store: {self.cloud / 'segments'} is missing")
+        return config.open_store(self.cloud)
+
+    def block(self, block_id: int) -> SealedBlock | None:
+        """Sealed block ``block_id`` as saved, or None if it has no file."""
+        path = self._block_path(block_id)
+        return SealedBlock.from_bytes(path.read_bytes()) if path.exists() else None
+
+
 class _Run:
     """State of one scenario run, advanced phase by phase."""
 
@@ -400,17 +459,14 @@ class _Run:
         self.params = setup(config.modulus_bits)
         self.sp_id = config.sp_id.encode()
 
-        self.state_dir = Path(state_dir) if state_dir is not None else None
-        self.store = config.open_store(
-            self.state_dir / "cloud" if self.state_dir is not None else None
-        )
+        self.state = StateDir(state_dir) if state_dir is not None else None
+        self.store = config.open_store(self.state and self.state.cloud)
         self.logger = QueryLogger(
             capacity=config.block_capacity,
-            time_limit=config.block_time_limit,
+            time_limit=config.delta_ms,
             params=self.params,
             sdp_public=self.keyring.sdp_box_public,
             registry=self.registry,
-            start_time=config.origin_ms,
         )
         handlers = (CloudService(self.store).handle, SpService(self.logger).handle)
         self.servers = [serve(h) for h in handlers] if config.transport == "socket" else []
@@ -421,10 +477,9 @@ class _Run:
         else:
             self.cloud, self.sp = (LoopbackTransport(h) for h in handlers)
         self.verifier = EpochVerifier(self.cloud, self.keyring, self.params, self.policy)
-        self.clock = VirtualClock(config.origin_ms)
+        self.now = 0  # the virtual clock; each phase only moves it forward
         self.transcript: list[dict] = []
         self.measurements: list[dict] = []
-        self.report = BenchmarkReport("scenario", metadata=_run_metadata(config))
         self.arrived: list[EpochWindow] = []
         self.verifications = 0
         self.verification_failures = 0
@@ -440,13 +495,16 @@ class _Run:
     # -- helpers shared by the phases -------------------------------------
 
     def emit(self, actor: str, event: str, **fields) -> None:
-        self.transcript.append({"t": self.clock.now, "actor": actor, "event": event, **fields})
+        self.transcript.append({"t": self.now, "actor": actor, "event": event, **fields})
+
+    def measure(self, event: str, epoch_id: int, **values) -> None:
+        self.measurements.append({"t": self.now, "event": event, "epoch_id": epoch_id, **values})
 
     def epochs_in(self, state: DataState) -> list[int]:
         return [eid for eid in self.store.epoch_ids() if self.store.state_of(eid) is state]
 
     def tick(self) -> None:
-        for transition in CloudService.tick_via(self.cloud, self.clock.now):
+        for transition in CloudService.tick_via(self.cloud, self.now):
             self.emit(
                 "cloud", "transition", epoch_id=transition.epoch_id,
                 **{"from": transition.from_state.name, "to": transition.to_state.name},
@@ -455,7 +513,7 @@ class _Run:
     def sp_fetch(self, epoch_id: int, ok_event: str, **ok_fields) -> float | None:
         """Service-provider fetch, logged as ``ok_event`` or as refused."""
         try:
-            _, elapsed = CloudService.fetch_sp_via(self.cloud, epoch_id, self.sp_id, self.clock.now)
+            _, elapsed = CloudService.fetch_sp_via(self.cloud, epoch_id, self.sp_id, self.now)
         except DataExpiredError:
             self.emit("sp", "sp_fetch_denied", epoch_id=epoch_id)
             return None
@@ -463,15 +521,14 @@ class _Run:
         return elapsed
 
     def verify(self, at: int, role: str, device_id: bytes | None, expect: DataState) -> None:
-        vreport = self.verifier.verify(at, self.clock.now, role, device_id)
+        vreport = self.verifier.verify(at, self.now, role, device_id)
         self.verifications += 1
         self.verification_failures += not vreport.verified
         fields = vreport.to_dict()
-        self.measurements.append({
-            "t": self.clock.now, "epoch_id": vreport.epoch_id, "role": role,
-            "state_claimed": vreport.state_claimed.name,
+        self.measure(
+            "verify", vreport.epoch_id, role=role, state_claimed=vreport.state_claimed.name,
             **{k: fields.pop(k) for k in WALL_CLOCK_FIELDS},
-        })
+        )
         self.emit(role, "verify", expected_state=expect.name, **fields)
 
     # -- phases, in run order ----------------------------------------------
@@ -480,17 +537,15 @@ class _Run:
         """Outsource one epoch; SP fetches, user queries, periodic checks."""
         k = len(self.arrived)
         self.arrived.append(window)
-        self.clock.advance_to(window.et)
-        self.report.add(
-            "control_per_epoch", control_seconds, "s", epoch=window.id, readings=len(readings)
-        )
+        self.now = window.et
+        self.measure("control", window.id, seconds=control_seconds)
         CloudService.ingest_via(self.cloud, sensor_row, meta_row)
         self.emit("sdp", "ingest", epoch_id=window.id, readings=len(readings))
         self.tick()
 
         elapsed = self.sp_fetch(window.id, "sp_fetch", ok=True)
         if elapsed is not None:
-            self.report.add("sp_fetch", elapsed, "s", epoch=window.id)
+            self.measure("sp_fetch", window.id, seconds=elapsed)
         first = self.arrived[0].id
         if k >= 1 and self.store.state_of(first) is not DataState.ACCESSIBLE:
             self.sp_fetch(first, "sp_fetch_unexpectedly_ok")
@@ -500,11 +555,11 @@ class _Run:
             user_id = self.device_owner[device]
             record = make_query_record(
                 query=f"occupancy:{device.hex()}:{window.id}".encode(),
-                time=self.clock.now,
+                time=self.now,
                 user_id=user_id,
                 signing_key=self.keyring.user_signing_keys[user_id],
             )
-            SpService.query_via(self.sp, record, self.clock.now)
+            SpService.query_via(self.sp, record, self.now)
             self.emit("user", "query", user=user_id.decode())
 
         if k % self.config.verify_every_epochs == 0:
@@ -513,7 +568,7 @@ class _Run:
             # judged by the policy, not by what the cloud reports deleted
             deleted = [
                 w.id for w in self.arrived
-                if state_at(w, self.policy, self.clock.now) is DataState.IRRECOVERABLE
+                if state_at(w, self.policy, self.now) is DataState.IRRECOVERABLE
             ]
             if deleted:
                 self.verify(
@@ -523,17 +578,17 @@ class _Run:
     def drain(self) -> None:
         """Advance past the arrivals so late transitions fire; seal the log."""
         for _ in range(self.config.drain_epochs):
-            self.clock.advance_to(self.clock.now + self.config.delta_ms)
+            self.now += self.config.delta_ms
             self.tick()
-            self.logger.advance(self.clock.now)
-        self.logger.flush(self.clock.now)
+            self.logger.advance(self.now)
+        self.logger.flush(self.now)
 
     def probe_purged(self) -> None:
         """The oldest purged epoch must refuse its bundle."""
         purged = self.epochs_in(DataState.PURGED)
         if purged:
             try:
-                CloudService.fetch_bundle_via(self.cloud, purged[0], self.clock.now)
+                CloudService.fetch_bundle_via(self.cloud, purged[0], self.now)
             except UnavailableError:
                 self.emit("user", "bundle_unavailable", epoch_id=purged[0])
             else:
@@ -577,21 +632,6 @@ class _Run:
                 impersonation_suspected=audit.impersonation_suspected,
             )
 
-    def save(self, summary: dict) -> None:
-        """Write everything the CLI needs to resume from the state dir."""
-        state_dir = self.state_dir
-        self.config.save(state_dir / "config.json")
-        save_keyring(self.keyring, state_dir / "keyring.json")
-        (state_dir / "params.bin").write_bytes(self.params.to_bytes())
-        blocks_dir = state_dir / "blocks"
-        blocks_dir.mkdir(exist_ok=True)
-        for block in self.logger.sealed_blocks:
-            (blocks_dir / f"{block.block_id:06d}.blk").write_bytes(block.to_bytes())
-        (state_dir / "meta.json").write_text(json.dumps({"clock": self.clock.now}))
-        (state_dir / "transcript.json").write_text(json.dumps(self.transcript, indent=1))
-        (state_dir / "report.json").write_text(json.dumps(self.report.to_dict(), indent=1))
-        (state_dir / "summary.json").write_text(json.dumps(summary, indent=1))
-
 
 def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> ScenarioResult:
     """Drive the full dataflow end to end and return the transcript.
@@ -627,14 +667,12 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
         "verification_failures": run.verification_failures,
         "sealed_blocks": len(run.logger.sealed_blocks),
         "audits_failed": run.audits_failed,
-        "final_clock": run.clock.now,
+        "final_clock": run.now,
         "states": {str(eid): run.store.state_of(eid).name for eid in run.store.epoch_ids()},
     }
-    if run.state_dir is not None:
-        run.save(summary)
-    return ScenarioResult(
-        config, run.transcript, run.report, summary, run.state_dir, run.measurements
-    )
+    if run.state is not None:
+        run.state.save(run, summary)
+    return ScenarioResult(config, run.transcript, summary, run.measurements)
 
 
 # -- benchmarks ----------------------------------------------------------------
@@ -693,8 +731,13 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     """
     if experiment not in (1, 2, 3, 4, 5):
         raise DomainError("experiment must be 1..5")
+    import platform  # not at module top: the package import time counts in perfbench setup_s
+
     rng = random.Random(config.seed)
-    report = BenchmarkReport(f"exp{experiment}", metadata=_run_metadata(config))
+    report = BenchmarkReport(f"exp{experiment}", metadata={
+        "python": platform.python_version(), "machine": platform.machine(),
+        "modulus_bits": config.modulus_bits, "seed": config.seed,
+    })
     keyring = generate_keyring([])
     params = setup(config.modulus_bits)
 
@@ -744,7 +787,7 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     elif experiment == 3:
         # each epoch is verified at its own close, while the policy holds it accessible
         day_config = replace(
-            config, delta_ms=MS_PER_HOUR, arrival_epochs=24, origin_ms=0,
+            config, delta_ms=MS_PER_HOUR, arrival_epochs=24,
             night_rate_per_hour=config.day_rate_per_hour, transport="loopback",
             p_del=max(1, config.p_del),
         )

@@ -225,7 +225,6 @@ class QueryLogger:
         self.sdp_public = sdp_public
         self.registry = registry
         self.sealed_blocks: list[SealedBlock] = []
-        self.security_events: list[dict] = []
         self._chain_tip: AccumulatorValue | int = params.seed
         self._block_id = 1
         self._created_at = start_time
@@ -260,9 +259,6 @@ class QueryLogger:
         """Admit one query record; the logging call sits on the request path."""
         self.advance(now)
         if not _signed_by_registered_user(record, self.registry):
-            self.security_events.append(
-                {"at": now, "user_id": record.user_id.hex(), "event": "signature_rejected"}
-            )
             raise SignatureRejected(f"record from {record.user_id!r} failed verification")
         self._link = chain_digest(record, self._link)
         self._records.append(record)

@@ -26,42 +26,40 @@ FIG2_POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1)
 
 class TestEpochOf:
     def test_half_open_window(self):
-        # t=1.5s with 1s epochs from origin 1s lands in [1, 2)
-        w = epoch_of(1500, 1000, origin=1000)
+        # t=1.5s with 1s epochs lands in [1, 2)
+        w = epoch_of(1500, 1000)
         assert (w.bt, w.et, w.id) == (1000, 2000, 1000)
 
     def test_origin_boundary_is_first_epoch(self):
-        w = epoch_of(1000, 250, origin=1000)
-        assert w.bt == 1000 and w.et == 1250
+        w = epoch_of(0, 250)
+        assert w.bt == 0 and w.et == 250
 
     def test_floor_division_oracle(self):
         # independent oracle: scan all candidate windows
-        t, delta, origin = 7999, 2000, 0
+        t, delta = 7999, 2000
         expected = next(
             bt
-            for bt in range(origin, t + 1, delta)
+            for bt in range(0, t + 1, delta)
             if bt <= t < bt + delta
         )
-        w = epoch_of(t, delta, origin)
+        w = epoch_of(t, delta)
         assert w.bt == expected == 6000
         assert w.et == 8000
 
     def test_before_origin_rejected(self):
         with pytest.raises(DomainError):
-            epoch_of(999, 1000, origin=1000)
+            epoch_of(-1, 1000)
 
     @given(
         t=st.integers(min_value=0, max_value=10**12),
         delta=st.integers(min_value=1, max_value=10**7),
-        origin=st.integers(min_value=0, max_value=10**6),
     )
-    def test_tiling(self, t, delta, origin):
-        t = t + origin
-        w = epoch_of(t, delta, origin)
+    def test_tiling(self, t, delta):
+        w = epoch_of(t, delta)
         assert w.bt <= t < w.et
-        assert (w.bt - origin) % delta == 0
+        assert w.bt % delta == 0
         # uniqueness: the boundary instant belongs to the later epoch
-        assert epoch_of(w.et, delta, origin).bt == w.et
+        assert epoch_of(w.et, delta).bt == w.et
 
 
 class TestPolicyTimeline:

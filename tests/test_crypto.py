@@ -13,14 +13,13 @@ from expunge.crypto import (
     hybrid_decrypt_many,
     hybrid_encrypt,
     hybrid_encrypt_many,
-    load_keyring,
-    save_keyring,
     sign,
     symmetric_decrypt,
     symmetric_encrypt,
     verify_signature,
 )
 from expunge.errors import DomainError, IntegrityError
+from expunge.harness import StateDir
 
 
 def test_hybrid_round_trip(keyring):
@@ -134,8 +133,8 @@ def test_duplicate_registration_rejected():
 
 
 def test_keyring_save_load_round_trip(tmp_path, keyring):
-    save_keyring(keyring, tmp_path / "keys.json")
-    loaded = load_keyring(tmp_path / "keys.json")
+    StateDir(tmp_path).save_keyring(keyring)
+    loaded = StateDir(tmp_path).keyring()
     blob = hybrid_encrypt(b"x", keyring.enclave_public)
     assert hybrid_decrypt(blob, loaded.enclave_private) == b"x"
     assert loaded.shared_key == keyring.shared_key
@@ -143,12 +142,12 @@ def test_keyring_save_load_round_trip(tmp_path, keyring):
 
 
 def test_keyring_with_the_retired_provider_signing_key_still_loads(tmp_path, keyring):
-    path = tmp_path / "keys.json"
-    save_keyring(keyring, path)
+    StateDir(tmp_path).save_keyring(keyring)
+    path = tmp_path / "keyring.json"
     doc = json.loads(path.read_text())
     assert "sdp_sign_private" not in doc
     doc["sdp_sign_private"] = base64.b64encode(bytes(32)).decode()  # as older runs saved it
     path.write_text(json.dumps(doc))
-    loaded = load_keyring(path)
+    loaded = StateDir(tmp_path).keyring()
     assert loaded.shared_key == keyring.shared_key
     assert not hasattr(loaded, "sdp_sign_private")

@@ -21,14 +21,13 @@ from expunge.core import (
     SensorReading,
     deletion_due,
 )
-from expunge.crypto import load_keyring
 from expunge.encoding import EncodingError
 from expunge.errors import DomainError, NotAuthorizedError, UnavailableError
 from expunge.harness import (
     MS_PER_HOUR,
     LazyCloudStore,
     ScenarioConfig,
-    VirtualClock,
+    StateDir,
     bench,
     device_pool,
     generate_readings,
@@ -54,15 +53,6 @@ FAST = dict(
     user_count=4,
     seed=11,
 )
-
-
-class TestClock:
-    def test_monotone(self):
-        clock = VirtualClock(5)
-        clock.advance_to(9)
-        assert clock.now == 9
-        with pytest.raises(DomainError):
-            clock.advance_to(8)
 
 
 class TestGenerator:
@@ -345,7 +335,8 @@ class TestScenario:
         )
         result = run_scenario(config)
         irrecoverable_verifies = [
-            m for m in result.measurements if m["state_claimed"] == "IRRECOVERABLE"
+            m for m in result.measurements
+            if m["event"] == "verify" and m["state_claimed"] == "IRRECOVERABLE"
         ]
         assert irrecoverable_verifies
         assert any(m["time_bound_ok"] is False for m in irrecoverable_verifies)
@@ -493,7 +484,7 @@ class TestCli:
         state = tmp_path / "state"
         main(["run", "--config", str(cfg), "--state", str(state)])
         capsys.readouterr()
-        keyring = load_keyring(state / "keyring.json")
+        keyring = StateDir(state).keyring()
         params = AccumulatorParams.from_bytes((state / "params.bin").read_bytes())
         user, key = next(iter(keyring.user_signing_keys.items()))
         records = [make_query_record(b"q-%d" % i, 10 + i, user, key) for i in range(3)]
@@ -720,6 +711,47 @@ class TestCli:
         shutil.rmtree(state / "cloud")
         self.assert_input_error(capsys, [command[0], "--state", str(state), *command[1:]])
         assert not (state / "cloud").exists()
+
+    @pytest.mark.parametrize(
+        "name, damage, command",
+        [
+            *[
+                ("keyring.json", damage, command)
+                for damage in (
+                    "no shared_key", "a 3-byte sdp_box_private",
+                    "an sdp_box_private that is not base64", "a list",
+                )
+                for command in (["verify", "--time", "0"], ["audit", "--block", "1"])
+            ],
+            *[
+                ("meta.json", damage, command)
+                for damage in ("{}", "[]")
+                for command in (["verify", "--time", "0"], ["tick", "--now", "0"])
+            ],
+        ],
+        ids=repr,
+    )
+    def test_damaged_keyring_or_meta_is_input_error(self, tmp_path, capsys, name, damage, command):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**{**FAST, "arrival_epochs": 2, "p_del": 1, "p_ver": 1}).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])  # a verdict does not matter here
+        capsys.readouterr()
+        path = state / name
+        doc = json.loads(path.read_text())
+        if name == "meta.json":
+            doc = json.loads(damage)
+        elif damage == "no shared_key":
+            del doc["shared_key"]
+        elif damage == "a 3-byte sdp_box_private":
+            doc["sdp_box_private"] = "AAAA"
+        elif damage == "an sdp_box_private that is not base64":
+            doc["sdp_box_private"] = "not base64!"
+        else:
+            doc = list(doc)
+        path.write_text(json.dumps(doc))
+        err = self.assert_input_error(capsys, [command[0], "--state", str(state), *command[1:]])
+        assert name in err
 
     @pytest.mark.parametrize(
         "doc",

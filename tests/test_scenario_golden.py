@@ -3,8 +3,8 @@
 ``scenario_golden.json`` pins what a scenario run reports on the FAST
 config of ``test_harness.py`` in three modes (honest, lazy cloud,
 tampering service provider): the full transcript, the summary, the
-report's ``(name, unit, params)`` sequence and the files a ``--state``
-run writes, plus the exact byte counts of ``bench(config, 2)``.
+``(event, epoch_id)`` sequence of its measurements and the files a
+``--state`` run writes, plus the exact byte counts of ``bench(config, 2)``.
 
 The transcript is compared whole: a run keeps its wall-clock verdicts
 (``time_bound_ok``, ``verified``) out of it. Only the summary's
@@ -50,7 +50,7 @@ def _scenario(mode: str, state_dir: Path) -> dict:
     return {
         "transcript": result.transcript,
         "summary": summary,
-        "report": [[e.name, e.unit, e.params] for e in result.report.entries],
+        "measurements": [[m["event"], m["epoch_id"]] for m in result.measurements],
         "state_files": sorted(
             p.relative_to(state_dir).as_posix() for p in state_dir.rglob("*") if p.is_file()
         ),

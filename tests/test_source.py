@@ -8,7 +8,8 @@ alone; the two copies that tests compare against are the exception.
 Every field of a dataclass that is not a record is read as an attribute
 in the package, a demo or the benchmark, and every error class but the
 base is raised in the package, so no role carries a field that nothing
-reads or declares an error that nothing raises.
+reads or declares an error that nothing raises. Only ``harness`` names
+a file of a saved state dir, so one module owns that format.
 
 The benchmark under ``perfbench/`` is read, never edited, by these
 tests: every name it takes from ``expunge`` must exist, and every call
@@ -185,6 +186,41 @@ def test_every_error_is_raised_in_the_package():
     raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
     declared = class_names((PACKAGE / "errors.py").read_text())
     assert [name for name in declared if name != "ExpungeError" and name not in raised] == []
+
+
+#: The files of a saved state dir; a name with a dot also counts inside a longer literal.
+STATE_DIR_NAMES = (
+    "config.json", "keyring.json", "params.bin", "meta.json", "blocks", ".blk", "cloud",
+    "transcript.json", "measurements.json", "summary.json",
+)
+
+
+def state_dir_literals(source: str) -> list[str]:
+    """String literals of ``source`` that name a file of a saved state dir."""
+    return [
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(
+            name in node.value if "." in name else node.value == name for name in STATE_DIR_NAMES
+        )
+    ]
+
+
+def test_state_dir_literal_is_found():
+    source = (
+        'root / "cloud" / "segments"\nf"{n:06d}.blk"\nload(root / "keyring.json")\n'
+        'print("the cloud store")\nemit("sdp", "ingest")\n'
+    )
+    assert sorted(state_dir_literals(source)) == [".blk", "cloud", "keyring.json"]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if m.stem != "harness"], ids=lambda path: path.stem
+)
+def test_only_harness_names_a_state_dir_file(module):
+    assert state_dir_literals(module.read_text()) == []
 
 
 def _resolve(path: str):
