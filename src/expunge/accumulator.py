@@ -24,9 +24,10 @@ import ctypes
 import math
 import secrets
 from dataclasses import dataclass
+from typing import Annotated
 
 from . import encoding
-from .encoding import U32, VINT, Layout, Record
+from .encoding import U32, VINT, Record
 from .errors import DomainError
 from .hashing import bind_libcrypto
 
@@ -150,13 +151,10 @@ def _random_prime(bits: int, rng) -> int:
 class AccumulatorParams(Record):
     """Public accumulator parameters: modulus and seed. No trapdoor."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_ACC_PARAMS, ("modulus_bits", U32), ("modulus", VINT), ("seed", VINT)
-    )
-
-    modulus: int
-    seed: int
-    modulus_bits: int
+    TYPE = encoding.TYPE_ACC_PARAMS
+    modulus_bits: Annotated[int, U32]
+    modulus: Annotated[int, VINT]
+    seed: Annotated[int, VINT]
 
     def __post_init__(self):
         if not 1 < self.seed < self.modulus:
@@ -167,9 +165,8 @@ class AccumulatorParams(Record):
 
 @dataclass(frozen=True)
 class AccumulatorValue(Record):
-    LAYOUT = Layout(encoding.TYPE_ACC_VALUE, ("value", VINT))
-
-    value: int
+    TYPE = encoding.TYPE_ACC_VALUE
+    value: Annotated[int, VINT]
 
     def __post_init__(self):
         if self.value <= 0:

@@ -257,17 +257,18 @@ def recompute_estimate_for_bundle(bundle: AttestationBundle) -> float:
 class EpochVerifier:
     """One verifier's per-epoch step: fetch a bundle, bound the fetch, verify.
 
-    Stateless. An irrecoverable fetch is judged against the round trip of
-    one reference fetch that no proof computation can inflate, chosen
-    from the verifier's own clock and the public policy alone. With
-    ``p_del >= 1`` that is the newest closed epoch, ``now - delta``,
-    which the policy still holds accessible; it counts only if it comes
-    back accessible. Otherwise, or when no such epoch was stored, it is
-    the judged epoch as of its own begin, before its deletion was due:
-    an honest cloud serves the stored proof, a lazy one the ciphertexts
-    it kept, and neither computes a proof. The reference is used as
-    measured, unscaled by bundle size (an irrecoverable bundle is smaller
-    but pays the same fixed costs).
+    Stateless. The policy is judged at the verifier's own ``now``, never
+    at the ``served_at`` the cloud states. An irrecoverable fetch is
+    judged against the round trip of one reference fetch that no proof
+    computation can inflate, chosen from the verifier's own clock and the
+    public policy alone. With ``p_del >= 1`` that is the newest closed
+    epoch, ``now - delta``, which the policy still holds accessible; it
+    counts only if it comes back accessible. Otherwise, or when no such
+    epoch was stored, it is the judged epoch as of its own begin, before
+    its deletion was due: an honest cloud serves the stored proof, a lazy
+    one the ciphertexts it kept, and neither computes a proof. The
+    reference is used as measured, unscaled by bundle size (an
+    irrecoverable bundle is smaller but pays the same fixed costs).
     """
 
     transport: object
@@ -299,7 +300,7 @@ class EpochVerifier:
             rtt = self.reference_seconds(bundle.epoch_id, now)
             time_bound, applicable = calibrate_time_bound(rtt, estimate)
         report = verify_bundle(
-            bundle,
+            replace(bundle, served_at=now),
             self.keyring.shared_key,
             self.params,
             self.policy,

@@ -58,6 +58,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 from . import encoding
 from .accumulator import AccumulatorValue
@@ -78,7 +79,6 @@ from .encoding import (
     VBYTES,
     VBYTES_LIST,
     EncodingError,
-    Layout,
     Record,
     enum,
     nested,
@@ -110,32 +110,18 @@ def _epoch_name(epoch_id: int | None) -> str:
 class AttestationBundle(Record):
     """Everything a verifier needs for one epoch, and nothing more."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_BUNDLE,
-        ("epoch_id", U64),
-        ("state", _STATE),
-        ("first_epoch", FLAG),
-        ("prev_crypto_time", optional(_ACC_VALUE)),
-        ("crypto_time", _ACC_VALUE),
-        ("digests", DIGESTS),
-        ("ciphertexts", optional(VBYTES_LIST)),
-        ("enc_crypto_time", VBYTES),
-        ("enc_state_tag", VBYTES),
-        ("deletion_proof", optional(nested(DeletionProof))),
-        ("served_at", U64),
-    )
-
-    epoch_id: int
-    state: DataState
-    first_epoch: bool
-    prev_crypto_time: AccumulatorValue | None
-    crypto_time: AccumulatorValue
-    digests: tuple[bytes, ...]
-    ciphertexts: tuple[bytes, ...] | None
-    enc_crypto_time: bytes
-    enc_state_tag: bytes
-    deletion_proof: DeletionProof | None
-    served_at: int
+    TYPE = encoding.TYPE_BUNDLE
+    epoch_id: Annotated[int, U64]
+    state: Annotated[DataState, _STATE]
+    first_epoch: Annotated[bool, FLAG]
+    prev_crypto_time: Annotated[AccumulatorValue | None, optional(_ACC_VALUE)]
+    crypto_time: Annotated[AccumulatorValue, _ACC_VALUE]
+    digests: Annotated[tuple[bytes, ...], DIGESTS]
+    ciphertexts: Annotated[tuple[bytes, ...] | None, optional(VBYTES_LIST)]
+    enc_crypto_time: Annotated[bytes, VBYTES]
+    enc_state_tag: Annotated[bytes, VBYTES]
+    deletion_proof: Annotated[DeletionProof | None, optional(nested(DeletionProof))]
+    served_at: Annotated[int, U64]
 
 
 @dataclass
@@ -146,36 +132,22 @@ class EpochRecord(Record):
     epoch id is not its window's start.
     """
 
-    LAYOUT = Layout(
-        encoding.TYPE_EPOCH_RECORD,
-        ("epoch_id", U64),
-        ("et", U64),
-        ("prev_epoch_id", optional(U64)),
-        ("state", _STATE),
-        ("prev_crypto_time", optional(_ACC_VALUE)),
-        ("crypto_time", optional(_ACC_VALUE)),
-        ("digests", DIGESTS),
-        ("ciphertexts", optional(VBYTES_LIST)),
-        ("enc_crypto_time", optional(VBYTES)),
-        ("enc_accessible_tag", optional(VBYTES)),
-        ("enc_irrecoverable_tag", optional(VBYTES)),
-        ("deletion_proof", optional(nested(DeletionProof))),
-        ("state_history", seq(tup(_STATE, U64))),
+    TYPE = encoding.TYPE_EPOCH_RECORD
+    epoch_id: Annotated[int, U64]
+    et: Annotated[int, U64]
+    prev_epoch_id: Annotated[int | None, optional(U64)]
+    state: Annotated[DataState, _STATE]
+    prev_crypto_time: Annotated[AccumulatorValue | None, optional(_ACC_VALUE)]
+    crypto_time: Annotated[AccumulatorValue | None, optional(_ACC_VALUE)]
+    digests: Annotated[tuple[bytes, ...], DIGESTS]
+    ciphertexts: Annotated[tuple[bytes, ...] | None, optional(VBYTES_LIST)]
+    enc_crypto_time: Annotated[bytes | None, optional(VBYTES)]
+    enc_accessible_tag: Annotated[bytes | None, optional(VBYTES)]
+    enc_irrecoverable_tag: Annotated[bytes | None, optional(VBYTES)]
+    deletion_proof: Annotated[DeletionProof | None, optional(nested(DeletionProof))]
+    state_history: Annotated[list[tuple[DataState, int]], seq(tup(_STATE, U64))] = field(
+        default_factory=list
     )
-
-    epoch_id: int
-    et: int
-    prev_epoch_id: int | None
-    prev_crypto_time: AccumulatorValue | None
-    crypto_time: AccumulatorValue | None
-    digests: tuple[bytes, ...]
-    ciphertexts: tuple[bytes, ...] | None
-    enc_crypto_time: bytes | None
-    enc_accessible_tag: bytes | None
-    enc_irrecoverable_tag: bytes | None
-    deletion_proof: DeletionProof | None
-    state: DataState
-    state_history: list[tuple[DataState, int]] = field(default_factory=list)
 
     @property
     def window(self) -> EpochWindow:
@@ -198,14 +170,11 @@ class EpochRecord(Record):
 
 @dataclass(frozen=True)
 class Transition(Record):
-    LAYOUT = Layout(
-        None, ("epoch_id", U64), ("from_state", _STATE), ("to_state", _STATE), ("at", U64)
-    )
-
-    epoch_id: int
-    from_state: DataState
-    to_state: DataState
-    at: int
+    TYPE = None
+    epoch_id: Annotated[int, U64]
+    from_state: Annotated[DataState, _STATE]
+    to_state: Annotated[DataState, _STATE]
+    at: Annotated[int, U64]
 
 
 class CloudStore:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Annotated
 
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
@@ -184,18 +185,11 @@ def irrecoverable_tag(ciphertexts: tuple[bytes, ...], epoch_id: int) -> bytes:
 class SensorDataRow(Record):
     """Outsourced per-epoch data: digests, chained timestamp, ciphertexts."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_SENSOR_ROW,
-        ("epoch_id", U64),
-        ("digests", DIGESTS),
-        ("crypto_time", nested(AccumulatorValue)),
-        ("ciphertexts", VBYTES_LIST),
-    )
-
-    epoch_id: int
-    digests: tuple[bytes, ...]
-    crypto_time: AccumulatorValue
-    ciphertexts: tuple[bytes, ...]
+    TYPE = encoding.TYPE_SENSOR_ROW
+    epoch_id: Annotated[int, U64]
+    digests: Annotated[tuple[bytes, ...], DIGESTS]
+    crypto_time: Annotated[AccumulatorValue, nested(AccumulatorValue)]
+    ciphertexts: Annotated[tuple[bytes, ...], VBYTES_LIST]
 
     def __post_init__(self):
         if not self.digests:
@@ -218,22 +212,13 @@ class MetaDataRow(Record):
     field and to ``epoch_id``.
     """
 
-    LAYOUT = Layout(
-        encoding.TYPE_META_ROW,
-        ("epoch_id", U64),
-        ("bt", U64),
-        ("et", U64),
-        ("enc_crypto_time", VBYTES),
-        ("enc_accessible_tag", VBYTES),
-        ("enc_irrecoverable_tag", VBYTES),
-    )
-
-    epoch_id: int
-    bt: int
-    et: int
-    enc_crypto_time: bytes
-    enc_accessible_tag: bytes
-    enc_irrecoverable_tag: bytes
+    TYPE = encoding.TYPE_META_ROW
+    epoch_id: Annotated[int, U64]
+    bt: Annotated[int, U64]
+    et: Annotated[int, U64]
+    enc_crypto_time: Annotated[bytes, VBYTES]
+    enc_accessible_tag: Annotated[bytes, VBYTES]
+    enc_irrecoverable_tag: Annotated[bytes, VBYTES]
 
 
 def build_outsource_payload(

@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Annotated
 
 from . import encoding
-from .encoding import U64, VBYTES, Layout, Record
+from .encoding import U64, VBYTES, Record
 from .errors import DomainError
 
 MAX_PAYLOAD_BYTES = 64 * 1024
@@ -39,13 +40,10 @@ class DataState(IntEnum):
 class SensorReading(Record):
     """One raw sensor tuple: device id, capture time, opaque payload."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_READING, ("device_id", VBYTES), ("time", U64), ("payload", VBYTES)
-    )
-
-    device_id: bytes
-    time: int
-    payload: bytes
+    TYPE = encoding.TYPE_READING
+    device_id: Annotated[bytes, VBYTES]
+    time: Annotated[int, U64]
+    payload: Annotated[bytes, VBYTES]
 
     def __post_init__(self):
         if not DEVICE_ID_MIN_BYTES <= len(self.device_id) <= DEVICE_ID_MAX_BYTES:

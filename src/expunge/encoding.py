@@ -2,9 +2,10 @@
 
 Every value that is ever hashed, signed, or shipped between roles is
 encoded here, exactly once, so that all parties agree bit-for-bit. Each
-record class states its layout once, as a :class:`Layout` (its TYPE byte
-and typed fields); the one encoder and decoder below turn that statement
-into bytes and back.
+record class states each field once, in byte order, as a dataclass field
+annotated ``Annotated[python_type, kind]``; :class:`Record` builds the
+class's :class:`Layout` from its TYPE byte and those fields, and the one
+encoder and decoder below turn that layout into bytes and back.
 
 Layout rules (normative):
 
@@ -26,8 +27,7 @@ Layout rules (normative):
 * Any other list is a ``u32`` element count followed by the encoded
   elements.
 
-Each record's fields are the ``LAYOUT`` declared on its class; the
-README tabulates them.
+The README tabulates each record's fields.
 
 The combination of fixed field order, fixed-width integers and length
 prefixes makes each record encoding injective; the TYPE byte keeps the
@@ -45,6 +45,7 @@ declared count never sizes an allocation.
 from __future__ import annotations
 
 import struct
+import sys
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, NamedTuple
 
@@ -338,23 +339,40 @@ class Layout:
         r.finish()
         return values
 
-    def kwargs(self, values: list) -> dict[str, Any]:
-        """Decoded values as constructor keyword arguments."""
-        return {name: value for (name, _), value in zip(self.fields, values)}
-
 
 class Record:
-    """Mixin giving a class with a ``LAYOUT`` its canonical encoding."""
+    """Mixin giving a record class its canonical encoding.
 
+    A subclass sets ``TYPE`` (None for a headerless record) and annotates
+    each field, in byte order, as ``Annotated[python_type, kind]``; its
+    ``LAYOUT`` is built from them when the class is defined. A field that
+    names no kind is a ``TypeError`` there, so no field is left unencoded,
+    and the constructor takes decoded values in byte order.
+    """
+
+    TYPE: ClassVar[int | None]
     LAYOUT: ClassVar[Layout]
+
+    def __init_subclass__(cls):
+        # only the class's own annotations, evaluated once: no typing.get_type_hints walk
+        namespace = vars(sys.modules[cls.__module__])
+        fields = []
+        for name, hint in vars(cls).get("__annotations__", {}).items():
+            if isinstance(hint, str):
+                hint = eval(hint, namespace)
+            kind = getattr(hint, "__metadata__", (None,))[-1]
+            if not isinstance(kind, Kind):
+                raise TypeError(f"record field {cls.__name__}.{name} names no kind")
+            fields.append((name, kind))
+        cls.LAYOUT = Layout(cls.TYPE, *fields)
 
     def to_bytes(self) -> bytes:
         return b"".join(self.LAYOUT.parts(self))
 
     @classmethod
     def read_from(cls, r: Reader):
-        return cls(**cls.LAYOUT.kwargs(cls.LAYOUT.read(r)))
+        return cls(*cls.LAYOUT.read(r))
 
     @classmethod
     def from_bytes(cls, data: bytes):
-        return cls(**cls.LAYOUT.kwargs(cls.LAYOUT.unpack(data)))
+        return cls(*cls.LAYOUT.unpack(data))

@@ -41,10 +41,10 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Annotated, Callable
 
 from . import encoding, hashing
-from .encoding import U32, U64, VBYTES, Layout, Record, u32, u64
+from .encoding import U32, U64, VBYTES, Record, u32, u64
 from .errors import DomainError
 from .hashing import BLOCK_SIZE, DIGEST_SIZE, digest, expand, expand_many
 
@@ -119,18 +119,11 @@ class CellArray:
 class DeletionProof(Record):
     """Digest over the fully overwritten cells of one epoch, and their size."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_DELETION_PROOF,
-        ("epoch_id", U64),
-        ("proof", VBYTES),
-        ("produced_at", U64),
-        ("cell_size", U32),
-    )
-
-    epoch_id: int
-    proof: bytes
-    produced_at: int
-    cell_size: int
+    TYPE = encoding.TYPE_DELETION_PROOF
+    epoch_id: Annotated[int, U64]
+    proof: Annotated[bytes, VBYTES]
+    produced_at: Annotated[int, U64]
+    cell_size: Annotated[int, U32]
 
 
 def combine(a: bytes, b: bytes) -> bytes:

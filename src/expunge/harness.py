@@ -63,7 +63,7 @@ from .core import (
 )
 from .crypto import SYMMETRIC_KEY_BYTES, KeyRing, generate_keyring
 from .engine import CellArray, expunge, expunge_ciphertexts
-from .errors import DataExpiredError, DomainError, UnavailableError, WireError
+from .errors import DataExpiredError, DomainError, IntegrityError, UnavailableError, WireError
 from .querylog import AuditReport, QueryLogger, SealedBlock, audit_block, make_query_record
 from .wire import CloudService, LoopbackTransport, SocketTransport, SpService, serve
 
@@ -295,9 +295,6 @@ class ScenarioResult:
     summary: dict
     measurements: list[dict]  # wall-clock values: control, sp_fetch and verify entries
 
-    def events(self, kind: str) -> list[dict]:
-        return [e for e in self.transcript if e["event"] == kind]
-
 
 def _outsource_epochs(
     config: ScenarioConfig,
@@ -521,8 +518,15 @@ class _Run:
         return elapsed
 
     def verify(self, at: int, role: str, device_id: bytes | None, expect: DataState) -> None:
-        vreport = self.verifier.verify(at, self.now, role, device_id)
         self.verifications += 1
+        try:
+            vreport = self.verifier.verify(at, self.now, role, device_id)
+        except IntegrityError as exc:  # a sealed value that does not open fails the check
+            self.verification_failures += 1
+            self.emit(
+                role, "verify_rejected", epoch_id=at, expected_state=expect.name, error=str(exc)
+            )
+            return
         self.verification_failures += not vreport.verified
         fields = vreport.to_dict()
         self.measure(

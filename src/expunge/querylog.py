@@ -20,6 +20,7 @@ namespace; there is no hardware attestation in this harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
@@ -33,7 +34,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from . import encoding
 from .accumulator import AccumulatorParams, AccumulatorValue, step
 from .crypto import hybrid_decrypt_many, hybrid_encrypt_many, sign, verify_signature
-from .encoding import U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes, vint
+from .encoding import U64, VBYTES, VBYTES_LIST, Record, nested, u64, vbytes, vint
 from .errors import DomainError, IntegrityError, SignatureRejected
 from .hashing import digest
 
@@ -49,18 +50,11 @@ def signed_payload(query: bytes, time: int) -> bytes:
 class QueryRecord(Record):
     """One signed query: the user cannot later deny having sent it."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_QUERY_RECORD,
-        ("query", VBYTES),
-        ("time", U64),
-        ("user_id", VBYTES),
-        ("signature", VBYTES),
-    )
-
-    query: bytes
-    time: int
-    user_id: bytes
-    signature: bytes
+    TYPE = encoding.TYPE_QUERY_RECORD
+    query: Annotated[bytes, VBYTES]
+    time: Annotated[int, U64]
+    user_id: Annotated[bytes, VBYTES]
+    signature: Annotated[bytes, VBYTES]
 
 
 def make_query_record(
@@ -93,20 +87,12 @@ def empty_block_digest(block_id: int) -> bytes:
 class SealedBlock(Record):
     """Durable on-disk form: proof plus per-record encryption."""
 
-    LAYOUT = Layout(
-        encoding.TYPE_SEALED_BLOCK,
-        ("block_id", U64),
-        ("created_at", U64),
-        ("sealed_at", U64),
-        ("block_proof", nested(AccumulatorValue)),
-        ("encrypted_records", VBYTES_LIST),
-    )
-
-    block_id: int
-    created_at: int
-    sealed_at: int
-    block_proof: AccumulatorValue
-    encrypted_records: tuple[bytes, ...]
+    TYPE = encoding.TYPE_SEALED_BLOCK
+    block_id: Annotated[int, U64]
+    created_at: Annotated[int, U64]
+    sealed_at: Annotated[int, U64]
+    block_proof: Annotated[AccumulatorValue, nested(AccumulatorValue)]
+    encrypted_records: Annotated[tuple[bytes, ...], VBYTES_LIST]
 
 
 def _signed_by_registered_user(

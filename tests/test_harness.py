@@ -2,7 +2,7 @@ import json
 import re
 import shutil
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +37,11 @@ from expunge.harness import (
 from expunge.querylog import make_query_record
 from expunge.wire import CloudService, LoopbackTransport, SocketTransport, serve
 from test_querylog import _resealed, _with_flipped_signature
+
+
+def events(result, kind: str) -> list[dict]:
+    return [e for e in result.transcript if e["event"] == kind]
+
 
 # Six arrival epochs with no drain leaves a mix of all three states:
 # epochs 0-1 purged, 2-3 irrecoverable, 4-5 still accessible.
@@ -259,6 +264,20 @@ class TestEpochVerifier:
         assert report.state_claimed is DataState.IRRECOVERABLE
         assert report.time_bound_ok is False and not report.verified
 
+    def test_back_dated_claim_is_judged_on_the_verifiers_clock(
+        self, keyring, tiny_params, monkeypatch
+    ):
+        # A cloud that never deleted serves a due epoch's kept data as
+        # accessible, stating the epoch's begin as the instant it served it.
+        def back_dated(store, at, now):
+            return CloudStore.fetch_bundle(store, at, at)
+
+        store = _verifier_store(keyring, tiny_params, 0, lazy=True)
+        monkeypatch.setattr(LazyCloudStore, "fetch_bundle", back_dated)
+        report = self.verify(store, keyring, tiny_params, 0, 0, 3000)
+        assert report.state_claimed is DataState.ACCESSIBLE and report.tag_match
+        assert not report.policy_ok and not report.verified
+
     @pytest.mark.parametrize("lazy", [False, True], ids=["honest", "lazy"])
     @pytest.mark.parametrize("p_del", [0, 1])
     def test_reference_fetch_computes_no_proof(self, keyring, tiny_params, fetches, lazy, p_del):
@@ -298,6 +317,18 @@ class TestEpochVerifier:
         assert fetches["fetch"] == [(0, 3000), (2000, 3000), (0, 0)]
 
 
+@pytest.fixture
+def seal_swapping_cloud(monkeypatch):
+    """A cloud that serves the sealed timestamp anchor as the state tag."""
+    fetch_bundle = CloudStore.fetch_bundle
+
+    def swapped(store, at, now):
+        bundle = fetch_bundle(store, at, now)
+        return replace(bundle, enc_state_tag=bundle.enc_crypto_time)
+
+    monkeypatch.setattr(CloudStore, "fetch_bundle", swapped)
+
+
 class TestScenario:
     def test_honest_run_all_checks_pass(self, tmp_path):
         config = ScenarioConfig(**FAST)
@@ -309,15 +340,15 @@ class TestScenario:
         states = set(result.summary["states"].values())
         assert states == {"ACCESSIBLE", "IRRECOVERABLE", "PURGED"}
         # figure-style timeline: first epoch deleted once p_del epochs passed
-        transitions = result.events("transition")
+        transitions = events(result, "transition")
         first = next(
             t for t in transitions if t["epoch_id"] == 0 and t["to"] == "IRRECOVERABLE"
         )
         assert first["t"] == (1 + config.p_del) * config.delta_ms
         # purged epochs refuse bundles
-        assert result.events("bundle_unavailable")
+        assert events(result, "bundle_unavailable")
         # expired epochs refuse SP fetches
-        assert result.events("sp_fetch_denied")
+        assert events(result, "sp_fetch_denied")
         # state persisted for the CLI
         assert (tmp_path / "state" / "transcript.json").exists()
 
@@ -341,14 +372,14 @@ class TestScenario:
         assert irrecoverable_verifies
         assert any(m["time_bound_ok"] is False for m in irrecoverable_verifies)
         # and no unrelated check fails: completeness/tag stay intact
-        assert all(e["completeness_ok"] for e in result.events("verify"))
-        assert all(e["tag_match"] for e in result.events("verify"))
+        assert all(e["completeness_ok"] for e in events(result, "verify"))
+        assert all(e["tag_match"] for e in events(result, "verify"))
 
     def test_tampering_sp_flagged_by_audit(self):
         config = ScenarioConfig(**{**FAST, "tampering_sp": True})
         result = run_scenario(config)
-        audits = result.events("audit")
-        tampered_block = result.events("tamper_injected")[0]["block_id"]
+        audits = events(result, "audit")
+        tampered_block = events(result, "tamper_injected")[0]["block_id"]
         assert any(not a["ok"] and a["block_id"] == tampered_block for a in audits)
         assert all(a["ok"] for a in audits if a["block_id"] != tampered_block)
         # verifications against the cloud are unaffected
@@ -359,10 +390,18 @@ class TestScenario:
         # is gone, so its fetch is refused, and the run reports it
         monkeypatch.setattr(harness._Run, "inject_tamper", lambda run: run.logger.sealed_blocks.pop(0))
         result = run_scenario(ScenarioConfig(**{**FAST, "tampering_sp": True}))
-        audits = {a["block_id"]: a["ok"] for a in result.events("audit")}
+        audits = {a["block_id"]: a["ok"] for a in events(result, "audit")}
         assert 1 not in audits and audits[2] is False
         assert all(ok for block_id, ok in audits.items() if block_id > 2)
         assert result.summary["audits_failed"] == 1
+
+    def test_seal_that_does_not_open_is_a_failed_check(self, seal_swapping_cloud):
+        # each seal names its field, so the swapped one does not open
+        result = run_scenario(ScenarioConfig(**FAST))
+        rejected = events(result, "verify_rejected")
+        assert rejected and not events(result, "verify")
+        assert result.summary["verification_failures"] == result.summary["verifications"]
+        assert result.summary["verifications"] == len(rejected)
 
     def test_socket_transport_scenario(self):
         config = ScenarioConfig(
@@ -407,6 +446,27 @@ class TestCli:
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
         assert READINGS_LAYOUT.unpack(out.read_bytes()) == [generate_readings(config)]
         assert "wrote" in capsys.readouterr().out
+
+    def test_run_counts_a_seal_that_does_not_open(self, tmp_path, capsys, seal_swapping_cloud):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert re.search(r"(\d+) verifications \(\1 failed\)", capsys.readouterr().out)
+
+    def test_verify_refuses_a_segment_with_a_swapped_seal(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = next(int(e) for e, s in summary["states"].items() if s == "ACCESSIBLE")
+        segment = state / "cloud" / "segments" / f"{target:016d}.seg"
+        record = EpochRecord.from_bytes(segment.read_bytes())
+        swapped = record.replaced(enc_accessible_tag=record.enc_crypto_time)
+        segment.write_bytes(swapped.to_bytes())
+        assert main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"]) == 1
+        assert "NOT VERIFIED" in capsys.readouterr().out
 
     def test_run_verify_audit_tick_flow(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

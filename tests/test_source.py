@@ -2,9 +2,10 @@
 
 No module of the package imports a name it never uses; the package's
 ``__init__`` is exempt, since it imports names to re-export them. Every
-public function and class of a module has a caller in the package, a
-demo or the benchmark, so no second copy of a job lives on for tests
-alone; the two copies that tests compare against are the exception.
+public function and class of a module, and every public method and
+property of its classes, has a caller in the package, a demo or the
+benchmark, so no second copy of a job lives on for tests alone; the two
+copies that tests compare against are the exception.
 Every field of a dataclass that is not a record is read as an attribute
 in the package, a demo or the benchmark, and every error class but the
 base is raised in the package, so no role carries a field that nothing
@@ -73,24 +74,43 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def unreferenced(source: str, used: set[str]) -> list[str]:
-    """Public top-level functions and classes of ``source`` that are not in ``used``."""
+def _public_defs(body: list[ast.stmt]) -> list[ast.stmt]:
     return [
-        node.name
-        for node in ast.parse(source).body
+        node
+        for node in body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
-        and node.name not in used
     ]
+
+
+def unreferenced(source: str, used: set[str]) -> list[str]:
+    """Public top-level functions and classes of ``source``, and public methods and
+    properties of its classes (as ``Class.name``), that are not in ``used``."""
+    found = []
+    for node in _public_defs(ast.parse(source).body):
+        if node.name not in used:
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{item.name}"
+                for item in _public_defs(node.body)
+                if item.name not in used
+            ]
+    return found
 
 
 def test_unreferenced_name_is_found():
     source = (
         '"""Lonely is named here, in a docstring."""\n'
         "def used():\n    pass\nclass Lonely:\n    pass\ndef _own():\n    pass\n"
+        "class Kept:\n    def called(self):\n        pass\n    def idle(self):\n        pass\n"
+        "    @property\n    def shown(self):\n        pass\n    @property\n    def hidden(self):\n"
+        "        pass\n    def _inner(self):\n        pass\n    def __len__(self):\n        pass\n"
     )
-    used = referenced_names(source) | referenced_names("from m import used\n'Lonely'\n")
-    assert unreferenced(source, used) == ["Lonely"]
+    used = referenced_names(source) | referenced_names(
+        "from m import used, Kept\n'Lonely'\nKept().called()\nprint(Kept().shown)\n"
+    )
+    assert unreferenced(source, used) == ["Lonely", "Kept.idle", "Kept.hidden"]
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
