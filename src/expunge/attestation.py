@@ -193,7 +193,8 @@ def verify_bundle(
 
     Seal opening failures raise IntegrityError: a sealed value served
     under another field, epoch or key is tampering evidence, not a mere
-    mismatch.
+    mismatch. An irrecoverable bundle without a proof, or with
+    ciphertexts, breaks the protocol and raises DomainError.
     """
     membership = None
     if role == "user" and device_id is not None:
@@ -217,6 +218,8 @@ def verify_bundle(
     else:
         if bundle.deletion_proof is None:
             raise DomainError("irrecoverable bundle carries no deletion proof")
+        if bundle.ciphertexts is not None:
+            raise DomainError("irrecoverable bundle still carries ciphertexts")
         proof_match = bundle.deletion_proof.proof == expected_tag
         tag_match = proof_match
         if response_time is not None and time_bound is not None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from .attestation import TIME_BOUND_FLOOR_ROUND_TRIPS, EpochVerifier
 from .core import SensorReading
 from .encoding import EncodingError, Layout, nested, seq
-from .errors import ExpungeError, IntegrityError
+from .errors import DomainError, ExpungeError, IntegrityError
 from .harness import ScenarioConfig, StateDir, bench, device_pool, generate_readings, run_scenario
 from .querylog import audit_block
 from .wire import CloudService, LoopbackTransport
@@ -102,6 +102,9 @@ def cmd_verify(args) -> int:
         report = verifier.verify(args.time, now, args.role, device)
     except IntegrityError as exc:  # a sealed value that does not open is tampering evidence
         print(f"epoch at {args.time}: NOT VERIFIED - a sealed value does not open: {exc}")
+        return EXIT_VERIFICATION_FAILED
+    except DomainError as exc:  # a bundle that breaks the protocol is refused
+        print(f"epoch at {args.time}: NOT VERIFIED - bundle refused: {exc}")
         return EXIT_VERIFICATION_FAILED
     print(json.dumps(report.to_dict(), indent=2))
     checks = [

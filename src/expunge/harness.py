@@ -521,7 +521,9 @@ class _Run:
         self.verifications += 1
         try:
             vreport = self.verifier.verify(at, self.now, role, device_id)
-        except IntegrityError as exc:  # a sealed value that does not open fails the check
+        except (IntegrityError, DomainError, UnavailableError) as exc:
+            # a seal that does not open, a bundle that breaks the protocol or a
+            # refused epoch that the policy holds verifiable fails the check
             self.verification_failures += 1
             self.emit(
                 role, "verify_rejected", epoch_id=at, expected_state=expect.name, error=str(exc)
@@ -647,8 +649,8 @@ def run_scenario(config: ScenarioConfig, state_dir: Path | None = None) -> Scena
     log at the end.
     """
     config.require_state_machine_coverage()
-    run = _Run(config, state_dir)
     readings = generate_readings(config)
+    run = _Run(config, state_dir)  # after the readings: only ``close`` stops its servers
     try:
         epochs = _outsource_epochs(config, readings, run.keyring, run.params)
         for _ in range(config.arrival_epochs):

@@ -1,11 +1,12 @@
 """Length-prefixed binary wire protocol between simulation roles.
 
 Frames are ``u32 length, u8 message type, payload``; payloads reuse the
-canonical record layout. Two interchangeable transports exist: an
-in-process loopback for deterministic tests, and local TCP sockets when
-the harness should measure real transfer times. Both report the elapsed
-request-to-response time, which is what the attestation time bound
-consumes.
+canonical record layout. ``EXCHANGES`` gives each request type its payload
+layout, its reply type and the reply's layout, once, for both services and
+every client helper. Two interchangeable transports exist: an in-process
+loopback for deterministic tests, and local TCP sockets when the harness
+should measure real transfer times. Both report the elapsed
+request-to-response time, which is what the attestation time bound consumes.
 """
 
 from __future__ import annotations
@@ -87,20 +88,29 @@ _CODE_ERRORS = {
 
 Handler = Callable[[int, bytes], tuple[int, bytes]]
 
-# Payload layouts. A single u64 is the TICK and AUDIT_FETCH request and the
-# INGEST acknowledgement; QUERY and BLOCK carry a whole record as vbytes.
-U64_LAYOUT = Layout(None, ("value", U64))
-INGEST_LAYOUT = Layout(
-    None, ("sensor_row", nested(SensorDataRow)), ("meta_row", nested(MetaDataRow))
-)
-FETCH_SP_LAYOUT = Layout(None, ("epoch_id", U64), ("requester", VBYTES), ("now", U64))
-CIPHERTEXTS_LAYOUT = Layout(None, ("ciphertexts", VBYTES_LIST))
-FETCH_BUNDLE_LAYOUT = Layout(None, ("at", U64), ("now", U64))
-TRANSITIONS_LAYOUT = Layout(None, ("transitions", seq(nested(Transition))))
-QUERY_LAYOUT = Layout(None, ("record", VBYTES), ("now", U64))
-BLOCK_LAYOUT = Layout(
-    None, ("block", VBYTES), ("prev_proof", optional(nested(AccumulatorValue)))
-)
+
+#: Each request type's payload layout, its reply type and the reply's payload
+#: layout. A payload is a field list with no header; QUERY and BLOCK carry a
+#: whole record as vbytes.
+EXCHANGES: dict[MessageType, tuple[Layout, MessageType, Layout]] = {
+    MessageType.INGEST: (
+        Layout(None, ("sensor_row", nested(SensorDataRow)), ("meta_row", nested(MetaDataRow))),
+        MessageType.OK, Layout(None, ("epoch_id", U64))),
+    MessageType.FETCH_SP: (
+        Layout(None, ("epoch_id", U64), ("requester", VBYTES), ("now", U64)),
+        MessageType.CIPHERTEXTS, Layout(None, ("ciphertexts", VBYTES_LIST))),
+    MessageType.FETCH_BUNDLE: (
+        Layout(None, ("at", U64), ("now", U64)),
+        MessageType.BUNDLE, Layout(None, ("bundle", nested(AttestationBundle)))),
+    MessageType.TICK: (
+        Layout(None, ("now", U64)),
+        MessageType.TRANSITIONS, Layout(None, ("transitions", seq(nested(Transition))))),
+    MessageType.QUERY: (
+        Layout(None, ("record", VBYTES), ("now", U64)), MessageType.OK, Layout(None)),
+    MessageType.AUDIT_FETCH: (
+        Layout(None, ("block_id", U64)), MessageType.BLOCK,
+        Layout(None, ("block", VBYTES), ("prev_proof", optional(nested(AccumulatorValue))))),
+}
 ERROR_LAYOUT = Layout(None, ("code", enum(ErrorCode)), ("message", VBYTES))
 
 
@@ -122,18 +132,18 @@ def raise_for_error(msg_type: int, payload: bytes) -> None:
     raise _CODE_ERRORS[code](message.decode(errors="replace"))
 
 
-def _exchange(transport, msg_type: int, payload: bytes, reply_type: int) -> tuple[bytes, float]:
-    """Send one request; return the reply's payload and the request's wall time.
+def _call(transport, msg_type: MessageType, *fields) -> tuple[list, float]:
+    """Send one request by its row of ``EXCHANGES``; return the reply's fields and wall time.
 
-    An error reply raises its error; any reply type but ``reply_type``
-    raises :class:`WireError`, so no helper decodes a payload of the
-    wrong kind.
+    An error reply raises its error, and a reply of any type but the row's
+    raises :class:`WireError`, so no payload is decoded by another layout.
     """
-    resp_type, resp_payload, elapsed = transport.request(msg_type, payload)
+    request, reply_type, reply = EXCHANGES[msg_type]
+    resp_type, resp_payload, elapsed = transport.request(msg_type, request.pack(*fields))
     raise_for_error(resp_type, resp_payload)
     if resp_type != reply_type:
-        raise WireError(f"expected a {MessageType(reply_type).name} reply, got type {resp_type}")
-    return resp_payload, elapsed
+        raise WireError(f"expected a {reply_type.name} reply, got type {resp_type}")
+    return reply.unpack(resp_payload), elapsed
 
 
 class LoopbackTransport:
@@ -171,13 +181,13 @@ _RECV_CHUNK = 1 << 20
 #: from the 4-byte header alone.
 MAX_FRAME_BYTES = 64 << 20
 
-#: Payload size of each fixed-width request, from its layout. A frame of
-#: one of these types that declares a longer payload is refused after
-#: its 5-byte head; every other type is held to MAX_FRAME_BYTES alone.
+#: Payload size of each request whose fields are all u64, from its layout.
+#: A frame of one of these types that declares a longer payload is refused
+#: after its 5-byte head; every other type is held to MAX_FRAME_BYTES alone.
 _FIXED_PAYLOAD_BYTES = {
-    MessageType.TICK: len(U64_LAYOUT.pack(0)),
-    MessageType.FETCH_BUNDLE: len(FETCH_BUNDLE_LAYOUT.pack(0, 0)),
-    MessageType.AUDIT_FETCH: len(U64_LAYOUT.pack(0)),
+    msg_type: len(request.pack(*[0] * len(request.fields)))
+    for msg_type, (request, _, _) in EXCHANGES.items()
+    if all(kind is U64 for _, kind in request.fields)
 }
 
 
@@ -252,98 +262,86 @@ class SocketTransport:
         self._sock.close()
 
 
-# -- cloud role --------------------------------------------------------------
+class _Service:
+    """Answers each request type in ``ANSWERS`` through its row of ``EXCHANGES``.
 
+    An answer maps the service and the request's fields to the reply's
+    fields; any protocol error is an error reply.
+    """
 
-class CloudService:
-    """Message handler wrapping a :class:`CloudStore`."""
-
-    def __init__(self, store: CloudStore):
-        self.store = store
+    ANSWERS: dict
 
     def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
         try:
-            if msg_type == MessageType.INGEST:
-                eid = self.store.ingest(*INGEST_LAYOUT.unpack(payload))
-                return MessageType.OK, U64_LAYOUT.pack(eid)
-            if msg_type == MessageType.FETCH_SP:
-                ciphertexts = self.store.fetch_for_sp(*FETCH_SP_LAYOUT.unpack(payload))
-                return MessageType.CIPHERTEXTS, CIPHERTEXTS_LAYOUT.pack(ciphertexts)
-            if msg_type == MessageType.FETCH_BUNDLE:
-                bundle = self.store.fetch_bundle(*FETCH_BUNDLE_LAYOUT.unpack(payload))
-                return MessageType.BUNDLE, bundle.to_bytes()
-            if msg_type == MessageType.TICK:
-                transitions = self.store.tick(*U64_LAYOUT.unpack(payload))
-                return MessageType.TRANSITIONS, TRANSITIONS_LAYOUT.pack(transitions)
-            raise WireError(f"cloud cannot handle message type {msg_type}")
+            answer = self.ANSWERS.get(msg_type)
+            if answer is None:
+                raise WireError(f"{type(self).__name__} cannot handle message type {msg_type}")
+            request, reply_type, reply = EXCHANGES[msg_type]
+            return reply_type, reply.pack(*answer(self, *request.unpack(payload)))
         except (ExpungeError, EncodingError) as exc:
             return error_payload(exc)
+
+
+# -- cloud role --------------------------------------------------------------
+
+
+class CloudService(_Service):
+    """Message handler wrapping a :class:`CloudStore`."""
+
+    ANSWERS = {
+        MessageType.INGEST: lambda self, *request: [self.store.ingest(*request)],
+        MessageType.FETCH_SP: lambda self, *request: [self.store.fetch_for_sp(*request)],
+        MessageType.FETCH_BUNDLE: lambda self, *request: [self.store.fetch_bundle(*request)],
+        MessageType.TICK: lambda self, now: [self.store.tick(now)],
+    }
+
+    def __init__(self, store: CloudStore):
+        self.store = store
 
     # -- client-side helpers (shared by harness and CLI) ----------------------
 
     @staticmethod
     def ingest_via(transport, sensor_row: SensorDataRow, meta_row: MetaDataRow) -> int:
-        payload, _ = _exchange(
-            transport, MessageType.INGEST, INGEST_LAYOUT.pack(sensor_row, meta_row), MessageType.OK
-        )
-        (eid,) = U64_LAYOUT.unpack(payload)
+        (eid,), _ = _call(transport, MessageType.INGEST, sensor_row, meta_row)
         return eid
 
     @staticmethod
     def fetch_sp_via(
         transport, epoch_id: int, requester: bytes, now: int
     ) -> tuple[tuple[bytes, ...], float]:
-        payload, elapsed = _exchange(
-            transport,
-            MessageType.FETCH_SP,
-            FETCH_SP_LAYOUT.pack(epoch_id, requester, now),
-            MessageType.CIPHERTEXTS,
-        )
-        (cts,) = CIPHERTEXTS_LAYOUT.unpack(payload)
+        (cts,), elapsed = _call(transport, MessageType.FETCH_SP, epoch_id, requester, now)
         return cts, elapsed
 
     @staticmethod
     def fetch_bundle_via(transport, at: int, now: int) -> tuple[AttestationBundle, float]:
-        payload, elapsed = _exchange(
-            transport,
-            MessageType.FETCH_BUNDLE,
-            FETCH_BUNDLE_LAYOUT.pack(at, now),
-            MessageType.BUNDLE,
-        )
-        return AttestationBundle.from_bytes(payload), elapsed
+        (bundle,), elapsed = _call(transport, MessageType.FETCH_BUNDLE, at, now)
+        return bundle, elapsed
 
     @staticmethod
     def tick_via(transport, now: int) -> list[Transition]:
-        payload, _ = _exchange(
-            transport, MessageType.TICK, U64_LAYOUT.pack(now), MessageType.TRANSITIONS
-        )
-        (transitions,) = TRANSITIONS_LAYOUT.unpack(payload)
+        (transitions,), _ = _call(transport, MessageType.TICK, now)
         return transitions
 
 
 # -- service-provider role -----------------------------------------------------
 
 
-class SpService:
+class SpService(_Service):
     """Message handler for the provider-audited side of the SP."""
 
     def __init__(self, logger: QueryLogger):
         self.logger = logger
 
-    def handle(self, msg_type: int, payload: bytes) -> tuple[int, bytes]:
-        try:
-            if msg_type == MessageType.QUERY:
-                blob, now = QUERY_LAYOUT.unpack(payload)
-                self.logger.log(QueryRecord.from_bytes(blob), now)
-                return MessageType.OK, b""
-            if msg_type == MessageType.AUDIT_FETCH:
-                (block_id,) = U64_LAYOUT.unpack(payload)
-                block = self._sealed(block_id)
-                prev_proof = self._sealed(block_id - 1).block_proof if block_id > 1 else None
-                return MessageType.BLOCK, BLOCK_LAYOUT.pack(block.to_bytes(), prev_proof)
-            raise WireError(f"service provider cannot handle message type {msg_type}")
-        except (ExpungeError, EncodingError) as exc:
-            return error_payload(exc)
+    def _log(self, record: bytes, now: int) -> tuple:
+        self.logger.log(QueryRecord.from_bytes(record), now)
+        return ()
+
+    def _block(self, block_id: int) -> tuple[bytes, AccumulatorValue | None]:
+        block = self._sealed(block_id)  # first: a missing block N is the one named
+        prev = self._sealed(block_id - 1).block_proof if block_id > 1 else None
+        return block.to_bytes(), prev
+
+    ANSWERS = {MessageType.QUERY: _log, MessageType.AUDIT_FETCH: _block}
 
     def _sealed(self, block_id: int) -> SealedBlock:
         """The sealed block with this id, found by bisecting the blocks in id order."""
@@ -355,19 +353,12 @@ class SpService:
 
     @staticmethod
     def query_via(transport, record: QueryRecord, now: int) -> None:
-        _exchange(
-            transport, MessageType.QUERY, QUERY_LAYOUT.pack(record.to_bytes(), now), MessageType.OK
-        )
+        _call(transport, MessageType.QUERY, record.to_bytes(), now)
 
     @staticmethod
-    def audit_fetch_via(
-        transport, block_id: int
-    ) -> tuple[SealedBlock, AccumulatorValue | None]:
+    def audit_fetch_via(transport, block_id: int) -> tuple[SealedBlock, AccumulatorValue | None]:
         """Returns (sealed block, previous block proof or None); refuses any other block."""
-        payload, _ = _exchange(
-            transport, MessageType.AUDIT_FETCH, U64_LAYOUT.pack(block_id), MessageType.BLOCK
-        )
-        blob, prev = BLOCK_LAYOUT.unpack(payload)
+        (blob, prev), _ = _call(transport, MessageType.AUDIT_FETCH, block_id)
         block = SealedBlock.from_bytes(blob)
         if block.block_id != block_id:
             raise WireError(f"asked for sealed block {block_id}, got block {block.block_id}")

@@ -298,6 +298,20 @@ class TestIrrecoverablePath:
                 time_bound=0.5, response_time=0.001,
             )
 
+    @pytest.mark.parametrize("ciphertexts", [(b"kept-1", b"kept-2"), ()], ids=["kept", "empty"])
+    def test_claim_that_still_carries_ciphertexts_is_protocol_error(
+        self, deployment, keyring, small_params, ciphertexts
+    ):
+        # the proof is genuine, but a deleted epoch serves no ciphertexts
+        bundle = deployment.fetch_bundle(0, now=3000)
+        assert bundle.ciphertexts is None
+        kept = dataclasses.replace(bundle, ciphertexts=ciphertexts)
+        with pytest.raises(DomainError, match="still carries ciphertexts"):
+            verify_bundle(
+                kept, keyring.shared_key, small_params, POLICY,
+                time_bound=0.5, response_time=0.001,
+            )
+
 
 class TestSdpPath:
     def test_verifies_epoch_without_own_probes(self, deployment, keyring, small_params):

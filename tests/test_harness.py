@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -329,6 +330,34 @@ def seal_swapping_cloud(monkeypatch):
     monkeypatch.setattr(CloudStore, "fetch_bundle", swapped)
 
 
+def _refusing(bundle):
+    raise UnavailableError(f"epoch {bundle.epoch_id} is not served")
+
+
+#: Clouds whose irrecoverable bundles the verifier refuses: with no proof, with
+#: a proof that states a cell size of 0, or not at all though still verifiable.
+REFUSED_CLAIMS = {
+    "no_proof": lambda bundle: replace(bundle, deletion_proof=None),
+    "zero_cell_size": lambda bundle: replace(
+        bundle, deletion_proof=replace(bundle.deletion_proof, cell_size=0)
+    ),
+    "refused": _refusing,
+}
+
+
+@pytest.fixture(params=sorted(REFUSED_CLAIMS))
+def refused_claim_cloud(request, monkeypatch):
+    """A cloud that serves each irrecoverable bundle through one of ``REFUSED_CLAIMS``."""
+    fetch_bundle, serve_claim = CloudStore.fetch_bundle, REFUSED_CLAIMS[request.param]
+
+    def serving(store, at, now):
+        bundle = fetch_bundle(store, at, now)
+        return serve_claim(bundle) if bundle.state is DataState.IRRECOVERABLE else bundle
+
+    monkeypatch.setattr(CloudStore, "fetch_bundle", serving)
+    return request.param
+
+
 class TestScenario:
     def test_honest_run_all_checks_pass(self, tmp_path):
         config = ScenarioConfig(**FAST)
@@ -402,6 +431,24 @@ class TestScenario:
         assert rejected and not events(result, "verify")
         assert result.summary["verification_failures"] == result.summary["verifications"]
         assert result.summary["verifications"] == len(rejected)
+
+    def test_refused_claim_is_a_failed_check(self, refused_claim_cloud):
+        result = run_scenario(ScenarioConfig(**FAST))
+        rejected = events(result, "verify_rejected")
+        assert rejected and all(e["expected_state"] == "IRRECOVERABLE" for e in rejected)
+        assert not [e for e in events(result, "verify") if e["state_claimed"] == "IRRECOVERABLE"]
+        # each accessible check passes: the time bound judges irrecoverable claims alone
+        assert result.summary["verification_failures"] == len(rejected)
+
+    def test_failed_socket_run_leaves_no_thread_running(self):
+        config = ScenarioConfig(
+            **{**FAST, "transport": "socket", "payload_mean_bytes": 70000,
+               "payload_jitter_bytes": 0}
+        )
+        before = set(threading.enumerate())
+        with pytest.raises(DomainError, match="payload exceeds"):
+            run_scenario(config)
+        assert set(threading.enumerate()) <= before
 
     def test_socket_transport_scenario(self):
         config = ScenarioConfig(
@@ -566,6 +613,21 @@ class TestCli:
         segment.write_bytes(segment.read_bytes()[:40])
         assert main(["audit", "--state", str(state), "--block", "1"]) == 0
         assert '"ok": true' in capsys.readouterr().out
+
+    def test_verify_refuses_a_proof_of_zero_cell_size(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        main(["run", "--config", str(cfg), "--state", str(state)])
+        capsys.readouterr()
+        summary = json.loads((state / "summary.json").read_text())
+        target = next(int(e) for e, s in summary["states"].items() if s == "IRRECOVERABLE")
+        segment = state / "cloud" / "segments" / f"{target:016d}.seg"
+        record = EpochRecord.from_bytes(segment.read_bytes())
+        proof = replace(record.deletion_proof, cell_size=0)  # the seal covers the proof alone
+        segment.write_bytes(record.replaced(deletion_proof=proof).to_bytes())
+        assert main(["verify", "--state", str(state), "--time", str(target), "--role", "sdp"]) == 1
+        assert "NOT VERIFIED - bundle refused" in capsys.readouterr().out
 
     def test_lazy_run_verified_from_saved_state(self, tmp_path, capsys):
         config = ScenarioConfig(**{**FAST, "lazy_cloud": True})

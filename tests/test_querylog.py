@@ -24,7 +24,7 @@ from expunge.querylog import (
     make_query_record,
     seed_link,
 )
-from expunge.wire import U64_LAYOUT, LoopbackTransport, SpService
+from expunge.wire import EXCHANGES, LoopbackTransport, MessageType, SpService
 
 USERS = [b"user-00", b"user-01", b"user-02"]
 
@@ -441,7 +441,8 @@ class TestAuditFetch:
         logger, _ = self._service(ring, registry, small_params)
         handle = SpService(logger).handle
         # a provider that answers every fetch with block 3
-        sp = LoopbackTransport(lambda msg_type, payload: handle(msg_type, U64_LAYOUT.pack(3)))
+        request, _, _ = EXCHANGES[MessageType.AUDIT_FETCH]
+        sp = LoopbackTransport(lambda msg_type, payload: handle(msg_type, request.pack(3)))
         assert SpService.audit_fetch_via(sp, 3)[0] == logger.sealed_blocks[2]
         with pytest.raises(WireError):
             SpService.audit_fetch_via(sp, 2)

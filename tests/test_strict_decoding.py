@@ -5,8 +5,10 @@ value that re-encodes to exactly the input, so two parties can never
 read one byte string as two different records.
 """
 
+import gc
 import re
 import resource
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -18,7 +20,6 @@ from test_encoding import GOLDEN, META, QUERY, RECORDS, SENSOR_ROW, _identity, _
 
 import expunge
 from expunge import control, wire
-from expunge.cloud import AttestationBundle
 from expunge.control import decrypt_reading, encrypt_epoch
 from expunge.encoding import EncodingError, u32, vbytes
 from expunge.errors import ExpungeError, WireError
@@ -94,25 +95,33 @@ def _codecs() -> dict:
         lambda blob: decrypt_reading(blob, None),
         lambda value: encrypt_epoch([value[0]], value[1], None)[0],
     )
-    codecs["wire_fetch_bundle_response"] = (AttestationBundle.from_bytes, AttestationBundle.to_bytes)
-    layouts = {
-        "wire_ingest_request": wire.INGEST_LAYOUT,
-        "wire_ingest_response": wire.U64_LAYOUT,
-        "wire_fetch_sp_request": wire.FETCH_SP_LAYOUT,
-        "wire_fetch_sp_response": wire.CIPHERTEXTS_LAYOUT,
-        "wire_fetch_bundle_request": wire.FETCH_BUNDLE_LAYOUT,
-        "wire_tick_request": wire.U64_LAYOUT,
-        "wire_tick_response": wire.TRANSITIONS_LAYOUT,
-        "wire_query_request": wire.QUERY_LAYOUT,
-        "wire_audit_fetch_first_request": wire.U64_LAYOUT,
-        "wire_audit_fetch_first_response": wire.BLOCK_LAYOUT,
-        "wire_audit_fetch_request": wire.U64_LAYOUT,
-        "wire_audit_fetch_response": wire.BLOCK_LAYOUT,
-        "wire_error_response": wire.ERROR_LAYOUT,
-    }
-    for name, layout in layouts.items():
-        codecs[name] = (layout.unpack, lambda values, layout=layout: layout.pack(*values))
+    for name, layout in _wire_layouts().items():
+        if GOLDEN[name]:
+            codecs[name] = (layout.unpack, lambda values, layout=layout: layout.pack(*values))
     return codecs
+
+
+def _wire_layouts() -> dict:
+    """The layout of each wire golden vector, read from its row of ``wire.EXCHANGES``."""
+    layouts = {"wire_error_response": wire.ERROR_LAYOUT}
+    for msg_type, (request, _, reply) in wire.EXCHANGES.items():
+        for stem in (f"wire_{msg_type.name.lower()}", f"wire_{msg_type.name.lower()}_first"):
+            layouts[f"{stem}_request"] = request
+            layouts[f"{stem}_response"] = reply
+    return {name: layout for name, layout in layouts.items() if name in GOLDEN}
+
+
+@pytest.mark.parametrize("msg_type", wire.EXCHANGES, ids=lambda msg_type: msg_type.name)
+def test_each_exchange_has_golden_vectors(msg_type):
+    stem = f"wire_{msg_type.name.lower()}"
+    assert {f"{stem}_request", f"{stem}_response"} <= set(_wire_layouts())
+
+
+def test_wire_golden_vectors_round_trip_through_the_table():
+    assert sorted(_wire_layouts()) == sorted(name for name in GOLDEN if name.startswith("wire_"))
+    for name, layout in _wire_layouts().items():
+        blob = bytes.fromhex(GOLDEN[name])
+        assert layout.pack(*layout.unpack(blob)) == blob
 
 
 @contextmanager
@@ -168,7 +177,8 @@ def test_mutated_vectors_fail_cleanly_or_round_trip(name, data):
 
 def test_wire_payload_rejects_trailing_bytes():
     with pytest.raises(EncodingError, match="trailing"):
-        wire.U64_LAYOUT.unpack(bytes(9))
+        request, _, _ = wire.EXCHANGES[MessageType.TICK]
+        request.unpack(bytes(9))
 
 
 # -- wire --------------------------------------------------------------------
@@ -182,14 +192,35 @@ def test_malformed_error_frame_is_wire_error(payload):
         raise_for_error(MessageType.ERROR, payload)
 
 
+#: Each request type's client helper, keyed by the type's name in lower case.
 _CLIENT_HELPERS = {
-    "ingest": (MessageType.OK, lambda t: CloudService.ingest_via(t, SENSOR_ROW, META)),
-    "fetch_sp": (MessageType.CIPHERTEXTS, lambda t: CloudService.fetch_sp_via(t, 3600, b"s", 0)),
-    "fetch_bundle": (MessageType.BUNDLE, lambda t: CloudService.fetch_bundle_via(t, 3600, 5000)),
-    "tick": (MessageType.TRANSITIONS, lambda t: CloudService.tick_via(t, 10800)),
-    "query": (MessageType.OK, lambda t: SpService.query_via(t, QUERY, 4000)),
-    "audit_fetch": (MessageType.BLOCK, lambda t: SpService.audit_fetch_via(t, 2)),
+    "ingest": lambda t: CloudService.ingest_via(t, SENSOR_ROW, META),
+    "fetch_sp": lambda t: CloudService.fetch_sp_via(t, 3600, b"s", 0),
+    "fetch_bundle": lambda t: CloudService.fetch_bundle_via(t, 3600, 5000),
+    "tick": lambda t: CloudService.tick_via(t, 10800),
+    "query": lambda t: SpService.query_via(t, QUERY, 4000),
+    "audit_fetch": lambda t: SpService.audit_fetch_via(t, 2),
 }
+
+
+def test_every_request_type_has_a_client_helper():
+    assert sorted(_CLIENT_HELPERS) == sorted(t.name.lower() for t in wire.EXCHANGES)
+
+
+@pytest.mark.parametrize("service", [CloudService, SpService], ids=lambda cls: cls.__name__)
+def test_a_dropped_service_is_freed_without_the_cycle_collector(service):
+    # a service that referred to itself would hold its store or query log,
+    # with every record in it, until the next full collection
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        handle = service(object()).handle
+        freed = weakref.ref(handle.__self__)
+        del handle
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Replying:
@@ -204,10 +235,11 @@ class Replying:
 
 @pytest.mark.parametrize("name", _CLIENT_HELPERS)
 def test_client_helpers_refuse_a_reply_of_another_type(name):
-    expected, call = _CLIENT_HELPERS[name]
+    call = _CLIENT_HELPERS[name]
+    _, expected, _ = wire.EXCHANGES[MessageType[name.upper()]]
     payload = bytes.fromhex(GOLDEN[f"wire_{name}_response"])
     call(Replying(expected, payload))  # the payload is valid for this helper
-    for other in {t for t, _ in _CLIENT_HELPERS.values()} - {expected}:
+    for other in {reply_type for _, reply_type, _ in wire.EXCHANGES.values()} - {expected}:
         with pytest.raises(WireError, match=f"expected a {expected.name} reply"):
             call(Replying(other, payload))
 
