@@ -58,6 +58,7 @@ from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import KeyRing
 from .engine import cell_geometry, expunge_duration_estimate
 from .errors import DomainError, UnavailableError
+from .hashing import DIGEST_SIZE
 from .wire import CloudService
 
 #: Below this multiple of the round trip, the recompute estimate is too
@@ -141,11 +142,16 @@ def verify_membership(device_id: bytes, bundle: AttestationBundle) -> list[int]:
 
     A linear scan of hash evaluations, by construction: the verifier
     asks the cloud for no index and reveals nothing about who it is
-    looking for.
+    looking for. A list of another width than a digest's holds no
+    reading digest and is not scanned, so the scan's expansion never
+    outgrows the list's own bytes.
     """
-    count = len(bundle.digests)
+    digests = bundle.digests
+    count = len(digests)
+    if count and len(digests[0]) != DIGEST_SIZE:  # a decoded digest list has one width
+        return []
     candidates = reading_digests(device_id, bundle.epoch_id, count)
-    return list(compress(range(1, count + 1), map(eq, candidates, bundle.digests)))
+    return list(compress(range(1, count + 1), map(eq, candidates, digests)))
 
 
 def verify_completeness(

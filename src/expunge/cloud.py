@@ -32,9 +32,11 @@ Persistence is one segment file per epoch, nothing else: each record
 holds its state and state history. A record version is written to a
 temporary file and committed with one ``os.replace`` over the epoch's
 segment, so a process crash leaves the old or the new record, never half
-of one (files are not fsynced, so a power loss can still lose recent
-writes). A reload reads the segments in name order, ignores leftover
-temporary files, takes the last tick from the newest recorded
+of one. The file is fsynced before the replace and the directory after
+it, so a transition that has returned survives a power loss too; a
+power loss during one leaves the old record or the new, and perhaps a
+temporary file. A reload reads the segments in name order, ignores
+leftover temporary files, takes the last tick from the newest recorded
 transition, and fails closed on a segment that does not decode, is not
 named after its epoch, or does not follow the segment before it (a
 record whose named predecessor is not the previous segment shows that
@@ -100,6 +102,15 @@ logger = logging.getLogger(__name__)
 
 _STATE = enum(DataState)
 _ACC_VALUE = nested(AccumulatorValue)
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file's bytes, or a directory's entries, to the disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _epoch_name(epoch_id: int | None) -> str:
@@ -206,15 +217,20 @@ class CloudStore:
     def _adopt(self, record: EpochRecord) -> None:
         """Write ``record`` as its epoch's next version, then hold it in memory.
 
-        The segment's atomic replace is the commit. A write that fails
-        raises before memory changes, so memory never runs ahead of disk
-        and the caller can retry the transition.
+        The segment's atomic replace is the commit. The temporary file is
+        fsynced before it, so the name never points at bytes still only
+        in the page cache, and the directory after it, so the new name
+        is on disk when this returns. A write that fails raises before
+        memory changes, so memory never runs ahead of disk and the
+        caller can retry the transition.
         """
         if self.root is not None:
             path = self._segment_path(record.epoch_id)
             temp = path.with_name(path.name + ".tmp")
             temp.write_bytes(record.to_bytes())
+            _fsync(temp)
             os.replace(temp, path)
+            _fsync(path.parent)
         self._records[record.epoch_id] = record
 
     def _load(self) -> None:

@@ -16,7 +16,6 @@ digest so the timestamp chain never skips a link.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -35,10 +34,10 @@ from .crypto import (
     symmetric_decrypt,
     symmetric_encrypt,
 )
-from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u64, vbytes
+from .encoding import DIGESTS, U64, VBYTES, VBYTES_LIST, Layout, Record, nested, u32, u64, vbytes
 from .engine import expunge_ciphertexts
 from .errors import DomainError, EpochMismatchError, InconsistentRowsError
-from .hashing import digest, digests_after
+from .hashing import DIGEST_SIZE, digest, expand
 
 _SENTINEL_LABEL = b"EMPTY"
 
@@ -46,9 +45,6 @@ _SENTINEL_LABEL = b"EMPTY"
 SEALED_TIME = b"SEALED-TIME"
 SEALED_ACCESSIBLE = b"SEALED-ACCESSIBLE"
 SEALED_IRRECOVERABLE = b"SEALED-IRRECOVERABLE"
-
-#: ``u64`` position counter; positions ``1..count`` are always in range.
-_POSITION = struct.Struct(">Q")
 
 _READING_PLAINTEXT = Layout(
     encoding.TYPE_READING_PLAINTEXT, *SensorReading.LAYOUT.fields, ("epoch_id", U64)
@@ -85,13 +81,18 @@ def reading_digest(device_id: bytes, epoch_id: int, position: int) -> bytes:
 def reading_digests(device_id: bytes, epoch_id: int, count: int) -> list[bytes]:
     """:func:`reading_digest` at positions ``1..count``, in order.
 
-    The device and epoch prefix is hashed once and continued for each
-    position, so a verifier scanning a whole epoch pays one short hash
-    per position. The position counters come from a mapped
-    ``Struct.pack``, so no Python-level call is made per position.
+    Below ``2^32`` a position's ``u64`` is ``u32(0) || u32(position)``,
+    so the digest at position i is block i of the counter-mode
+    expansion of ``vbytes(device_id) || u64(epoch_id) || u32(0)``. The
+    whole scan is one :func:`~expunge.hashing.expand` (block 0 is
+    discarded), split into digests by
+    :func:`~expunge.encoding.split_fixed`: from
+    :data:`~expunge.hashing.NATIVE_MIN_BLOCKS` blocks on, one X9.63 KDF
+    call. ``count`` is at most ``2^32 - 1``, the largest count a digest
+    list holds.
     """
-    positions = map(_POSITION.pack, range(1, count + 1))
-    return digests_after(vbytes(device_id) + u64(epoch_id), positions)
+    blocks = expand(vbytes(device_id) + u64(epoch_id) + u32(0), DIGEST_SIZE * (count + 1))
+    return encoding.split_fixed(blocks, DIGEST_SIZE, DIGEST_SIZE, count)
 
 
 def sentinel_digest(epoch_id: int) -> bytes:

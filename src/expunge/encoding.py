@@ -38,8 +38,9 @@ Encoding emits each record as a list of pieces (a list field gives one
 ``u32`` prefix piece and the element itself per element) that the
 record joins once. Decoders walk only the bytes present: a list is read
 in one pass at a running offset, each element bounds-checked where it
-stands, and a digest list is sliced straight out of the record, so a
-declared count never sizes an allocation.
+stands, and a digest list is split straight out of the record, 256
+elements to a ``struct`` call, once its bytes are known to be there, so
+a declared count never sizes an allocation.
 """
 
 from __future__ import annotations
@@ -113,6 +114,29 @@ def vint(n: int) -> bytes:
     return vbytes(magnitude)
 
 
+#: Items that :func:`split_fixed` reads with one ``struct`` call.
+_SPLIT_RUN = 256
+
+
+def split_fixed(data: bytes, start: int, width: int, count: int) -> list[bytes]:
+    """The ``count`` consecutive ``width``-byte items of ``data`` from ``start``.
+
+    Runs of :data:`_SPLIT_RUN` items come from one ``struct.unpack_from``
+    each, whose compiled format ``struct`` caches; the rest are sliced.
+    The caller checks that the bytes are there and that ``width`` is
+    positive.
+    """
+    full, rest = divmod(count, _SPLIT_RUN)
+    run_bytes = width * _SPLIT_RUN
+    stop = start + full * run_bytes
+    fmt = f"{width}s" * _SPLIT_RUN
+    items = []
+    for offset in range(start, stop, run_bytes):
+        items += struct.unpack_from(fmt, data, offset)
+    items += [data[i : i + width] for i in range(stop, stop + rest * width, width)]
+    return items
+
+
 class Reader:
     """Sequential decoder over one canonical record."""
 
@@ -168,7 +192,11 @@ class Reader:
         return flag == 1
 
     def take_digests(self) -> tuple[bytes, ...]:
-        """A digest list: width and count, then slices of the record itself."""
+        """A digest list: width and count, then :func:`split_fixed` of the record itself.
+
+        The bytes are claimed before anything is split, so a count that
+        they cannot back fails as truncated, having allocated nothing.
+        """
         width = self.take_u32()
         count = self.take_u32()
         if not count:
@@ -177,9 +205,7 @@ class Reader:
             return ()
         if not width:
             raise EncodingError("zero-width list with a nonzero count")
-        start = self._advance(width * count)
-        data = self._data
-        return tuple([data[i : i + width] for i in range(start, self._pos, width)])
+        return tuple(split_fixed(self._data, self._advance(width * count), width, count))
 
     def take_vbytes_list(self) -> tuple[bytes, ...]:
         """A ``u32`` count, then that many ``vbytes``, in one pass.

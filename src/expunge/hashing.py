@@ -92,7 +92,9 @@ class _X963KDF:
     and on the output buffer. The derive is typed once with ``void *``
     arguments and gets prebuilt pointers; the output is read through a
     memoryview. The buffer only grows: a ctypes array of a new length is
-    a new type, which costs microseconds to build again once freed.
+    a new type, which costs microseconds to build again once freed. Its
+    high-water mark is the longest output yet; the verifier's membership
+    scan asks for 32 bytes per digest it scans.
     """
 
     def __init__(self, lib):
@@ -204,12 +206,13 @@ def expand_many(seeds: Sequence[bytes], length: int) -> list[bytes]:
 
     Output block i is ``H(seed || u32(i))``; blocks are concatenated
     and truncated. Used wherever a digest must fill a whole storage
-    cell rather than be truncated into it. Blocks 1 onward come from one
-    X9.63 KDF call per seed, all under one hold of the shared context,
-    where it is bound, there are at least :data:`NATIVE_MIN_BLOCKS`
-    blocks and no seed is empty (handed an empty key, libcrypto keeps
-    the previous call's); the bytes are the same either way. A failed
-    call raises and returns nothing.
+    cell rather than be truncated into it, and for the verifier's scan
+    of reading digests (``control.reading_digests``). Blocks 1 onward
+    come from one X9.63 KDF call per seed, all under one hold of the
+    shared context, where it is bound, there are at least
+    :data:`NATIVE_MIN_BLOCKS` blocks and no seed is empty (handed an
+    empty key, libcrypto keeps the previous call's); the bytes are the
+    same either way. A failed call raises and returns nothing.
     """
     if length < 0:
         raise ValueError("length must be non-negative")

@@ -1,10 +1,14 @@
+import contextlib
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_strict_decoding import _address_space_cap
 
+from expunge import hashing
 from expunge.attestation import (
     calibrate_time_bound,
     recompute_estimate_for_bundle,
@@ -19,7 +23,6 @@ from expunge.control import (
     build_outsource_payload,
     epoch_timestamp,
     reading_digest,
-    sentinel_digest,
     timestamp_anchor,
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
@@ -77,33 +80,54 @@ class TestMembership:
             bundle = deployment.fetch_bundle(at, now=3000)
             assert len(set(bundle.digests)) == len(bundle.digests)
 
+    def test_list_of_another_width_is_not_scanned(self, deployment):
+        # scanned, 2^20 one-byte digests would cost a 32 MiB expansion
+        bundle = dataclasses.replace(
+            deployment.fetch_bundle(1000, now=3000), digests=(b"\x00",) * (1 << 20)
+        )
+        with _address_space_cap(16 << 20):
+            assert verify_membership(_device(1), bundle) == []
+
     @settings(max_examples=60, deadline=None)
     @given(
         epoch_id=st.integers(0, 2**64 - 1),
-        device=st.binary(min_size=1, max_size=12),
-        slots=st.lists(st.sampled_from(["device", "shifted", "other"]), max_size=40),
+        device=st.binary(max_size=12),
+        count=st.one_of(st.integers(0, 600), st.sampled_from([11, 12, 1563])),
+        mix=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([32, 32, 32, 16, 33]),
     )
-    @example(epoch_id=7, device=b"d", slots=["device", "other", "device", "device"])
-    @example(epoch_id=7, device=b"d", slots=["other", "shifted", "other"])
-    @example(epoch_id=7, device=b"d", slots=[])
-    @example(epoch_id=2**64 - 1, device=b"d", slots=["other", "device"])
-    def test_matches_reading_digest_scan(self, deployment, epoch_id, device, slots):
-        # "shifted" is the device's digest for the next position; an empty
-        # slot list is an idle epoch, whose only digest is the sentinel
+    @example(epoch_id=7, device=b"d", count=0, mix=0, width=32)
+    @example(epoch_id=7, device=b"d", count=11, mix=1, width=32)
+    @example(epoch_id=2**64 - 1, device=b"", count=12, mix=2, width=32)
+    @example(epoch_id=7, device=b"d", count=1563, mix=3, width=32)
+    @example(epoch_id=7, device=b"d", count=40, mix=4, width=16)
+    @example(epoch_id=7, device=b"d", count=40, mix=5, width=33)
+    def test_matches_reading_digest_scan(self, deployment, epoch_id, device, count, mix, width):
+        # "shifted" is the device's digest for the next position, "other"
+        # another device's at this one; cut or padded to another width, no
+        # digest can match. The scan runs on the default expand path (the
+        # X9.63 KDF from 11 positions on, where bound) and on hashlib alone.
+        rng = random.Random(mix)
         make = {
             "device": lambda p: reading_digest(device, epoch_id, p),
             "shifted": lambda p: reading_digest(device, epoch_id, p + 1),
             "other": lambda p: reading_digest(device + b"\x00", epoch_id, p),
+            "random": lambda p: rng.randbytes(32),
         }
-        digests = [make[slot](p) for p, slot in enumerate(slots, 1)] or [
-            sentinel_digest(epoch_id)
-        ]
-        bundle = dataclasses.replace(
-            deployment.fetch_bundle(1000, now=3000), epoch_id=epoch_id, digests=tuple(digests)
+        kinds = list(make)
+        digests = tuple(
+            make[rng.choice(kinds)](p)[:width].ljust(width, b"\x00") for p in range(1, count + 1)
         )
-        assert verify_membership(device, bundle) == [
+        bundle = dataclasses.replace(
+            deployment.fetch_bundle(1000, now=3000), epoch_id=epoch_id, digests=digests
+        )
+        expected = [
             p for p, d in enumerate(digests, 1) if reading_digest(device, epoch_id, p) == d
         ]
+        assert width == 32 or expected == []
+        for path in (contextlib.nullcontext(), mock.patch.object(hashing, "_x963kdf", None)):
+            with path:
+                assert verify_membership(device, bundle) == expected
 
 
 class TestCompleteness:

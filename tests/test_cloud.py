@@ -449,6 +449,30 @@ class TestPersistence:
         assert replaced == [segment] * 3
         assert sorted(tmp_path.rglob("*")) == [segment.parent, segment]
 
+    def test_segment_is_fsynced_before_and_its_directory_after_the_replace(
+        self, tmp_path, keyring, tiny_params, monkeypatch
+    ):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.append(("fsync", os.fstat(fd).st_ino)), fsync(fd))
+        )
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: (calls.append(("replace", dst)), replace(src, dst))
+        )
+        store = CloudStore(FIG2_POLICY, root=tmp_path)
+        segment = tmp_path / "segments" / f"{1:016d}.seg"
+        transitions = (lambda: _ingest_epochs(store, keyring, tiny_params, 1), lambda: store.tick(4))
+        for transition in transitions:
+            calls.clear()
+            transition()
+            # the replace keeps the temporary file's inode under the segment's name
+            assert calls == [
+                ("fsync", segment.stat().st_ino),
+                ("replace", segment),
+                ("fsync", segment.parent.stat().st_ino),
+            ]
+
     def test_segment_named_for_another_epoch_fails_closed(self, tmp_path, keyring, tiny_params):
         store = CloudStore(FIG2_POLICY, root=tmp_path)
         _ingest_epochs(store, keyring, tiny_params, 2)

@@ -1,9 +1,11 @@
-"""The one-pass ``VBYTES_LIST`` codec against its per-element definition.
+"""The list codecs against their per-element definitions.
 
-A list is ``u32(count)`` followed by ``vbytes(item)`` for each item. The
-encoder emits prefixes and items as pieces that the record joins once;
-the decoder walks the buffer at a running offset. Both must give exactly
-the bytes and values of the element-by-element reference.
+A ``VBYTES_LIST`` is ``u32(count)`` followed by ``vbytes(item)`` for each
+item. The encoder emits prefixes and items as pieces that the record
+joins once; the decoder walks the buffer at a running offset. A
+``DIGESTS`` list is ``u32(width), u32(count)`` and the items back to
+back, which the decoder splits in runs of 256. Both codecs must give
+exactly the bytes and values of the element-by-element reference.
 """
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_strict_decoding import _address_space_cap
 
-from expunge.encoding import VBYTES_LIST, EncodingError, Reader, u32, vbytes
+from expunge.encoding import DIGESTS, VBYTES_LIST, EncodingError, Reader, u32, vbytes
 
 
 def _reference(items) -> bytes:
@@ -22,9 +24,9 @@ def _encode(items) -> bytes:
     return b"".join(VBYTES_LIST.encode(items))
 
 
-def _decode(blob: bytes) -> tuple[bytes, ...]:
+def _decode(blob: bytes, kind=VBYTES_LIST) -> tuple[bytes, ...]:
     r = Reader(blob)
-    items = VBYTES_LIST.decode(r)
+    items = kind.decode(r)
     r.finish()
     return items
 
@@ -76,3 +78,28 @@ def test_element_too_long_for_its_prefix_is_refused_like_vbytes():
         vbytes(_Huge())
     with pytest.raises(EncodingError, match="too long"):
         VBYTES_LIST.encode([b"ok", _Huge()])
+
+
+@pytest.mark.parametrize("width", [1, 31, 32, 33])
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+def test_digest_list_splits_like_slices_and_encodes_back(width, count):
+    body = bytes(i % 251 for i in range(width * count))
+    blob = u32(width if count else 0) + u32(count) + body
+    items = _decode(blob, DIGESTS)
+    assert items == tuple(body[i * width : (i + 1) * width] for i in range(count))
+    assert b"".join(DIGESTS.encode(items)) == blob
+
+
+@pytest.mark.parametrize(
+    "head, match",
+    [
+        (u32(32) + u32(0xFFFFFFFF), "truncated record"),
+        (u32(0xFFFFFFFF) + u32(3), "truncated record"),
+        (u32(0) + u32(0xFFFFFFFF), "zero-width"),
+        (u32(32) + u32(0), "width 0"),
+    ],
+)
+def test_digest_list_refuses_a_head_its_bytes_cannot_back(head, match):
+    with _address_space_cap():
+        with pytest.raises(EncodingError, match=match):
+            _decode(head + bytes(64), DIGESTS)
