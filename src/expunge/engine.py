@@ -30,10 +30,15 @@ starts at 1, derived natively where OpenSSL 3 provides it and hashed
 block by block elsewhere, with the same bytes either way. Pairs within
 one iteration are independent: it hashes them all, then expands the
 digests in one batch that holds the native context's lock for the whole
-iteration. Iterations are strictly ordered. Only the final cells and the
-proof survive the call; no intermediate iteration is retained. The cloud
-keeps only the proof, which states the cell size; the epoch's digest
-list gives the cell count.
+iteration. Iterations are strictly ordered. Below the top iteration the
+two halves of the array never read each other, so a large array
+(:data:`SPLIT_MIN_BYTES`) runs them apart: the right half in one worker
+process while this one runs the left half, on a host where the process
+may use at least two CPUs (see the worker module). The top iteration and
+the proof digest then run here. Only the final cells and the proof
+survive the call; no intermediate iteration is retained. The cloud keeps
+only the proof, which states the cell size; the epoch's digest list
+gives the cell count.
 """
 
 from __future__ import annotations
@@ -53,6 +58,14 @@ from .hashing import BLOCK_SIZE, DIGEST_SIZE, digest, expand, expand_many
 EMPTY_EPOCH_CELL_SIZE = 64
 
 _PAD_LABEL = b"PAD"
+
+#: Padded arrays of at least this many bytes (cells x cell size) run the
+#: right half of their lower iterations in a worker process while this
+#: process runs the left half (see the worker module). A warm worker
+#: breaks even at 16-64 KiB. At this size a transform takes 30-50 ms on
+#: one CPU and a warm worker saves a third of that or more, so a few of
+#: them repay the worker's start (50-80 ms; 2-CPU x86-64, Python 3.11).
+SPLIT_MIN_BYTES = 512 * 1024
 
 
 def _next_power_of_two(n: int) -> int:
@@ -151,6 +164,28 @@ def _padded_cells(array: CellArray) -> list[bytes]:
     return [*array.cells, *pad_cells(array.epoch_id, slots, array.cell_size)]
 
 
+def _butterfly(
+    cells: list[bytes],
+    cell_size: int,
+    iterations: range,
+    on_pair: Callable[[int, int, int], None] | None = None,
+) -> list[bytes]:
+    """Run the transform's ``iterations``, in order, over ``cells`` (a power-of-two count)."""
+    n = len(cells)
+    for iteration in iterations:
+        block, stride = 2**iteration, 2 ** (iteration - 1)
+        lefts = [i for base in range(0, n, block) for i in range(base, base + stride)]
+        if on_pair is not None:
+            for i in lefts:
+                on_pair(iteration, i, i + stride)
+        values = _combine_level([(cells[i], cells[i + stride]) for i in lefts], cell_size)
+        scratch: list[bytes] = [b""] * n
+        for i, value in zip(lefts, values):
+            scratch[i] = scratch[i + stride] = value
+        cells = scratch
+    return cells
+
+
 def expunge(
     array: CellArray,
     now: int = 0,
@@ -161,23 +196,21 @@ def expunge(
     The input array is padded to a power of two (at least two cells)
     with deterministic filler, so the same ciphertexts always produce
     the same proof on any machine. ``on_pair(iteration, i, j)`` exposes
-    the pairing trace, in 0-based slots, for conformance checks.
+    the pairing trace, in 0-based slots, for conformance checks; a call
+    that passes it runs in this process alone, as does a small array or
+    one that finds the worker busy or failed.
     """
     if not array.cells:
         raise DomainError("cannot expunge an empty cell array")
     cells = _padded_cells(array)
-    n = len(cells)
-    for iteration in range(1, n.bit_length()):
-        block, stride = 2**iteration, 2 ** (iteration - 1)
-        lefts = [i for base in range(0, n, block) for i in range(base, base + stride)]
-        if on_pair is not None:
-            for i in lefts:
-                on_pair(iteration, i, i + stride)
-        values = _combine_level([(cells[i], cells[i + stride]) for i in lefts], array.cell_size)
-        scratch: list[bytes] = [b""] * n
-        for i, value in zip(lefts, values):
-            scratch[i] = scratch[i + stride] = value
-        cells = scratch
+    iterations = range(1, len(cells).bit_length())
+    if on_pair is None and len(cells) * array.cell_size >= SPLIT_MIN_BYTES:
+        from . import worker  # imported, and started, on the first large transform
+
+        lower = worker.lower_levels(cells, array.cell_size)
+        if lower is not None:
+            cells, iterations = lower, iterations[-1:]
+    cells = _butterfly(cells, array.cell_size, iterations, on_pair)
     proof_digest = digest(*cells)
     overwritten = CellArray(
         epoch_id=array.epoch_id, cell_size=array.cell_size, cells=tuple(cells)
@@ -202,7 +235,7 @@ def expunge_ciphertexts(ciphertexts, epoch_id: int, now: int = 0) -> DeletionPro
 # --- runtime estimation ----------------------------------------------------
 
 #: The fit times a four-pair transform level for ``_FIT_SECONDS`` at
-#: each of its four cell sizes, split into batches; the median batch
+#: each of a path's two cell sizes, split into batches; the median batch
 #: stands, so one scheduler pause cannot skew the fit.
 _FIT_SECONDS = 0.0013
 _FIT_BATCHES = 5
@@ -213,10 +246,21 @@ def _combine_blocks(cell_size: int) -> int:
     return -(-2 * cell_size // BLOCK_SIZE) + -(-cell_size // DIGEST_SIZE)
 
 
-#: Under ``"combine"``, once per process: the largest cell the hashlib
-#: loop expands, then that loop's and the native call's fitted ``(fixed,
-#: per_block)`` seconds. Clearing it forces the next estimate to fit again.
-_calibration_cache: dict[str, tuple] = {}
+#: The largest cell that the hashlib loop expands; larger cells take the
+#: native call where it is bound (see :data:`hashing.NATIVE_MIN_BLOCKS`).
+_LOOP_MAX_CELL = (hashing.NATIVE_MIN_BLOCKS - 1) * DIGEST_SIZE
+
+#: The cell sizes at which each expansion path's line is fitted: both
+#: ends of the sizes it prices.
+_FIT_ENDS = {
+    "loop": (EMPTY_EPOCH_CELL_SIZE, _LOOP_MAX_CELL),
+    "native": (_LOOP_MAX_CELL + 1, 4096),
+}
+
+#: Each expansion path's fitted ``(fixed, per_block)`` seconds, under its
+#: name in :data:`_FIT_ENDS`, fitted once per process on the path's first
+#: estimate. Clearing it forces the next estimate on each path to fit again.
+_calibration_cache: dict[str, tuple[float, float]] = {}
 
 
 def _fit_point(cell_size: int) -> tuple[int, float]:
@@ -232,22 +276,18 @@ def _fit_point(cell_size: int) -> tuple[int, float]:
     return _combine_blocks(cell_size), statistics.median(batches)
 
 
-def _fit_combine_cost() -> tuple:
-    """Fit each expansion path's line through both ends of the sizes it prices."""
-    loop_max = (hashing.NATIVE_MIN_BLOCKS - 1) * DIGEST_SIZE
-    lines = []
-    for ends in ((EMPTY_EPOCH_CELL_SIZE, loop_max), (loop_max + 1, 4096)):
-        (small_blocks, small_s), (large_blocks, large_s) = map(_fit_point, ends)
-        per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
-        lines.append((max(0.0, small_s - per_block * small_blocks), per_block))
-    return loop_max, *lines
+def _fit_combine_cost(path: str) -> tuple[float, float]:
+    """Fit one expansion path's line through both ends of the sizes it prices."""
+    (small_blocks, small_s), (large_blocks, large_s) = map(_fit_point, _FIT_ENDS[path])
+    per_block = max(0.0, (large_s - small_s) / (large_blocks - small_blocks))
+    return max(0.0, small_s - per_block * small_blocks), per_block
 
 
 def _combine_seconds(cell_size: int) -> float:
-    if "combine" not in _calibration_cache:
-        _calibration_cache["combine"] = _fit_combine_cost()
-    loop_max, loop_line, native_line = _calibration_cache["combine"]
-    fixed, per_block = loop_line if cell_size <= loop_max else native_line
+    path = "loop" if cell_size <= _LOOP_MAX_CELL else "native"
+    if path not in _calibration_cache:
+        _calibration_cache[path] = _fit_combine_cost(path)
+    fixed, per_block = _calibration_cache[path]
     return fixed + per_block * _combine_blocks(cell_size)
 
 
@@ -256,18 +296,23 @@ _PACK_SECONDS_PER_BYTE = 1e-9
 
 
 def expunge_duration_estimate(cell_count: int, cell_size: int) -> float:
-    """Estimated wall seconds to run :func:`expunge` on this host.
+    """Estimated wall seconds to run :func:`expunge` on one CPU of this host.
 
     A combine costs a fixed number of SHA-256 blocks for a given cell
     size: the pair digest over ``2 * cell_size`` bytes plus
     ``ceil(cell_size / 32)`` expansion blocks. The per-combine overhead
     and the per-block cost are fitted once per process for each
-    expansion path, by timing a transform level at both ends of the cell
-    sizes it expands (64 B to 4 KiB in all), so later cell sizes cost no
-    timing at all (see :data:`_calibration_cache`). The estimate grows
+    expansion path, on the first estimate that path prices, by timing a
+    transform level at both ends of the cell sizes it expands (64 B to
+    4 KiB in all), so later cell sizes cost no timing at all (see
+    :data:`_calibration_cache`). The estimate grows
     with ``n * cell_size * log n``, plus the linear packing and
     proof-hash pass over the input bytes. Used to size the time bound in
     the attestation phase.
+
+    The estimate prices one CPU. A large array's transform runs its two
+    halves on two (see :data:`SPLIT_MIN_BYTES`), which with a warm
+    worker ran it 1.5-1.8x faster on a 2-CPU x86-64 host.
     """
     if cell_count < 1 or cell_size < 1:
         raise DomainError("estimate requires at least one cell of at least one byte")

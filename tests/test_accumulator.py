@@ -133,7 +133,8 @@ class TestModexp:
         # ctypes.util.find_library would run ldconfig; binding must not need it.
         code = (
             "import sys, expunge; "
-            "assert 'ctypes.util' not in sys.modules and 'subprocess' not in sys.modules"
+            "assert 'ctypes.util' not in sys.modules and 'subprocess' not in sys.modules; "
+            "assert 'expunge.worker' not in sys.modules"
         )
         src = str(Path(accumulator.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -1,9 +1,15 @@
 import hashlib
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
-from expunge import engine, hashing
+from expunge import engine, hashing, worker
 from expunge.encoding import u32, u64
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
@@ -294,7 +300,10 @@ class TestDurationEstimate:
         [(2**14, 64), (2**13, 256), (2**12, 400), (2**12, 1024), (2**10, 4096)],
         ids=["64B", "256B", "400B", "1KiB", "4KiB"],
     )
-    def test_estimate_within_3x_of_measured(self, n, size):
+    def test_estimate_within_3x_of_measured(self, n, size, monkeypatch):
+        # the estimate prices one CPU, so it is held to the one-CPU run;
+        # these arrays are large enough to run on two by default
+        monkeypatch.setattr(engine, "SPLIT_MIN_BYTES", float("inf"))
         estimate = expunge_duration_estimate(n, size)
         rng = random.Random(17)
         array = _random_cells(rng, n, size)
@@ -304,17 +313,169 @@ class TestDurationEstimate:
         assert measured / 3 <= estimate <= measured * 3
 
     def test_clearing_the_cache_forces_exactly_one_new_fit(self, monkeypatch):
+        # one fit per expansion path that the estimates price, each time
         fits = []
         fit = engine._fit_combine_cost
 
-        def counting_fit():
-            fits.append(None)
-            return fit()
+        def counting_fit(path):
+            fits.append(path)
+            return fit(path)
 
         monkeypatch.setattr(engine, "_fit_combine_cost", counting_fit)
-        for _ in range(2):
-            engine._calibration_cache.clear()
-            for size in range(1, 51):
-                assert expunge_duration_estimate(64, 37 * size) > 0
-        assert len(engine._calibration_cache) == 1
-        assert len(fits) == 2
+        cases = [
+            ([37 * k for k in range(1, 51)], ["loop", "native"]),
+            # all at or above NATIVE_MIN_BLOCKS, as dense-day's cells are
+            ([engine._LOOP_MAX_CELL + 1 + 37 * k for k in range(50)], ["native"]),
+        ]
+        for sizes, paths in cases:
+            fits.clear()
+            for _ in range(2):
+                engine._calibration_cache.clear()
+                for size in sizes:
+                    assert expunge_duration_estimate(64, size) > 0
+            assert sorted(engine._calibration_cache) == paths
+            assert fits == paths * 2
+
+
+needs_two_cpus = pytest.mark.skipif(
+    worker._usable_cpus() < 2, reason="the worker runs only where two CPUs are usable"
+)
+
+
+@pytest.fixture
+def halves_here(monkeypatch):
+    """The cell count of each half that this process runs itself."""
+    calls = []
+    run = worker._half_levels
+
+    def counting(cells, cell_size):
+        calls.append(len(cells))
+        return run(cells, cell_size)
+
+    monkeypatch.setattr(worker, "_half_levels", counting)
+    return calls
+
+
+def _in_process(array, monkeypatch):
+    """The reference: the whole transform in this process."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "SPLIT_MIN_BYTES", float("inf"))
+        return expunge(array)
+
+
+def _split_size_array(cell_size=1024, padded=512, pads=3):
+    """An array of ``padded - pads`` random cells; by default exactly at the threshold."""
+    return _random_cells(random.Random(cell_size * padded), padded - pads, cell_size)
+
+
+@needs_two_cpus
+class TestWorkerSplit:
+    @pytest.mark.parametrize(
+        "cell_size, padded, pads",
+        [
+            (64, 4096, 3),
+            (64, 8192, 1),
+            (64, 16384, 5),
+            (460, 1024, 3),
+            (460, 2048, 7),
+            (1023, 512, 1),
+            (1024, 512, 3),
+            (1025, 512, 5),
+        ],
+        ids=[
+            "64B-below", "64B-at", "64B-above", "460B-below", "460B-above",
+            "1KiB-just-below", "1KiB-at", "1KiB-just-above",
+        ],
+    )
+    def test_worker_path_matches_in_process(self, monkeypatch, halves_here, cell_size, padded, pads):
+        array = _split_size_array(cell_size, padded, pads)
+        expected = _in_process(array, monkeypatch)
+        assert expunge(array) == expected
+        split = padded * cell_size >= engine.SPLIT_MIN_BYTES
+        assert halves_here == ([padded // 2] if split else [])
+
+    def test_on_pair_runs_in_process_on_the_normative_pairing(self, monkeypatch, halves_here):
+        array = _split_size_array()
+        trace: dict[int, list] = {}
+
+        def record(iteration, i, j):
+            if j < 8:
+                trace.setdefault(iteration, []).append((i + 1, j + 1))
+
+        assert expunge(array, on_pair=record) == _in_process(array, monkeypatch)
+        assert halves_here == []
+        assert {k: trace[k] for k in REFERENCE_N8_TRACE} == REFERENCE_N8_TRACE
+
+    def test_killed_worker_is_replaced_after_one_call_in_process(self, monkeypatch, halves_here):
+        array = _split_size_array()
+        expected = _in_process(array, monkeypatch)
+        assert expunge(array) == expected
+        killed = worker._WORKER._proc
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.wait(timeout=30)
+        halves_here.clear()
+        assert expunge(array) == expected
+        assert halves_here == [256, 256]
+        assert worker._WORKER._proc is None
+        halves_here.clear()
+        assert expunge(array) == expected
+        assert halves_here == [256]
+        assert worker._WORKER._proc not in (None, killed)
+
+    def test_threads_all_get_the_reference_proof(self, monkeypatch):
+        array = _split_size_array()
+        expected = _in_process(array, monkeypatch)
+        starts = []
+        popen = subprocess.Popen
+
+        def counting_popen(*args, **kwargs):
+            starts.append(args)
+            return popen(*args, **kwargs)
+
+        monkeypatch.setattr(worker.subprocess, "Popen", counting_popen)
+        results = [None] * 4
+
+        def run(k):
+            results[k] = expunge(array)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+        assert len(starts) <= 1
+
+    def test_no_worker_where_one_cpu_is_usable(self, monkeypatch, halves_here):
+        worker._WORKER.close()
+        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0})
+        array = _split_size_array()
+        assert expunge(array) == _in_process(array, monkeypatch)
+        assert halves_here == []
+        assert worker._WORKER._proc is None
+
+    def test_exiting_caller_leaves_no_worker(self):
+        code = (
+            "import random\n"
+            "from expunge import engine, worker\n"
+            "rng = random.Random(1)\n"
+            "cells = tuple(rng.randbytes(1024) for _ in range(512))\n"
+            "engine.expunge(engine.CellArray(epoch_id=1, cell_size=1024, cells=cells))\n"
+            "print(worker._WORKER._proc.pid)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+        pid = int(proc.stdout)
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
