@@ -26,7 +26,6 @@ from .control import (
     batch_epoch,
     build_outsource_payload,
     encrypt_epoch,
-    epoch_timestamp,
     irrecoverable_tag,
     open_seal,
     reading_digest,

@@ -16,6 +16,14 @@ exponentiation, done by OpenSSL's ``BN_mod_exp`` in the libcrypto that
 ``hashlib`` already links. Where that library exports no BIGNUM calls,
 the builtin ``pow`` does it instead; both return the same integers, so
 chains, proofs and seeded parameters are identical either way.
+
+A caller that has other work to do before it needs a step's value
+begins the step with :func:`start_step` and calls the returned handle
+afterwards. Once the process has spent :data:`STEP_BUDGET_S` on steps,
+a begun step runs in the worker process on a second CPU (see the worker
+module) while the caller works; only public values (base, exponent,
+modulus) cross the pipe. Where no worker is ready, on one usable CPU and
+in a forked child, the step runs here, with the same result and errors.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import math
 import secrets
+import time
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -220,19 +229,95 @@ def _base_value(prev: "AccumulatorValue | int", params: AccumulatorParams) -> in
     return base
 
 
+def _value(result: int) -> AccumulatorValue:
+    if result == 0:
+        raise DomainError("degenerate accumulator step (base shares both factors)")
+    return AccumulatorValue(result)
+
+
 def step(
     prev: AccumulatorValue | int,
     exponent_bytes: bytes,
     params: AccumulatorParams,
 ) -> AccumulatorValue:
-    """One accumulation step: ``prev ** e (mod modulus)``.
+    """One accumulation step: ``prev ** e (mod modulus)``, in this process.
 
     ``prev`` is either the previous chain value or the public seed for
     the first link.
     """
     e = exponent_from_bytes(exponent_bytes)
-    result = _modexp(_base_value(prev, params), e, params.modulus)
-    if result == 0:
-        raise DomainError("degenerate accumulator step (base shares both factors)")
-    return AccumulatorValue(result)
+    return _value(_modexp(_base_value(prev, params), e, params.modulus))
 
+
+#: Seconds of in-process :func:`start_step` work after which a process
+#: sends its steps to the worker: about one worker start (0.05-0.1 s on
+#: a 2-CPU x86-64 host), so a short run, such as one ``expunge verify``,
+#: never starts one, and a long one repays it.
+STEP_BUDGET_S = 0.1
+
+#: In-process step seconds spent so far (threads may race on it: it only
+#: decides when the worker starts).
+_step_seconds = 0.0
+
+
+def start_step(
+    prev: AccumulatorValue | int,
+    exponent_bytes: bytes,
+    params: AccumulatorParams,
+    in_worker: bool = True,
+) -> PendingStep:
+    """Begin :func:`step`; call the returned handle where the value is needed.
+
+    Once this process has spent :data:`STEP_BUDGET_S` on in-process
+    steps, the step goes to the worker process (see the worker module)
+    where one is ready, and runs there while the caller does its own
+    work; otherwise, or with ``in_worker=False`` (a caller with too
+    little work beside the step to repay the round trip), it runs here,
+    now. Both paths give the same value. An empty exponent or a base out
+    of range raises :class:`DomainError` here, a degenerate result when
+    the handle is called.
+    """
+    global _step_seconds
+    e = exponent_from_bytes(exponent_bytes)
+    base = _base_value(prev, params)
+    # the worker takes plain ints; any other base gets pow's result or error here
+    if in_worker and _step_seconds >= STEP_BUDGET_S and type(base) is int:
+        from . import worker  # imported, and started, once the budget is spent
+
+        ticket = worker.send_modexp(base, e, params.modulus)
+        if ticket is not None:
+            return PendingStep(ticket=ticket, operands=(base, e, params.modulus))
+    began = time.perf_counter()
+    result = _modexp(base, e, params.modulus)
+    _step_seconds += time.perf_counter() - began
+    return PendingStep(result=result)
+
+
+class PendingStep:
+    """A step begun by :func:`start_step`: call it for the value.
+
+    It is a context manager too. Leaving the ``with`` block without the
+    value drops a step still in the worker, so no step outlives the code
+    that began it and the worker's queue stays in order.
+    """
+
+    def __init__(self, result: int | None = None, ticket=None, operands=()):
+        self._result = result
+        self._ticket = ticket  # a worker.Ticket while the worker holds the step
+        self._operands = operands
+
+    def __call__(self) -> AccumulatorValue:
+        if self._ticket is not None:
+            ticket, self._ticket = self._ticket, None
+            self._result = ticket.result()
+            if self._result is None:  # the worker failed: compute it here
+                self._result = _modexp(*self._operands)
+        return _value(self._result)
+
+    def __enter__(self) -> PendingStep:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._ticket is not None:
+            self._ticket.drop()
+            self._ticket = None

@@ -37,22 +37,23 @@ verdicts resting on them are wall-clock values, named by
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from itertools import compress
 from operator import eq
 
-from .accumulator import AccumulatorParams, AccumulatorValue
+from .accumulator import AccumulatorParams, AccumulatorValue, PendingStep, start_step
 from .cloud import AttestationBundle
 from .control import (
     SEALED_ACCESSIBLE,
     SEALED_IRRECOVERABLE,
     SEALED_TIME,
     accessible_tag,
-    epoch_timestamp,
     open_seal,
     reading_digests,
     sentinel_digest,
     timestamp_anchor,
+    timestamp_exponent,
 )
 from .core import DataState, RetentionPolicy, state_at, window_for_id
 from .crypto import KeyRing
@@ -162,14 +163,36 @@ def verify_completeness(
     Any omission, addition, or reorder of digests changes the exponent
     and lands the replay on a different group element.
     """
+    with _start_replay(bundle, params, in_worker=False) as replay:
+        alpha = _replayed(replay)
+    return alpha == bundle.crypto_time, alpha
+
+
+#: Ciphertexts from which a bundle's own checks repay sending the
+#: replay's step to the worker; a bundle with fewer replays in-process.
+#: Through the worker, ``verify_bundle`` took 12-14% longer on bundles of
+#: 0-8 and 120 readings and 29% less on 1,560-reading ones (randomized
+#: per-call comparison, 2-CPU x86-64 virtual machine): hashing the
+#: ciphertexts and a user's membership scan must outlast the round trip.
+REPLAY_OVERLAP_MIN_CIPHERTEXTS = 512
+
+
+def _start_replay(bundle: AttestationBundle, params: AccumulatorParams, in_worker: bool):
+    """The replay's step, begun; a context that enters as None where no replay can run."""
     base = params.seed if bundle.first_epoch else bundle.prev_crypto_time
     if base is None:
-        return False, None
+        return nullcontext()
     try:  # an empty digest list, or a base out of range for the modulus
-        alpha = epoch_timestamp(base, bundle.digests, params)
+        return start_step(base, timestamp_exponent(bundle.digests), params, in_worker)
     except DomainError:
-        return False, None
-    return alpha == bundle.crypto_time, alpha
+        return nullcontext()
+
+
+def _replayed(replay: PendingStep | None) -> AccumulatorValue | None:
+    try:  # a degenerate step
+        return None if replay is None else replay()
+    except DomainError:
+        return None
 
 
 def calibrate_time_bound(round_trip: float, recompute_estimate: float) -> tuple[float, bool]:
@@ -202,34 +225,40 @@ def verify_bundle(
     mismatch. An irrecoverable bundle without a proof, or with
     ciphertexts, breaks the protocol and raises DomainError.
     """
-    membership = None
-    if role == "user" and device_id is not None:
-        membership = tuple(verify_membership(device_id, bundle))
+    # the replay's step runs while membership, the seals and the state tag are checked
+    in_worker = len(bundle.ciphertexts or ()) >= REPLAY_OVERLAP_MIN_CIPHERTEXTS
+    with _start_replay(bundle, params, in_worker) as replay:
+        membership = None
+        if role == "user" and device_id is not None:
+            membership = tuple(verify_membership(device_id, bundle))
 
-    completeness_ok, _ = verify_completeness(bundle, params)
-    # anchor the cleartext timestamp to the provider-sealed digest of it
-    sealed_anchor = open_seal(shared_key, SEALED_TIME, bundle.epoch_id, bundle.enc_crypto_time)
-    completeness_ok = completeness_ok and sealed_anchor == timestamp_anchor(bundle.crypto_time)
+        # anchor the cleartext timestamp to the provider-sealed digest of it
+        sealed_anchor = open_seal(shared_key, SEALED_TIME, bundle.epoch_id, bundle.enc_crypto_time)
 
-    window = window_for_id(bundle.epoch_id, policy.delta)
-    policy_ok = state_at(window, policy, bundle.served_at) is bundle.state
+        window = window_for_id(bundle.epoch_id, policy.delta)
+        policy_ok = state_at(window, policy, bundle.served_at) is bundle.state
 
-    # the seal names its field, so a tag opens only for the state it attests
-    label = SEALED_ACCESSIBLE if bundle.state is DataState.ACCESSIBLE else SEALED_IRRECOVERABLE
-    expected_tag = open_seal(shared_key, label, bundle.epoch_id, bundle.enc_state_tag)
-    proof_match = None
-    time_bound_ok = None
-    if bundle.state is DataState.ACCESSIBLE:
-        tag_match = accessible_tag(bundle.ciphertexts or ()) == expected_tag
-    else:
-        if bundle.deletion_proof is None:
-            raise DomainError("irrecoverable bundle carries no deletion proof")
-        if bundle.ciphertexts is not None:
-            raise DomainError("irrecoverable bundle still carries ciphertexts")
-        proof_match = bundle.deletion_proof.proof == expected_tag
-        tag_match = proof_match
-        if response_time is not None and time_bound is not None:
-            time_bound_ok = (response_time <= time_bound) if time_bound_applicable else None
+        # the seal names its field, so a tag opens only for the state it attests
+        label = SEALED_ACCESSIBLE if bundle.state is DataState.ACCESSIBLE else SEALED_IRRECOVERABLE
+        expected_tag = open_seal(shared_key, label, bundle.epoch_id, bundle.enc_state_tag)
+        proof_match = None
+        time_bound_ok = None
+        if bundle.state is DataState.ACCESSIBLE:
+            tag_match = accessible_tag(bundle.ciphertexts or ()) == expected_tag
+        else:
+            if bundle.deletion_proof is None:
+                raise DomainError("irrecoverable bundle carries no deletion proof")
+            if bundle.ciphertexts is not None:
+                raise DomainError("irrecoverable bundle still carries ciphertexts")
+            proof_match = bundle.deletion_proof.proof == expected_tag
+            tag_match = proof_match
+            if response_time is not None and time_bound is not None:
+                time_bound_ok = (response_time <= time_bound) if time_bound_applicable else None
+
+        completeness_ok = (
+            _replayed(replay) == bundle.crypto_time
+            and sealed_anchor == timestamp_anchor(bundle.crypto_time)
+        )
 
     return VerificationReport(
         epoch_id=bundle.epoch_id,

@@ -25,7 +25,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from . import encoding
-from .accumulator import AccumulatorParams, AccumulatorValue, step
+from .accumulator import AccumulatorParams, AccumulatorValue, start_step
 from .core import EpochWindow, SensorReading
 from .crypto import (
     KeyRing,
@@ -105,15 +105,6 @@ def timestamp_exponent(digests: tuple[bytes, ...]) -> bytes:
     if not digests:
         raise DomainError("an epoch timestamp needs at least one digest")
     return digest(b"".join(digests))
-
-
-def epoch_timestamp(
-    prev: AccumulatorValue | int,
-    digests: tuple[bytes, ...],
-    params: AccumulatorParams,
-) -> AccumulatorValue:
-    """Chain the epoch onto the previous timestamp (or the seed)."""
-    return step(prev, timestamp_exponent(digests), params)
 
 
 def timestamp_anchor(crypto_time: AccumulatorValue) -> bytes:
@@ -240,14 +231,16 @@ def build_outsource_payload(
             reading_digest(reading.device_id, window.id, position)
             for position, reading in batched
         )
-        ciphertexts = encrypt_epoch(readings, window.id, keyring.enclave_public)
     else:
         digests = (sentinel_digest(window.id),)
-        ciphertexts = ()
 
-    crypto_time = epoch_timestamp(prev_crypto_time, digests, params)
-    ah = accessible_tag(ciphertexts)
-    irh = irrecoverable_tag(ciphertexts, window.id)
+    # the timestamp step runs while the epoch is encrypted and tagged
+    exponent = timestamp_exponent(digests)
+    with start_step(prev_crypto_time, exponent, params, bool(batched)) as pending:
+        ciphertexts = encrypt_epoch(readings, window.id, keyring.enclave_public) if batched else ()
+        ah = accessible_tag(ciphertexts)
+        irh = irrecoverable_tag(ciphertexts, window.id)
+        crypto_time = pending()
 
     key = keyring.shared_key
     sensor_row = SensorDataRow(

@@ -32,7 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from . import encoding
-from .accumulator import AccumulatorParams, AccumulatorValue, step
+from .accumulator import AccumulatorParams, AccumulatorValue, start_step, step
 from .crypto import hybrid_decrypt_many, hybrid_encrypt_many, sign, verify_signature
 from .encoding import U64, VBYTES, VBYTES_LIST, Record, nested, u64, vbytes, vint
 from .errors import DomainError, IntegrityError, SignatureRejected
@@ -154,26 +154,25 @@ def audit_block(
             invalid_signature_positions=(),
         )
 
-    bad_signatures = [
-        position
-        for position, record in enumerate(records, start=1)
-        if not _signed_by_registered_user(record, registry)
-    ]
-
     if records:
         link = seed_link(params)
         for record in records:
             link = chain_digest(record, link)
     else:
         link = empty_block_digest(sealed.block_id)
-    recomputed = step(prev_proof, link, params)
-
-    return AuditReport(
-        block_id=sealed.block_id,
-        decrypt_ok=True,
-        proof_match=recomputed == sealed.block_proof,
-        invalid_signature_positions=tuple(bad_signatures),
-    )
+    # the step runs while the signatures are checked
+    with start_step(prev_proof, link, params, bool(records)) as recomputed:
+        bad_signatures = [
+            position
+            for position, record in enumerate(records, start=1)
+            if not _signed_by_registered_user(record, registry)
+        ]
+        return AuditReport(
+            block_id=sealed.block_id,
+            decrypt_ok=True,
+            proof_match=recomputed() == sealed.block_proof,
+            invalid_signature_positions=tuple(bad_signatures),
+        )
 
 
 class QueryLogger:

@@ -1,9 +1,10 @@
 import ssl
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
-from expunge import accumulator, crypto, hashing
+from expunge import accumulator, crypto, hashing, worker
 from expunge.accumulator import AccumulatorParams, setup
 from expunge.crypto import generate_keyring
 
@@ -102,3 +103,30 @@ def agreements(monkeypatch) -> KeyAgreements:
     counter = KeyAgreements()
     monkeypatch.setattr(crypto, "X25519PrivateKey", counter)
     return counter
+
+
+needs_two_cpus = pytest.mark.skipif(
+    worker._usable_cpus() < 2, reason="the worker runs only where two CPUs are usable"
+)
+
+
+@pytest.fixture()
+def steps_in_worker(monkeypatch) -> list[tuple[int, int, int]]:
+    """Spend the step budget and wait for a ready worker; the operands of each step sent to it."""
+    monkeypatch.setattr(accumulator, "STEP_BUDGET_S", 0.0)
+    send = worker.send_modexp
+    deadline = time.monotonic() + 60
+    while (ticket := send(2, 3, 5)) is None:
+        assert time.monotonic() < deadline, "the worker never signalled ready"
+        time.sleep(0.01)
+    assert ticket.result() == 3
+    sent = []
+
+    def counting(*operands):
+        ticket = send(*operands)
+        if ticket is not None:
+            sent.append(operands)
+        return ticket
+
+    monkeypatch.setattr(worker, "send_modexp", counting)
+    return sent

@@ -22,12 +22,12 @@ from expunge.control import (
     SensorDataRow,
     accessible_tag,
     build_outsource_payload,
-    epoch_timestamp,
     irrecoverable_tag,
     open_seal,
     reading_digest,
     seal,
     timestamp_anchor,
+    timestamp_exponent,
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.crypto import generate_keyring, hybrid_encrypt
@@ -396,7 +396,7 @@ def test_criterion_8_deletion_time_asymmetry(keyring):
         reading_digest(bytes([0x02, i % 250]) + b"-big", window.id, i + 1)
         for i in range(n_big)
     )
-    crypto_time = epoch_timestamp(params.seed, digests, params)
+    crypto_time = step(params.seed, timestamp_exponent(digests), params)
 
     start = time.perf_counter()
     irh = irrecoverable_tag(cts, window.id)  # the full overwrite transform

@@ -2,17 +2,19 @@ import hashlib
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from expunge import accumulator
+from expunge import accumulator, worker
 from expunge.accumulator import (
     AccumulatorParams,
     AccumulatorValue,
@@ -20,9 +22,12 @@ from expunge.accumulator import (
     _random_seed,
     exponent_from_bytes,
     setup,
+    start_step,
     step,
 )
 from expunge.errors import DomainError
+
+from conftest import needs_two_cpus
 
 
 class TestSetup:
@@ -237,3 +242,121 @@ class TestVerifyStep:
         for i, d in enumerate(digests):
             prev = small_params.seed if i == 0 else chain[i]
             assert step(prev, d, small_params) == chain[i + 1]
+
+
+#: 12 = 2^2 * 3: a base of 6 raised to an odd power >= 2 is 0 mod 12.
+DEGENERATE = AccumulatorParams(modulus=12, seed=5, modulus_bits=4)
+
+
+@needs_two_cpus
+class TestStepInWorker:
+    @given(
+        base=st.integers(min_value=1),
+        exponent=st.binary(min_size=1, max_size=64),
+    )
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_worker_and_pow_agree(self, steps_in_worker, small_params, base, exponent):
+        base = base % (small_params.modulus - 1) + 1
+        steps_in_worker.clear()
+        with start_step(base, exponent, small_params) as pending:
+            value = pending()
+        e = exponent_from_bytes(exponent)
+        assert value == AccumulatorValue(pow(base, e, small_params.modulus))
+        assert steps_in_worker == [(base, e, small_params.modulus)]
+
+    def test_a_2048_bit_chain_agrees(self, steps_in_worker):
+        params = setup(2048, rng=random.Random(2003_04969))
+        rng = random.Random(3)
+        acc = expected = params.seed
+        for _ in range(20):
+            e = rng.randbytes(32)
+            acc = start_step(acc, e, params)()
+            expected = pow(expected, exponent_from_bytes(e), params.modulus)
+            assert acc.value == expected
+        assert len(steps_in_worker) == 20
+
+    @pytest.mark.parametrize("path", ["worker", "in-process"])
+    def test_both_paths_raise_the_same_domain_errors(self, request, path, small_params):
+        sent = request.getfixturevalue("steps_in_worker") if path == "worker" else []
+        with pytest.raises(DomainError, match="out of range"):
+            start_step(small_params.modulus, b"\x07", small_params)
+        with pytest.raises(DomainError, match="empty exponent"):
+            start_step(small_params.seed, b"", small_params)
+        pending = start_step(6, b"\x03", DEGENERATE)
+        with pytest.raises(DomainError, match="degenerate"):
+            pending()
+        assert sent == ([(6, 3, 12)] if path == "worker" else [])
+
+    def test_killed_worker_gives_the_in_process_value_and_is_replaced(
+        self, steps_in_worker, small_params
+    ):
+        killed = worker._WORKER._proc
+        os.kill(killed.pid, signal.SIGSTOP)  # it cannot answer what it is sent
+        pending = start_step(small_params.seed, b"\x07\x11", small_params)
+        os.kill(killed.pid, signal.SIGKILL)
+        killed.wait(timeout=30)
+        assert pending() == step(small_params.seed, b"\x07\x11", small_params)
+        assert steps_in_worker and worker._WORKER._proc is None
+        assert start_step(small_params.seed, b"\x05", small_params)() == step(
+            small_params.seed, b"\x05", small_params
+        )
+        assert worker._WORKER._proc not in (None, killed)
+
+    def test_forked_child_computes_in_process(self, steps_in_worker, small_params):
+        pid = os.fork()
+        if pid == 0:  # the child: its parent's worker is not its own
+            ok = False
+            try:
+                value = start_step(small_params.seed, b"\x09", small_params)()
+                ok = value == step(small_params.seed, b"\x09", small_params) and not steps_in_worker
+            finally:
+                os._exit(0 if ok else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert steps_in_worker == []
+
+    def test_one_usable_cpu_computes_in_process(self, monkeypatch, small_params):
+        worker._WORKER.close()
+        monkeypatch.setattr(accumulator, "STEP_BUDGET_S", 0.0)
+        monkeypatch.setattr(worker.os, "sched_getaffinity", lambda pid: {0})
+        pending = start_step(small_params.seed, b"\x0b", small_params)
+        assert pending._ticket is None and worker._WORKER._proc is None
+        assert pending() == step(small_params.seed, b"\x0b", small_params)
+
+
+class TestStepBudget:
+    def test_a_short_run_starts_no_worker(self):
+        code = (
+            "import random, sys\n"
+            "from expunge import accumulator\n"
+            "params = accumulator.setup(512, rng=random.Random(1))\n"
+            "acc = params.seed\n"
+            "for k in range(50):\n"
+            "    acc = accumulator.start_step(acc, bytes([k + 1]), params)()\n"
+            "assert accumulator._step_seconds < accumulator.STEP_BUDGET_S\n"
+            "assert 'expunge.worker' not in sys.modules and 'subprocess' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(accumulator.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+    @needs_two_cpus
+    def test_a_booting_worker_is_bypassed_until_it_signals_ready(self, monkeypatch, small_params):
+        worker._WORKER.close()
+        monkeypatch.setattr(accumulator, "STEP_BUDGET_S", 0.0)
+        monkeypatch.setattr(worker, "_BOOT", "import time\ntime.sleep(1.5)\n" + worker._BOOT)
+        expected = step(small_params.seed, b"\x0d", small_params)
+        began = time.monotonic()
+        slowest = in_process = 0.0
+        while time.monotonic() - began < 60:
+            start = time.monotonic()
+            pending = start_step(small_params.seed, b"\x0d", small_params)
+            slowest = max(slowest, time.monotonic() - start)
+            if pending._ticket is not None:
+                break
+            in_process = time.monotonic() - began
+            assert pending() == expected
+            time.sleep(0.01)
+        assert pending() == expected
+        assert in_process >= 1.0  # every step of the boot ran here
+        assert slowest < 0.5  # and none waited for it

@@ -6,10 +6,12 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import needs_two_cpus
 from test_strict_decoding import _address_space_cap
 
-from expunge import hashing
+from expunge import hashing, worker
 from expunge.attestation import (
+    REPLAY_OVERLAP_MIN_CIPHERTEXTS,
     calibrate_time_bound,
     recompute_estimate_for_bundle,
     verify_bundle,
@@ -21,9 +23,9 @@ from expunge.cloud import CloudStore
 from expunge.control import (
     accessible_tag,
     build_outsource_payload,
-    epoch_timestamp,
     reading_digest,
     timestamp_anchor,
+    timestamp_exponent,
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
 from expunge.errors import DomainError, IntegrityError
@@ -185,7 +187,7 @@ class TestTimestampAnchor:
             bundle,
             digests=digests,
             prev_crypto_time=prev,
-            crypto_time=epoch_timestamp(prev, digests, small_params),
+            crypto_time=step(prev, timestamp_exponent(digests), small_params),
         )
         assert verify_completeness(forged, small_params) == (True, forged.crypto_time)
         assert not self._completeness(forged, keyring, small_params)
@@ -416,3 +418,51 @@ class TestMinimality:
             assert size < total  # each request moves one epoch, not the dataset
         # and bundles carry exactly the requested epoch's digest count
         assert len(deployment.fetch_bundle(1000, now=3000).digests) == 1
+
+
+@needs_two_cpus
+class TestReplayInWorker:
+    @staticmethod
+    def _bundle(keyring, params, readings):
+        window = EpochWindow(0, 1000)
+        sensor, meta = build_outsource_payload(
+            window,
+            [_reading(i % 1000, _device(i % 7)) for i in range(readings)],
+            params.seed,
+            keyring,
+            params,
+        )
+        store = CloudStore(POLICY)
+        store.ingest(sensor, meta)
+        return store.fetch_bundle(0, now=500)
+
+    @pytest.mark.parametrize(
+        "readings, sent",
+        [(3, 0), (REPLAY_OVERLAP_MIN_CIPHERTEXTS - 1, 0), (REPLAY_OVERLAP_MIN_CIPHERTEXTS, 1)],
+    )
+    def test_only_a_large_bundle_sends_its_replay(
+        self, keyring, small_params, steps_in_worker, readings, sent
+    ):
+        bundle = self._bundle(keyring, small_params, readings)
+        steps_in_worker.clear()
+        report = verify_bundle(
+            bundle, keyring.shared_key, small_params, POLICY, device_id=_device(1)
+        )
+        assert report.verified and report.membership_positions
+        assert len(steps_in_worker) == sent
+        flipped = dataclasses.replace(bundle, digests=bundle.digests[::-1])
+        assert not verify_bundle(flipped, keyring.shared_key, small_params, POLICY).completeness_ok
+
+    def test_a_refused_seal_leaves_the_queue_in_order(
+        self, keyring, small_params, steps_in_worker
+    ):
+        bundle = self._bundle(keyring, small_params, REPLAY_OVERLAP_MIN_CIPHERTEXTS)
+        swapped = dataclasses.replace(bundle, enc_state_tag=bundle.enc_crypto_time)
+        steps_in_worker.clear()
+        for _ in range(3):
+            with pytest.raises(IntegrityError):
+                verify_bundle(swapped, keyring.shared_key, small_params, POLICY)
+        assert verify_bundle(bundle, keyring.shared_key, small_params, POLICY).verified
+        assert len(steps_in_worker) == 4
+        channel = worker._WORKER._channel
+        assert not channel._filed and not channel._dropped

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from expunge.accumulator import setup
+from expunge.accumulator import setup, step
 from expunge.attestation import verify_bundle
 from expunge.cloud import AttestationBundle, CloudStore, Transition
 from expunge.control import (
@@ -16,10 +16,10 @@ from expunge.control import (
     MetaDataRow,
     SensorDataRow,
     build_outsource_payload,
-    epoch_timestamp,
     irrecoverable_tag,
     open_seal,
     reading_digest,
+    timestamp_exponent,
 )
 from expunge.core import (
     NEVER,
@@ -253,7 +253,7 @@ class TestServingPaths:
         sensor = SensorDataRow(
             epoch_id=1,
             digests=digests,
-            crypto_time=epoch_timestamp(tiny_params.seed, digests, tiny_params),
+            crypto_time=step(tiny_params.seed, timestamp_exponent(digests), tiny_params),
             ciphertexts=cts,
         )
         meta = MetaDataRow(1, 1, 2, b"sealed-time", b"sealed-ah", b"sealed-irh")

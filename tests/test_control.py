@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from expunge.accumulator import step
 from expunge.control import (
     SEALED_ACCESSIBLE,
     SEALED_IRRECOVERABLE,
@@ -15,7 +16,6 @@ from expunge.control import (
     check_rows_consistent,
     decrypt_reading,
     encrypt_epoch,
-    epoch_timestamp,
     irrecoverable_tag,
     open_seal,
     reading_digest,
@@ -99,20 +99,20 @@ class TestEpochTimestamp:
         digests = (b"\x11" * 32, b"\x22" * 32)
         exponent = int.from_bytes(hashlib.sha256(digests[0] + digests[1]).digest(), "big") | 1
         expected = pow(tiny_params.seed, exponent, tiny_params.modulus)
-        ct = epoch_timestamp(tiny_params.seed, digests, tiny_params)
+        ct = step(tiny_params.seed, timestamp_exponent(digests), tiny_params)
         assert ct.value == expected
 
     def test_permutation_changes_timestamp(self, tiny_params):
         d = (b"\x11" * 32, b"\x22" * 32)
-        assert epoch_timestamp(tiny_params.seed, d, tiny_params) != epoch_timestamp(
-            tiny_params.seed, (d[1], d[0]), tiny_params
+        assert step(tiny_params.seed, timestamp_exponent(d), tiny_params) != step(
+            tiny_params.seed, timestamp_exponent((d[1], d[0])), tiny_params
         )
 
     def test_two_epoch_chain_unrolls_to_nested_steps(self, tiny_params):
         d1 = (b"\x01" * 32,)
         d2 = (b"\x02" * 32,)
-        ct1 = epoch_timestamp(tiny_params.seed, d1, tiny_params)
-        ct2 = epoch_timestamp(ct1, d2, tiny_params)
+        ct1 = step(tiny_params.seed, timestamp_exponent(d1), tiny_params)
+        ct2 = step(ct1, timestamp_exponent(d2), tiny_params)
         e1 = int.from_bytes(hashlib.sha256(d1[0]).digest(), "big") | 1
         e2 = int.from_bytes(hashlib.sha256(d2[0]).digest(), "big") | 1
         assert ct2.value == pow(tiny_params.seed, e1 * e2, tiny_params.modulus)
@@ -235,7 +235,8 @@ class TestOutsourcePayload:
     def test_timestamp_anchor_is_sha256_of_the_canonical_record(self, tiny_params):
         # the sealed field holds a 32-byte digest, as the two tags do, and
         # not a second copy of the timestamp
-        value = epoch_timestamp(tiny_params.seed, (sentinel_digest(WINDOW.id),), tiny_params)
+        exponent = timestamp_exponent((sentinel_digest(WINDOW.id),))
+        value = step(tiny_params.seed, exponent, tiny_params)
         anchor = timestamp_anchor(value)
         assert anchor == hashlib.sha256(value.to_bytes()).digest() and len(anchor) == 32
 
@@ -263,7 +264,7 @@ class TestOutsourcePayload:
         assert sensor.digests == (sentinel_digest(WINDOW.id),)
         assert sensor.ciphertexts == ()
         # the chain still advances off the sentinel digest
-        expected = epoch_timestamp(tiny_params.seed, sensor.digests, tiny_params)
+        expected = step(tiny_params.seed, timestamp_exponent(sensor.digests), tiny_params)
         assert sensor.crypto_time == expected
 
     def test_one_key_agreement_per_non_empty_epoch(self, keyring, tiny_params, agreements):

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
-from expunge import engine, hashing, worker
+from expunge import accumulator, engine, hashing, worker
 from expunge.encoding import u32, u64
 from expunge.engine import (
     EMPTY_EPOCH_CELL_SIZE,
@@ -22,6 +22,8 @@ from expunge.engine import (
     expunge_duration_estimate,
 )
 from expunge.errors import DomainError
+
+from conftest import needs_two_cpus
 
 #: Normative three-iteration pairing pattern for eight cells (1-based).
 REFERENCE_N8_TRACE = {
@@ -337,11 +339,6 @@ class TestDurationEstimate:
             assert fits == paths * 2
 
 
-needs_two_cpus = pytest.mark.skipif(
-    worker._usable_cpus() < 2, reason="the worker runs only where two CPUs are usable"
-)
-
-
 @pytest.fixture
 def halves_here(monkeypatch):
     """The cell count of each half that this process runs itself."""
@@ -479,3 +476,77 @@ class TestWorkerSplit:
         pid = int(proc.stdout)
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+def _step_reference(params, exponents):
+    """A chain of steps from the seed, each by the builtin pow."""
+    acc = params.seed
+    for e in exponents:
+        acc = pow(acc, accumulator.exponent_from_bytes(e), params.modulus)
+    return accumulator.AccumulatorValue(acc)
+
+
+@needs_two_cpus
+class TestWorkerChannel:
+    """Steps and transforms share the worker, one request queue in order."""
+
+    def test_a_transform_takes_the_worker_while_a_step_is_out(
+        self, monkeypatch, halves_here, steps_in_worker, small_params
+    ):
+        array = _split_size_array()
+        expected = _in_process(array, monkeypatch)
+        with accumulator.start_step(small_params.seed, b"\x07", small_params) as pending:
+            assert expunge(array) == expected
+            assert pending() == _step_reference(small_params, [b"\x07"])
+        assert halves_here == [256]
+        assert len(steps_in_worker) == 1
+
+    def test_a_caller_that_raises_leaves_the_queue_in_order(
+        self, monkeypatch, halves_here, steps_in_worker, small_params
+    ):
+        array = _split_size_array()
+        expected = _in_process(array, monkeypatch)
+        with pytest.raises(RuntimeError):
+            with accumulator.start_step(small_params.seed, b"\x03", small_params):
+                raise RuntimeError("the caller fails before it needs the step")
+        with accumulator.start_step(small_params.seed, b"\x05", small_params) as pending:
+            assert pending() == _step_reference(small_params, [b"\x05"])
+        assert expunge(array) == expected
+        assert halves_here == [256]
+        assert len(steps_in_worker) == 2
+        channel = worker._WORKER._channel
+        assert not channel._filed and not channel._dropped
+
+    def test_threads_mixing_steps_and_transforms_get_the_reference_values(
+        self, monkeypatch, steps_in_worker, small_params
+    ):
+        array = _split_size_array()
+        expected_proof = _in_process(array, monkeypatch)
+        rng = random.Random(29)
+        jobs = [[rng.randbytes(32) for _ in range(12)] for _ in range(4)]
+        results = [None] * 4
+
+        def run(k):
+            acc, proofs = small_params.seed, []
+            for i, e in enumerate(jobs[k]):
+                with accumulator.start_step(acc, e, small_params) as pending:
+                    if (i + k) % 6 == 0:
+                        proofs.append(expunge(array))
+                    acc = pending()
+            results[k] = (acc, proofs)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, (acc, proofs) in enumerate(results):
+            assert acc == _step_reference(small_params, jobs[k])
+            assert proofs == [expected_proof] * 2
+        assert steps_in_worker

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import fields, replace
@@ -550,6 +553,29 @@ class TestCli:
         final = summary["final_clock"]
         assert main(["tick", "--state", str(state), "--now", str(final + 10 * MS_PER_HOUR)]) == 0
         capsys.readouterr()
+
+    def test_verify_of_a_saved_run_spawns_no_process(self, tmp_path, capsys):
+        # below the step budget no worker starts: a short verify pays no start
+        cfg = tmp_path / "cfg.json"
+        ScenarioConfig(**FAST).save(cfg)
+        state = tmp_path / "state"
+        assert main(["run", "--config", str(cfg), "--state", str(state)]) == 0
+        summary = json.loads((state / "summary.json").read_text())
+        accessible = next(int(e) for e, s in summary["states"].items() if s == "ACCESSIBLE")
+        code = (
+            "import os, sys\n"
+            "spawns = ('subprocess.Popen', 'os.fork', 'os.posix_spawn', 'os.exec')\n"
+            "sys.addaudithook(lambda event, args: event in spawns and os.write(2, b'spawned\\n'))\n"
+            "from expunge.cli import main\n"
+            f"sys.exit(main(['verify', '--state', {str(state)!r}, '--time', '{accessible}']))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert '"verified": true' in proc.stdout
+        assert "spawned" not in proc.stderr
 
     def test_audit_refuses_a_block_whose_predecessor_is_missing(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

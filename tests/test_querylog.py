@@ -26,6 +26,8 @@ from expunge.querylog import (
 )
 from expunge.wire import EXCHANGES, LoopbackTransport, MessageType, SpService
 
+from conftest import needs_two_cpus
+
 USERS = [b"user-00", b"user-01", b"user-02"]
 
 
@@ -446,3 +448,17 @@ class TestAuditFetch:
         assert SpService.audit_fetch_via(sp, 3)[0] == logger.sealed_blocks[2]
         with pytest.raises(WireError):
             SpService.audit_fetch_via(sp, 2)
+
+
+@needs_two_cpus
+def test_audit_agrees_on_both_paths(ring, registry, small_params, steps_in_worker):
+    block = _sealed_block(ring, registry, small_params, 8)
+    assert not steps_in_worker  # a seal's step runs in-process
+    report = audit_block(block, small_params.seed, ring.sdp_box_private, small_params, registry)
+    assert report.ok and len(steps_in_worker) == 1
+    forged = dataclasses.replace(block, block_proof=step(small_params.seed, b"\x03", small_params))
+    report = audit_block(forged, small_params.seed, ring.sdp_box_private, small_params, registry)
+    assert not report.proof_match and len(steps_in_worker) == 2
+    empty = _sealed_block(ring, registry, small_params, 0)
+    report = audit_block(empty, small_params.seed, ring.sdp_box_private, small_params, registry)
+    assert report.ok and len(steps_in_worker) == 2  # nothing to check beside its step
