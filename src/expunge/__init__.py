@@ -3,9 +3,10 @@
 A provider batches sensor readings into epochs, gives every epoch a
 chained cryptographic timestamp, encrypts the readings, and outsources
 them together with sealed verifiable tags. The cloud must delete each
-epoch on schedule by running a memory-hard overwrite transform whose
-output proof any third party can check against the provider's tag,
-under a time bound that catches proofs fabricated on demand. Query
+epoch on schedule by running an overwrite transform whose output proof
+any third party can check against the provider's tag, under a time
+bound meant to catch proofs fabricated on demand (the transform as
+written has a shortcut: see the engine module). Query
 activity at the service provider is chained into tamper-evident,
 auditable blocks.
 

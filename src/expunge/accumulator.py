@@ -22,8 +22,9 @@ begins the step with :func:`start_step` and calls the returned handle
 afterwards. Once the process has spent :data:`STEP_BUDGET_S` on steps,
 a begun step runs in the worker process on a second CPU (see the worker
 module) while the caller works; only public values (base, exponent,
-modulus) cross the pipe. Where no worker is ready, on one usable CPU and
-in a forked child, the step runs here, with the same result and errors.
+modulus) cross the pipe. Where no worker is ready or free, on one usable
+CPU and in a forked child, the step runs here, with the same result and
+errors.
 """
 
 from __future__ import annotations
@@ -270,10 +271,10 @@ def start_step(
 
     Once this process has spent :data:`STEP_BUDGET_S` on in-process
     steps, the step goes to the worker process (see the worker module)
-    where one is ready, and runs there while the caller does its own
-    work; otherwise, or with ``in_worker=False`` (a caller with too
-    little work beside the step to repay the round trip), it runs here,
-    now. Both paths give the same value. An empty exponent or a base out
+    where one is ready and free, and runs there while the caller does
+    its own work; otherwise, or with ``in_worker=False`` (a caller with
+    too little work beside the step to repay the round trip), it runs
+    here, now. Both paths give the same value. An empty exponent or a base out
     of range raises :class:`DomainError` here, a degenerate result when
     the handle is called.
     """
@@ -297,13 +298,13 @@ class PendingStep:
     """A step begun by :func:`start_step`: call it for the value.
 
     It is a context manager too. Leaving the ``with`` block without the
-    value drops a step still in the worker, so no step outlives the code
-    that began it and the worker's queue stays in order.
+    value settles a step still in the worker, so no step outlives the
+    code that began it and the worker is free for the next request.
     """
 
     def __init__(self, result: int | None = None, ticket=None, operands=()):
         self._result = result
-        self._ticket = ticket  # a worker.Ticket while the worker holds the step
+        self._ticket = ticket  # a worker.Ticket for a step sent to the worker, until called
         self._operands = operands
 
     def __call__(self) -> AccumulatorValue:
@@ -319,5 +320,4 @@ class PendingStep:
 
     def __exit__(self, *exc) -> None:
         if self._ticket is not None:
-            self._ticket.drop()
-            self._ticket = None
+            self._ticket.settle()

@@ -32,6 +32,7 @@ import base64
 import gc
 import json
 import math
+import platform
 import random
 import time
 from contextlib import closing
@@ -738,7 +739,6 @@ def bench(config: ScenarioConfig, experiment: int) -> BenchmarkReport:
     """
     if experiment not in (1, 2, 3, 4, 5):
         raise DomainError("experiment must be 1..5")
-    import platform  # not at module top: the package import time counts in perfbench setup_s
 
     rng = random.Random(config.seed)
     report = BenchmarkReport(f"exp{experiment}", metadata={

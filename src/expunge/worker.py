@@ -14,7 +14,7 @@ in-process computation.
 
 The worker is a subprocess of ``sys.executable``, started only where the
 process may run on at least two CPUs. A large transform starts it and
-queues its half on it, booting or not. A step goes to it only once it
+sends its half to it, booting or not. A step goes to it only once it
 has signalled ready, and the accumulator asks for it only after a
 budget of in-process steps. It runs isolated (``-I -S``), finds the
 package that the caller imported by its parent directory, and imports
@@ -25,18 +25,20 @@ spawn pool, which re-runs the caller's ``__main__``. Nor is it a thread:
 hashlib releases the interpreter lock only for buffers over 2 KiB, and
 Ed25519 verification holds it, so a thread ran no faster beside either.
 
-The worker is a first-in, first-out channel. A lock is held only to
-write one request or to read replies, never across the caller's own
-work; replies come back in request order, and a reader files each
-earlier reply under its ticket for the caller that sent it. The worker
-is pinned off the CPU its starter runs on, so that a request does not
-wake it behind the caller, and a caller waiting for a step polls the
-pipe for a moment before it sleeps on it. A process forked after this
-module was imported computes in-process. A worker that fails is closed,
-every call it owed computes its part here, and the next call starts a
-fresh one; one that fails before it signalled ready is not started
-again. At exit the worker gets EOF on its stdin, a short wait, then a
-kill.
+The worker serves one request at a time: a lock lends it to a request
+from its send until its reply is read, a step's reply when its ticket
+is settled. A call that finds it lent computes in-process, except that
+a step which the calling thread began and has not collected is settled
+first; so a large transform run while the same thread's step is out
+still takes the worker. The worker is pinned off the CPU its starter
+runs on, so that a request does not wake it behind the caller, and a
+caller waiting for a reply polls the pipe for a moment before it sleeps
+on it. A process forked after this module was imported computes
+in-process. A worker that fails is closed, the call it owed computes
+its part here, and the next call starts a fresh one; one that fails
+before it signalled ready is not started again. At exit the worker gets
+EOF on its stdin, a short wait, then a kill, whether or not a step is
+still out.
 """
 
 from __future__ import annotations
@@ -132,151 +134,71 @@ def _read_exactly(fd: int, size: int) -> bytearray | None:
     return buffer
 
 
-class _Channel:
-    """One worker process and the ordered stream of its requests and replies.
+def _readable(proc: subprocess.Popen) -> bool:
+    return bool(select.select([proc.stdout], [], [], 0)[0])
+
+
+def _send(proc: subprocess.Popen, kind: int, payload: bytes, width: int) -> bool:
+    """Write one request; False when the worker has gone."""
+    try:
+        proc.stdin.write(_REQUEST.pack(kind, len(payload), width))
+        proc.stdin.write(payload)
+        proc.stdin.flush()
+        return True
+    except (OSError, ValueError):  # BrokenPipeError, or a pipe closed at exit
+        return False
+
+
+def _close(proc: subprocess.Popen) -> None:
+    try:
+        proc.stdin.close()
+    except OSError:  # unflushed bytes to a worker that has gone
+        pass
+    try:
+        proc.wait(timeout=_CLOSE_WAIT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+
+
+class _Worker:
+    """The worker process, started lazily, replaced when it fails, lent to one request at a time.
 
     Replies are read from the pipe's descriptor, never through a buffer,
     so the pipe itself tells whether one is arriving.
     """
 
-    def __init__(self, proc: subprocess.Popen):
-        self.proc = proc
-        self.ready = False  # it has written _READY, and that byte was read
-        self.broken = False
-        self._send_lock = threading.Lock()
-        self._reply_lock = threading.Lock()
-        self._sent = 0  # tickets handed out, one per request, in order
-        self._read = 0  # replies read, in the same order
-        self._filed: dict[int, bytes] = {}
-        self._dropped: set[int] = set()
-
-    def send(self, kind: int, payload: bytes, width: int) -> int | None:
-        """Queue one request; its ticket, or None when the worker has gone."""
-        with self._send_lock:
-            if self.broken:
-                return None
-            try:
-                self.proc.stdin.write(_REQUEST.pack(kind, len(payload), width))
-                self.proc.stdin.write(payload)
-                self.proc.stdin.flush()
-            except OSError:  # BrokenPipeError: the worker has gone
-                self.broken = True
-                return None
-            self._sent += 1
-            return self._sent - 1
-
-    def reply(self, ticket: int) -> bytearray | None:
-        """The reply to ``ticket``, reading and filing earlier ones; None if the worker failed."""
-        with self._reply_lock:
-            while ticket not in self._filed:
-                if not self._file_one():
-                    return None
-            return self._filed.pop(ticket)
-
-    def drop(self, ticket: int) -> None:
-        """Forget ``ticket``: its reply, filed or still to come, goes unread.
-
-        Replies that have arrived are read now, so that dropped ones
-        cannot fill the pipe while no caller waits for a reply.
-        """
-        with self._reply_lock:
-            if self._filed.pop(ticket, None) is None and ticket >= self._read:
-                self._dropped.add(ticket)
-            while not self.broken and self._read < self._sent and self._readable():
-                self._file_one()
-
-    def poll_ready(self) -> bool:
-        """Whether the worker has signalled ready; never waits for it."""
-        if self.ready or self.broken or not self._reply_lock.acquire(blocking=False):
-            return self.ready
-        try:
-            if not self.ready and self._readable():
-                self.ready = _read_exactly(self.proc.stdout.fileno(), 1) == _READY
-                self.broken = not self.ready
-            return self.ready
-        finally:
-            self._reply_lock.release()
-
-    def _readable(self) -> bool:
-        return bool(select.select([self.proc.stdout], [], [], 0)[0])
-
-    def _file_one(self) -> bool:
-        """Read the next reply and file it under its ticket (or forget a dropped one)."""
-        reply = None if self.broken else self._read_one()
-        if reply is None:
-            self.broken = True
-            return False
-        if self._read in self._dropped:
-            self._dropped.discard(self._read)
-        else:
-            self._filed[self._read] = reply
-        self._read += 1
-        return True
-
-    def _read_one(self) -> bytearray | None:
-        deadline = time.perf_counter() + _POLL_S
-        while not self._readable() and time.perf_counter() < deadline:
-            pass
-        fd = self.proc.stdout.fileno()
-        if not self.ready:
-            if _read_exactly(fd, 1) != _READY:
-                return None
-            self.ready = True
-        header = _read_exactly(fd, _REPLY.size)
-        if header is None:
-            return None
-        return _read_exactly(fd, _REPLY.unpack(header)[0])
-
-    def close(self) -> None:
-        with self._send_lock:
-            self.broken = True
-            try:
-                self.proc.stdin.close()
-            except OSError:  # unflushed bytes to a worker that has gone
-                pass
-        try:
-            self.proc.wait(timeout=_CLOSE_WAIT_S)
-        except subprocess.TimeoutExpired:
-            self.proc.kill()
-            self.proc.wait()
-        with self._reply_lock:  # a reader blocked on the pipe has had its EOF
-            self.proc.stdout.close()
-
-
-class _Worker:
-    """The current channel, started lazily and replaced when it fails."""
-
     def __init__(self):
-        self._lock = threading.Lock()
-        self._channel: _Channel | None = None
+        self._lent = threading.Lock()  # held from a request's send until its reply is read
+        self._held: Ticket | None = None  # the step that holds the worker, if one does
+        self._proc: subprocess.Popen | None = None
+        self._ready = False  # the worker has written _READY, and that byte was read
         self._owner = os.getpid()
         self._given_up = False
 
-    @property
-    def _proc(self) -> subprocess.Popen | None:
-        channel = self._channel
-        return None if channel is None else channel.proc
-
     def lower_levels(self, cells: list[bytes], cell_size: int) -> list[bytes] | None:
-        """Iterations 1..L-1 of both halves of ``cells``, or None when no worker can run."""
-        channel = self._current()
-        if channel is None:
+        """Iterations 1..L-1 of both halves of ``cells``, or None when no worker is free."""
+        proc = self._take()
+        if proc is None:
             return None
         half = len(cells) // 2
         payload = b"".join(cells[half:])
-        ticket = channel.send(_TRANSFORM, payload, cell_size)
-        left = _half_levels(cells[:half], cell_size)
-        reply = None if ticket is None else channel.reply(ticket)
-        if reply is None or len(reply) != len(payload):
-            self._retire(channel)
+        sent = _send(proc, _TRANSFORM, payload, cell_size)
+        try:
+            left = _half_levels(cells[:half], cell_size)
+        finally:
+            reply = self._finish(proc, len(payload) if sent else None)
+        if reply is None:
             return left + _half_levels(cells[half:], cell_size)
         return left + _split(reply, cell_size)
 
     def send_modexp(self, base: int, exponent: int, modulus: int) -> Ticket | None:
-        channel = self._current()
-        if channel is None or not channel.poll_ready():
-            if channel is not None and channel.broken:
-                self._retire(channel)
+        proc = self._take()
+        if proc is None:
+            return None
+        if not self._poll_ready(proc):
+            self._lent.release()
             return None
         width = (modulus.bit_length() + 7) // 8
         payload = b"".join(
@@ -286,70 +208,116 @@ class _Worker:
                 exponent.to_bytes((exponent.bit_length() + 7) // 8, "big"),
             )
         )
-        ticket = channel.send(_MODEXP, payload, width)
-        if ticket is None:
-            self._retire(channel)
+        if not _send(proc, _MODEXP, payload, width):
+            self._finish(proc, None)
             return None
-        return Ticket(self, channel, ticket)
+        self._held = Ticket(self, proc, width)
+        return self._held
 
     def close(self) -> None:
-        """Stop the worker, if one runs; the next call that can use one starts another."""
-        with self._lock:
-            channel, self._channel = self._channel, None
-        if channel is not None:
-            channel.close()
+        """Stop the worker, if one runs; the next call that can use one starts another.
 
-    def _current(self) -> _Channel | None:
-        """The running channel, started here if none runs and one may."""
-        if os.getpid() != self._owner or self._given_up:
+        It takes no lock, so a step still out at exit does not hold it up.
+        """
+        proc, self._proc = self._proc, None
+        if proc is not None:
+            _close(proc)
+
+    def _take(self) -> subprocess.Popen | None:
+        """Take the worker, started here if none runs and one may; None to compute here."""
+        if os.getpid() != self._owner:
             return None
-        with self._lock:
-            if self._channel is None:
-                if _usable_cpus() < 2:
-                    return None
-                parent = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
-                try:
-                    proc = subprocess.Popen(
-                        [sys.executable, "-I", "-S", "-c", _BOOT, parent],
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                    )
-                except OSError:
-                    self._given_up = True
-                    return None
+        if not self._lent.acquire(blocking=False):
+            held = self._held
+            if held is None or held._thread != threading.get_ident():
+                return None
+            held.settle()  # this thread's own step: read it now and take the worker
+            if not self._lent.acquire(blocking=False):
+                return None
+        if self._proc is None and not self._given_up and _usable_cpus() >= 2:
+            parent = os.path.dirname(os.path.dirname(os.path.abspath(engine.__file__)))
+            try:
+                proc = subprocess.Popen(
+                    [sys.executable, "-I", "-S", "-c", _BOOT, parent],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                )
+            except OSError:
+                self._given_up = True
+            else:
                 _keep_apart(proc.pid)
-                self._channel = _Channel(proc)
-            return self._channel
+                self._proc, self._ready = proc, False
+        if self._proc is None:
+            self._lent.release()
+        return self._proc
 
-    def _retire(self, channel: _Channel) -> None:
-        """Close a failed channel; give up for good if it never booted."""
-        with self._lock:
-            if self._channel is not channel:
-                return
-            self._channel = None
-            self._given_up = not channel.ready
-        channel.close()
+    def _poll_ready(self, proc: subprocess.Popen) -> bool:
+        """Whether the worker has signalled ready; never waits for it."""
+        if not self._ready and _readable(proc):
+            self._ready = _read_exactly(proc.stdout.fileno(), 1) == _READY
+            if not self._ready:
+                self._retire(proc)
+        return self._ready
+
+    def _finish(self, proc: subprocess.Popen, size: int | None) -> bytearray | None:
+        """The ``size``-byte reply (None: nothing was sent), then the worker is free.
+
+        None where the worker failed; it is closed, and the caller
+        computes its part here.
+        """
+        try:
+            reply = None if size is None else self._reply(proc, size)
+            if reply is None:
+                self._retire(proc)
+            return reply
+        finally:
+            self._held = None
+            self._lent.release()
+
+    def _reply(self, proc: subprocess.Popen, size: int) -> bytearray | None:
+        try:
+            deadline = time.perf_counter() + _POLL_S
+            while not _readable(proc) and time.perf_counter() < deadline:
+                pass
+            fd = proc.stdout.fileno()
+            if not self._ready:
+                if _read_exactly(fd, 1) != _READY:
+                    return None
+                self._ready = True
+            header = _read_exactly(fd, _REPLY.size)
+            if header is None or _REPLY.unpack(header)[0] != size:
+                return None
+            return _read_exactly(fd, size)
+        except (OSError, ValueError):  # the worker was closed at exit
+            return None
+
+    def _retire(self, proc: subprocess.Popen) -> None:
+        """Close a failed worker; give up for good if it never booted."""
+        if self._proc is proc:
+            self._proc = None
+            self._given_up = not self._ready
+        _close(proc)
 
 
 class Ticket:
-    """A step sent to the worker; :meth:`result` collects it, :meth:`drop` forgoes it."""
+    """A step sent to the worker, which it holds until :meth:`settle` reads the reply."""
 
-    def __init__(self, worker: _Worker, channel: _Channel, number: int):
+    def __init__(self, worker: _Worker, proc: subprocess.Popen, width: int):
         self._worker = worker
-        self._channel = channel
-        self._number = number
+        self._proc = proc
+        self._width = width
+        self._thread = threading.get_ident()  # the thread that began the step
+        self._reply: bytearray | None = None
+
+    def settle(self) -> None:
+        """Read the step's reply now and free the worker; :meth:`result` gives the value."""
+        if self._worker._held is self:
+            self._reply = self._worker._finish(self._proc, self._width)
 
     def result(self) -> int | None:
         """The step's integer, or None where the worker failed (compute it here)."""
-        channel = self._channel
-        reply = channel.reply(self._number)
-        if reply is None:
-            self._worker._retire(channel)
-            return None
-        return int.from_bytes(reply, "big")
-
-    def drop(self) -> None:
-        self._channel.drop(self._number)
+        self.settle()
+        return None if self._reply is None else int.from_bytes(self._reply, "big")
 
 
 _WORKER = _Worker()
@@ -360,18 +328,19 @@ def lower_levels(cells: list[bytes], cell_size: int) -> list[bytes] | None:
     """Iterations 1..L-1 of a padded array, its right half run in the worker.
 
     ``cells`` is the whole padded array. Returns None, having done
-    nothing, when no worker can run here; the caller then runs every
-    iteration itself.
+    nothing, when no worker is free or can run here; the caller then
+    runs every iteration itself.
     """
     return _WORKER.lower_levels(cells, cell_size)
 
 
 def send_modexp(base: int, exponent: int, modulus: int) -> Ticket | None:
-    """Queue ``pow(base, exponent, modulus)`` on a ready worker, starting one if none runs.
+    """Send ``pow(base, exponent, modulus)`` to a ready worker, starting one if none runs.
 
-    Only public values cross the pipe. Returns None, having sent
-    nothing, while no worker is ready or where none can run; the caller
-    then computes the step itself.
+    Only public values cross the pipe, and the step holds the worker
+    until its ticket is settled. Returns None, having sent nothing, while
+    no worker is ready or free, or where none can run; the caller then
+    computes the step itself.
     """
     return _WORKER.send_modexp(base, exponent, modulus)
 

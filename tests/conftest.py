@@ -130,3 +130,22 @@ def steps_in_worker(monkeypatch) -> list[tuple[int, int, int]]:
 
     monkeypatch.setattr(worker, "send_modexp", counting)
     return sent
+
+
+@pytest.fixture()
+def halves_here(monkeypatch) -> list[int]:
+    """The cell count of each half that this process runs itself."""
+    calls = []
+    run = worker._half_levels
+
+    def counting(cells, cell_size):
+        calls.append(len(cells))
+        return run(cells, cell_size)
+
+    monkeypatch.setattr(worker, "_half_levels", counting)
+    return calls
+
+
+def worker_is_free() -> bool:
+    """No step holds the worker, and no request has it."""
+    return worker._WORKER._held is None and not worker._WORKER._lent.locked()

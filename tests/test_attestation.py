@@ -6,10 +6,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import needs_two_cpus
+from conftest import needs_two_cpus, worker_is_free
 from test_strict_decoding import _address_space_cap
 
-from expunge import hashing, worker
+from expunge import hashing
 from expunge.attestation import (
     REPLAY_OVERLAP_MIN_CIPHERTEXTS,
     calibrate_time_bound,
@@ -28,6 +28,7 @@ from expunge.control import (
     timestamp_exponent,
 )
 from expunge.core import DataState, EpochWindow, RetentionPolicy, SensorReading
+from expunge.engine import CellArray, expunge
 from expunge.errors import DomainError, IntegrityError
 
 POLICY = RetentionPolicy(p_del=2, p_ver=4, delta=1000)
@@ -453,8 +454,8 @@ class TestReplayInWorker:
         flipped = dataclasses.replace(bundle, digests=bundle.digests[::-1])
         assert not verify_bundle(flipped, keyring.shared_key, small_params, POLICY).completeness_ok
 
-    def test_a_refused_seal_leaves_the_queue_in_order(
-        self, keyring, small_params, steps_in_worker
+    def test_a_refused_seal_leaves_the_worker_free(
+        self, keyring, small_params, steps_in_worker, halves_here
     ):
         bundle = self._bundle(keyring, small_params, REPLAY_OVERLAP_MIN_CIPHERTEXTS)
         swapped = dataclasses.replace(bundle, enc_state_tag=bundle.enc_crypto_time)
@@ -462,7 +463,10 @@ class TestReplayInWorker:
         for _ in range(3):
             with pytest.raises(IntegrityError):
                 verify_bundle(swapped, keyring.shared_key, small_params, POLICY)
+            assert worker_is_free()
         assert verify_bundle(bundle, keyring.shared_key, small_params, POLICY).verified
-        assert len(steps_in_worker) == 4
-        channel = worker._WORKER._channel
-        assert not channel._filed and not channel._dropped
+        assert len(steps_in_worker) == 4  # the next step reached the worker
+        halves_here.clear()
+        expunge(CellArray(epoch_id=1, cell_size=1024, cells=(bytes(1024),) * 512))
+        assert halves_here == [256]  # and so did the next large transform
+        assert worker_is_free()

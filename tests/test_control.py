@@ -1,8 +1,12 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
+from conftest import needs_two_cpus
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
+from expunge import accumulator, crypto, engine
 from expunge.accumulator import step
 from expunge.control import (
     SEALED_ACCESSIBLE,
@@ -292,6 +296,34 @@ class TestOutsourcePayload:
         )
         assert SensorDataRow.from_bytes(sensor.to_bytes()) == sensor
         assert MetaDataRow.from_bytes(meta.to_bytes()) == meta
+
+    @needs_two_cpus
+    def test_a_large_epoch_uses_the_worker_and_keeps_its_rows(
+        self, monkeypatch, keyring, small_params, steps_in_worker, halves_here
+    ):
+        # 16 cells of about 32 KiB: a padded array at the split threshold
+        readings = [_reading(1100 + i, payload=bytes([i]) * 32768) for i in range(16)]
+
+        def rows():
+            with monkeypatch.context() as patch:  # the same envelope keys and nonces each run
+                rng = random.Random(7)
+                ephemeral = X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+                patch.setattr(crypto, "os", SimpleNamespace(urandom=rng.randbytes))
+                keys = SimpleNamespace(generate=lambda: ephemeral)
+                patch.setattr(crypto, "X25519PrivateKey", keys)
+                return build_outsource_payload(
+                    WINDOW, readings, small_params.seed, keyring, small_params
+                )
+
+        in_worker = rows()
+        array = CellArray.from_ciphertexts(list(in_worker[0].ciphertexts), WINDOW.id)
+        assert len(array.cells) * array.cell_size >= engine.SPLIT_MIN_BYTES
+        assert len(steps_in_worker) == 1 and halves_here == [8]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "SPLIT_MIN_BYTES", float("inf"))
+            patch.setattr(accumulator, "STEP_BUDGET_S", float("inf"))
+            assert rows() == in_worker
+        assert len(steps_in_worker) == 1 and halves_here == [8]
 
     def test_row_validation(self, tiny_params):
         from expunge.accumulator import AccumulatorValue

@@ -23,7 +23,7 @@ from expunge.engine import (
 )
 from expunge.errors import DomainError
 
-from conftest import needs_two_cpus
+from conftest import needs_two_cpus, worker_is_free
 
 #: Normative three-iteration pairing pattern for eight cells (1-based).
 REFERENCE_N8_TRACE = {
@@ -339,20 +339,6 @@ class TestDurationEstimate:
             assert fits == paths * 2
 
 
-@pytest.fixture
-def halves_here(monkeypatch):
-    """The cell count of each half that this process runs itself."""
-    calls = []
-    run = worker._half_levels
-
-    def counting(cells, cell_size):
-        calls.append(len(cells))
-        return run(cells, cell_size)
-
-    monkeypatch.setattr(worker, "_half_levels", counting)
-    return calls
-
-
 def _in_process(array, monkeypatch):
     """The reference: the whole transform in this process."""
     with monkeypatch.context() as patch:
@@ -477,6 +463,33 @@ class TestWorkerSplit:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
+    def test_exiting_with_a_step_out_leaves_no_worker(self):
+        # the first atexit handler runs last: it times the worker's close
+        code = (
+            "import atexit, random, time\n"
+            "atexit.register(lambda: print(time.perf_counter() - ended))\n"
+            "from expunge import accumulator, worker\n"
+            "params = accumulator.setup(512, rng=random.Random(1))\n"
+            "accumulator.STEP_BUDGET_S = 0.0\n"
+            "def begin():\n"
+            "    return accumulator.start_step(params.seed, b'\\x07', params)\n"
+            "while (pending := begin())._ticket is None:  # a step out in a ready worker\n"
+            "    time.sleep(0.01)\n"
+            "print(worker._WORKER._proc.pid)\n"
+            "ended = time.perf_counter()\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr, proc.stderr
+        pid, closing = proc.stdout.split()
+        assert float(closing) < worker._CLOSE_WAIT_S  # it left on EOF, unkilled
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
+
 
 def _step_reference(params, exponents):
     """A chain of steps from the seed, each by the builtin pow."""
@@ -488,7 +501,7 @@ def _step_reference(params, exponents):
 
 @needs_two_cpus
 class TestWorkerChannel:
-    """Steps and transforms share the worker, one request queue in order."""
+    """Steps and transforms share the worker, lent to one request at a time."""
 
     def test_a_transform_takes_the_worker_while_a_step_is_out(
         self, monkeypatch, halves_here, steps_in_worker, small_params
@@ -501,7 +514,7 @@ class TestWorkerChannel:
         assert halves_here == [256]
         assert len(steps_in_worker) == 1
 
-    def test_a_caller_that_raises_leaves_the_queue_in_order(
+    def test_a_caller_that_raises_leaves_the_worker_free(
         self, monkeypatch, halves_here, steps_in_worker, small_params
     ):
         array = _split_size_array()
@@ -509,13 +522,39 @@ class TestWorkerChannel:
         with pytest.raises(RuntimeError):
             with accumulator.start_step(small_params.seed, b"\x03", small_params):
                 raise RuntimeError("the caller fails before it needs the step")
+        assert worker_is_free()
         with accumulator.start_step(small_params.seed, b"\x05", small_params) as pending:
             assert pending() == _step_reference(small_params, [b"\x05"])
         assert expunge(array) == expected
-        assert halves_here == [256]
-        assert len(steps_in_worker) == 2
-        channel = worker._WORKER._channel
-        assert not channel._filed and not channel._dropped
+        assert halves_here == [256]  # the next transform reached the worker
+        assert len(steps_in_worker) == 2  # and so did the next step
+        assert worker_is_free()
+
+    def test_a_transform_runs_here_while_another_threads_step_holds_the_worker(
+        self, monkeypatch, halves_here, steps_in_worker, small_params
+    ):
+        array = _split_size_array()
+        expected = _in_process(array, monkeypatch)
+        began, release, values = threading.Event(), threading.Event(), []
+
+        def hold():
+            with accumulator.start_step(small_params.seed, b"\x07", small_params) as pending:
+                began.set()
+                release.wait(timeout=60)
+                values.append(pending())
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert began.wait(timeout=60)
+            assert len(steps_in_worker) == 1 and not worker_is_free()
+            assert expunge(array) == expected
+            assert halves_here == []
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert values == [_step_reference(small_params, [b"\x07"])]
+        assert worker_is_free()
 
     def test_threads_mixing_steps_and_transforms_get_the_reference_values(
         self, monkeypatch, steps_in_worker, small_params
